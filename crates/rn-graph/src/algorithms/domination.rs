@@ -12,7 +12,9 @@
 //! [`minimal_dominating_subset`] implements that reduction; the
 //! [`ReductionOrder`] parameter exists only for the ablation benchmark — every
 //! order yields a minimal set, but different minimal sets can lead to
-//! different broadcast schedules.
+//! different broadcast schedules. [`DominationScratch`] runs the same
+//! reduction on reusable working memory, so a caller reducing once per stage
+//! pays for the stage's sets and their degrees, not for `n`.
 
 use crate::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -100,65 +102,150 @@ pub fn dominator_count(g: &Graph, set: &[NodeId], target: NodeId) -> usize {
 ///
 /// The reduction repeatedly drops any candidate whose removal keeps all
 /// targets dominated, trying candidates in the given [`ReductionOrder`]. The
-/// result is inclusion-minimal regardless of order. Runs in
-/// `O(|candidates| · Σ_{t∈targets} deg(t))`.
+/// result is inclusion-minimal regardless of order.
+///
+/// Runs in `O(n + k log k + Σ_{c∈candidates} deg(c) + Σ_{t∈targets} deg(t))`
+/// for `k = |candidates|`. The `O(n)` term is this one-shot form allocating a
+/// fresh [`DominationScratch`]; callers that reduce many sets on one graph
+/// keep a scratch and call [`DominationScratch::minimal_dominating_subset`],
+/// which drops that term.
 pub fn minimal_dominating_subset(
     g: &Graph,
     candidates: &[NodeId],
     targets: &[NodeId],
     order: ReductionOrder,
 ) -> Option<Vec<NodeId>> {
-    if !is_dominating_set(g, candidates, targets) {
-        return None;
-    }
-    let n = g.node_count();
-    // cover[t] = number of current set members adjacent to t, for t in targets.
-    let mut in_set = vec![false; n];
-    for &c in candidates {
-        in_set[c] = true;
-    }
-    let mut cover = vec![0usize; n];
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        is_target[t] = true;
-        cover[t] = g.neighbors(t).iter().filter(|&&w| in_set[w]).count();
+    DominationScratch::for_nodes(g.node_count())
+        .minimal_dominating_subset(g, candidates, targets, order)
+}
+
+/// Reusable working memory for [`minimal_dominating_subset`].
+///
+/// A reduction needs three per-node arrays: membership in the current set,
+/// membership in the target set, and, per target, how many set members
+/// dominate it (`cover`). Allocating and clearing them per call costs `O(n)`,
+/// which dominates when the sets are small — as they are at every stage of
+/// the §2.1 construction. The scratch keeps them across calls and guards
+/// them with a **generation stamp**, the idiom of the simulator's round
+/// scratch: each reduction bumps `generation`, a node is in the set (a
+/// target) only while its `in_set` (`is_target`) stamp equals the current
+/// generation, and `cover[t]` is valid only for current targets. Entries
+/// from earlier reductions are never read, so nothing is ever cleared.
+#[derive(Debug)]
+pub struct DominationScratch {
+    /// `in_set[v] == generation` iff `v` is in the current set.
+    in_set: Vec<u64>,
+    /// `is_target[v] == generation` iff `v` is a target of the current
+    /// reduction.
+    is_target: Vec<u64>,
+    /// Number of current set members adjacent to each current target.
+    cover: Vec<u32>,
+    /// The current reduction's stamp: strictly increasing and never 0, so
+    /// a zeroed entry never reads as current.
+    generation: u64,
+}
+
+impl DominationScratch {
+    /// Creates a scratch sized for graphs of up to `n` nodes; it grows to
+    /// fit larger graphs on first use.
+    pub fn for_nodes(n: usize) -> Self {
+        DominationScratch {
+            in_set: vec![0; n],
+            is_target: vec![0; n],
+            cover: vec![0; n],
+            generation: 0,
+        }
     }
 
-    let mut trial: Vec<NodeId> = candidates.to_vec();
-    match order {
-        ReductionOrder::Forward => trial.sort_unstable(),
-        ReductionOrder::Reverse => {
-            trial.sort_unstable();
-            trial.reverse();
+    /// Reduces `candidates` to a minimal subset that still dominates
+    /// `targets`, exactly as [`minimal_dominating_subset`] does, reusing this
+    /// scratch. Returns `None` if `candidates` does not dominate `targets`.
+    ///
+    /// Runs in `O(k log k + Σ_{c∈candidates} deg(c) + Σ_{t∈targets} deg(t))`
+    /// for `k = |candidates|`, independent of `n` once the scratch covers
+    /// the graph. After a successful call, [`cover`](Self::cover) reports
+    /// how many members of the result dominate each target.
+    pub fn minimal_dominating_subset(
+        &mut self,
+        g: &Graph,
+        candidates: &[NodeId],
+        targets: &[NodeId],
+        order: ReductionOrder,
+    ) -> Option<Vec<NodeId>> {
+        let n = g.node_count();
+        if self.in_set.len() < n {
+            self.in_set.resize(n, 0);
+            self.is_target.resize(n, 0);
+            self.cover.resize(n, 0);
         }
-        ReductionOrder::Random(seed) => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            trial.sort_unstable();
-            trial.shuffle(&mut rng);
+        self.generation += 1;
+        let gen = self.generation;
+        for &c in candidates {
+            self.in_set[c] = gen;
         }
-    }
+        // cover[t] = number of current set members adjacent to t; a target
+        // with none means the candidates do not dominate the targets.
+        for &t in targets {
+            self.is_target[t] = gen;
+            let dominators = g.neighbors(t).iter().filter(|&&w| self.in_set[w] == gen);
+            self.cover[t] = u32::try_from(dominators.count()).expect("degree fits in u32");
+            if self.cover[t] == 0 {
+                return None;
+            }
+        }
 
-    for &c in &trial {
-        // c is removable iff every target neighbour of c is covered by at
-        // least one other set member (a target t blocks removal iff
-        // cover[t] == 1, i.e. c is its only dominator).
-        let removable = g
-            .neighbors(c)
-            .iter()
-            .all(|&t| !is_target[t] || cover[t] >= 2);
-        if removable && in_set[c] {
-            in_set[c] = false;
-            for &t in g.neighbors(c) {
-                if is_target[t] {
-                    cover[t] -= 1;
+        let mut trial: Vec<NodeId> = candidates.to_vec();
+        trial.sort_unstable();
+        match order {
+            ReductionOrder::Forward => {}
+            ReductionOrder::Reverse => trial.reverse(),
+            ReductionOrder::Random(seed) => {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                trial.shuffle(&mut rng);
+            }
+        }
+
+        for &c in &trial {
+            // c is removable iff every target neighbour of c is covered by at
+            // least one other set member (a target t blocks removal iff
+            // cover[t] == 1, i.e. c is its only dominator).
+            if self.in_set[c] != gen {
+                continue;
+            }
+            let removable = g
+                .neighbors(c)
+                .iter()
+                .all(|&t| self.is_target[t] != gen || self.cover[t] >= 2);
+            if removable {
+                self.in_set[c] = 0;
+                for &t in g.neighbors(c) {
+                    if self.is_target[t] == gen {
+                        self.cover[t] -= 1;
+                    }
                 }
             }
         }
+
+        let mut result: Vec<NodeId> = trial
+            .into_iter()
+            .filter(|&v| self.in_set[v] == gen)
+            .collect();
+        result.sort_unstable();
+        result.dedup();
+        Some(result)
     }
 
-    let mut result: Vec<NodeId> = (0..n).filter(|&v| in_set[v]).collect();
-    result.sort_unstable();
-    Some(result)
+    /// The number of members of the last reduction's result adjacent to
+    /// target `t`. Meaningful only after a successful
+    /// [`minimal_dominating_subset`](Self::minimal_dominating_subset) call
+    /// that had `t` among its targets.
+    pub fn cover(&self, t: NodeId) -> usize {
+        debug_assert_eq!(
+            self.is_target[t], self.generation,
+            "{t} is not a current target"
+        );
+        self.cover[t] as usize
+    }
 }
 
 /// Greedy dominating set for the whole graph (classic ln-approximation):
@@ -313,6 +400,51 @@ mod tests {
         // needs exactly two nodes.
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn reused_scratch_matches_one_shot_and_reports_cover() {
+        // One scratch across reductions of different sets, orders and
+        // graphs (the smaller graph first, so the scratch must grow):
+        // stale stamps from earlier calls must never leak into a result.
+        let mut scratch = DominationScratch::for_nodes(0);
+        for (g, step) in [
+            (generators::grid(4, 5), 2),
+            (generators::gnp_connected(40, 0.15, 3).unwrap(), 3),
+        ] {
+            let n = g.node_count();
+            for offset in 0..step {
+                let candidates: Vec<usize> = (offset..n).step_by(step).collect();
+                let targets = neighborhood_of_set(&g, &candidates);
+                for order in [
+                    ReductionOrder::Forward,
+                    ReductionOrder::Reverse,
+                    ReductionOrder::Random(5),
+                ] {
+                    let fresh = minimal_dominating_subset(&g, &candidates, &targets, order);
+                    let reused =
+                        scratch.minimal_dominating_subset(&g, &candidates, &targets, order);
+                    assert_eq!(reused, fresh, "{order:?}");
+                    let dom = reused.unwrap();
+                    for &t in &targets {
+                        assert_eq!(scratch.cover(t), dominator_count(&g, &dom, t));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_rejects_non_dominating_candidates_then_recovers() {
+        let g = generators::path(5);
+        let mut scratch = DominationScratch::for_nodes(5);
+        let order = ReductionOrder::Forward;
+        assert!(scratch
+            .minimal_dominating_subset(&g, &[0], &[3], order)
+            .is_none());
+        let sub = scratch.minimal_dominating_subset(&g, &[1, 2, 3], &[0, 2, 4], order);
+        assert_eq!(sub, Some(vec![1, 3]));
+        assert_eq!(scratch.cover(2), 2);
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub use coloring::{greedy_coloring, square_graph, square_graph_coloring};
 pub use connectivity::{connected_components, is_connected};
 pub use domination::{
     dominates, dominator_count, greedy_dominating_set, is_dominating_set,
-    is_minimal_dominating_set, minimal_dominating_subset, neighborhood_of_set, ReductionOrder,
+    is_minimal_dominating_set, minimal_dominating_subset, neighborhood_of_set, DominationScratch,
+    ReductionOrder,
 };
 pub use properties::{degree_histogram, is_bipartite, is_tree};
 pub use recognition::{is_caterpillar, is_grid, is_series_parallel};

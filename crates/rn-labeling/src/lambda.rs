@@ -45,6 +45,12 @@ impl LambdaScheme {
     pub fn into_labeling(self) -> Labeling {
         self.labeling
     }
+
+    /// Consumes the scheme, returning the labeling and the construction
+    /// without copying either.
+    pub fn into_parts(self) -> (Labeling, SequenceConstruction) {
+        (self.labeling, self.construction)
+    }
 }
 
 /// Constructs the λ labeling for `(g, source)` using the default

@@ -47,6 +47,12 @@ impl LambdaAckScheme {
     pub fn into_labeling(self) -> Labeling {
         self.labeling
     }
+
+    /// Consumes the scheme, returning the labeling and the construction
+    /// without copying either.
+    pub fn into_parts(self) -> (Labeling, SequenceConstruction) {
+        (self.labeling, self.construction)
+    }
 }
 
 /// Constructs the λ_ack labeling for `(g, source)` with the default reduction
@@ -62,9 +68,7 @@ pub fn construct_with_order(
     source: NodeId,
     order: ReductionOrder,
 ) -> Result<LambdaAckScheme, LabelingError> {
-    let lambda_scheme = lambda::construct_with_order(g, source, order)?;
-    let construction = lambda_scheme.construction().clone();
-    let two_bit = lambda_scheme.into_labeling();
+    let (two_bit, construction) = lambda::construct_with_order(g, source, order)?.into_parts();
 
     // z: a node that receives µ in the last round in which any node receives
     // µ for the first time, i.e. a node of NEW_{ℓ-1} (Lemma 2.8 /

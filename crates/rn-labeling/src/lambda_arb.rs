@@ -83,8 +83,7 @@ pub fn construct_with_coordinator(
     }
     let ack = lambda_ack::construct_with_order(g, r, order)?;
     let z = ack.z();
-    let construction = ack.construction().clone();
-    let ack_labeling = ack.into_labeling();
+    let (ack_labeling, construction) = ack.into_parts();
 
     let labels = (0..g.node_count())
         .map(|v| {

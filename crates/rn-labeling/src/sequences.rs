@@ -17,28 +17,44 @@
 //! ground truth against which the integration tests check the executed
 //! broadcast (Lemma 2.8: exactly `DOM_i` transmit in round `2i − 1`, exactly
 //! `NEW_i` are newly informed).
+//!
+//! # Cost
+//!
+//! The construction is incremental: no stage does `O(n)` work. It keeps an
+//! `informed` and an `in_frontier` bitmap and derives
+//! `FRONTIER_i = (FRONTIER_{i−1} \ NEW_{i−1}) ∪ (Γ(NEW_{i−1}) ∩ UNINF_i)`,
+//! and it reduces `DOM_i` on one reusable
+//! [`DominationScratch`], which also yields each frontier node's dominator
+//! count, hence `NEW_i`. With `C_i = DOM_{i−1} ∪ NEW_{i−1}`, stage `i` costs
+//!
+//! `O(|C_i| log |C_i| + |FRONTIER_i| log |FRONTIER_i| + Σ_{v∈C_i} deg(v) + Σ_{t∈FRONTIER_i} deg(t))`,
+//!
+//! and the whole build costs `O(n + m)` (connectivity check and bitmaps)
+//! plus the sum of those stage costs. Memory is `O(n)` plus the stored
+//! sets, `Σ_i (|FRONTIER_i| + |DOM_i| + |NEW_i|)`; `INF_i` and `UNINF_i` are
+//! not materialised.
 
 use crate::error::LabelingError;
 use rn_graph::algorithms::{
-    dominator_count, is_connected, is_minimal_dominating_set, minimal_dominating_subset,
-    neighborhood_of_set, ReductionOrder,
+    is_connected, is_minimal_dominating_set, neighborhood_of_set, DominationScratch, ReductionOrder,
 };
 use rn_graph::{Graph, NodeId};
 
 /// One stage of the construction (the paper's index `i` is `index`).
+///
+/// `INF_i` and `UNINF_i` are not stored: `INF_i` is the source plus
+/// `NEW_1 ∪ … ∪ NEW_{i−1}` (Fact 2.2) and `UNINF_i` its complement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     /// The 1-based stage index `i`.
     pub index: usize,
-    /// `INF_i`: nodes informed before round `2i − 1` (sorted).
-    pub inf: Vec<NodeId>,
-    /// `UNINF_i`: nodes not informed before round `2i − 1` (sorted).
-    pub uninf: Vec<NodeId>,
-    /// `FRONTIER_i`: uninformed nodes adjacent to at least one informed node.
+    /// `FRONTIER_i`: uninformed nodes adjacent to at least one informed node
+    /// (sorted).
     pub frontier: Vec<NodeId>,
-    /// `DOM_i`: the minimal dominating subset that transmits in round `2i − 1`.
+    /// `DOM_i`: the minimal dominating subset that transmits in round `2i − 1`
+    /// (sorted).
     pub dom: Vec<NodeId>,
-    /// `NEW_i`: nodes newly informed in round `2i − 1`.
+    /// `NEW_i`: nodes newly informed in round `2i − 1` (sorted).
     pub new: Vec<NodeId>,
 }
 
@@ -70,51 +86,61 @@ impl SequenceConstruction {
             return Err(LabelingError::NotConnected);
         }
 
-        let mut stages = Vec::new();
+        let mut scratch = DominationScratch::for_nodes(n);
         let mut informed = vec![false; n];
+        // Set once a node joins a frontier; read only for uninformed nodes.
+        let mut in_frontier = vec![false; n];
         informed[source] = true;
+        // |UNINF_i| of the last stage built.
+        let mut uninformed = n - 1;
 
-        // Stage 1.
+        // Stage 1: DOM_1 = {s} and FRONTIER_1 = NEW_1 = Γ(s).
         let frontier1 = neighborhood_of_set(g, &[source]);
-        let stage1 = Stage {
+        for &v in &frontier1 {
+            in_frontier[v] = true;
+        }
+        let mut stages = vec![Stage {
             index: 1,
-            inf: vec![source],
-            uninf: (0..n).filter(|&v| v != source).collect(),
             frontier: frontier1.clone(),
             dom: vec![source],
             new: frontier1,
-        };
-        stages.push(stage1);
+        }];
 
-        loop {
+        // The construction ends at the first stage with INF_i = V(G).
+        while uninformed > 0 {
             let prev = stages.last().expect("at least one stage");
-            // The construction ends at the first stage with INF_i = V(G).
-            if prev.uninf.is_empty() {
-                break;
-            }
-
             let index = prev.index + 1;
             // INF_i = INF_{i-1} ∪ NEW_{i-1}; UNINF_i = UNINF_{i-1} \ NEW_{i-1}.
             for &v in &prev.new {
                 informed[v] = true;
             }
-            let inf: Vec<NodeId> = (0..n).filter(|&v| informed[v]).collect();
-            let uninf: Vec<NodeId> = (0..n).filter(|&v| !informed[v]).collect();
+            uninformed -= prev.new.len();
 
-            // FRONTIER_i = UNINF_i ∩ Γ(INF_i).
-            let gamma_inf = neighborhood_of_set(g, &inf);
-            let frontier: Vec<NodeId> = uninf
+            // FRONTIER_i = UNINF_i ∩ Γ(INF_i)
+            //            = (FRONTIER_{i-1} \ NEW_{i-1}) ∪ (Γ(NEW_{i-1}) ∩ UNINF_i).
+            let mut frontier: Vec<NodeId> = prev
+                .frontier
                 .iter()
                 .copied()
-                .filter(|v| gamma_inf.binary_search(v).is_ok())
+                .filter(|&v| !informed[v])
                 .collect();
+            for &v in &prev.new {
+                for &w in g.neighbors(v) {
+                    if !informed[w] && !in_frontier[w] {
+                        in_frontier[w] = true;
+                        frontier.push(w);
+                    }
+                }
+            }
+            frontier.sort_unstable();
 
             // DOM_i = minimal subset of DOM_{i-1} ∪ NEW_{i-1} dominating FRONTIER_i.
             let mut candidates: Vec<NodeId> =
                 prev.dom.iter().chain(prev.new.iter()).copied().collect();
             candidates.sort_unstable();
             candidates.dedup();
-            let dom = minimal_dominating_subset(g, &candidates, &frontier, order)
+            let dom = scratch
+                .minimal_dominating_subset(g, &candidates, &frontier, order)
                 .expect("Lemma 2.5: DOM_{i-1} ∪ NEW_{i-1} dominates FRONTIER_i");
             debug_assert!(is_minimal_dominating_set(g, &dom, &frontier) || frontier.is_empty());
 
@@ -122,26 +148,22 @@ impl SequenceConstruction {
             let new: Vec<NodeId> = frontier
                 .iter()
                 .copied()
-                .filter(|&v| dominator_count(g, &dom, v) == 1)
+                .filter(|&v| scratch.cover(v) == 1)
                 .collect();
-
-            stages.push(Stage {
-                index,
-                inf,
-                uninf,
-                frontier,
-                dom,
-                new,
-            });
 
             // Safety net: the construction must make progress (Lemma 2.4); if
             // it ever fails to, something is deeply wrong and looping forever
             // would be worse than panicking.
-            let last = stages.last().expect("just pushed");
             assert!(
-                !last.new.is_empty() || last.uninf.is_empty(),
+                !new.is_empty() || uninformed == 0,
                 "construction stalled: Lemma 2.4 violated"
             );
+            stages.push(Stage {
+                index,
+                frontier,
+                dom,
+                new,
+            });
         }
 
         Ok(SequenceConstruction { source, stages })
@@ -212,10 +234,24 @@ impl SequenceConstruction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rn_graph::algorithms::dominator_count;
     use rn_graph::generators;
 
     fn build(g: &Graph, s: NodeId) -> SequenceConstruction {
         SequenceConstruction::build(g, s, ReductionOrder::Forward).unwrap()
+    }
+
+    /// `(INF_i, UNINF_i)` derived from the stages by Fact 2.2: `INF_i` is
+    /// the source plus `NEW_1 ∪ … ∪ NEW_{i−1}`, `UNINF_i` its complement.
+    fn inf_uninf(c: &SequenceConstruction, n: usize, i: usize) -> (Vec<NodeId>, Vec<NodeId>) {
+        let mut informed = vec![false; n];
+        informed[c.source()] = true;
+        for st in &c.stages()[..i - 1] {
+            for &v in &st.new {
+                informed[v] = true;
+            }
+        }
+        (0..n).partition(|&v| informed[v])
     }
 
     #[test]
@@ -243,7 +279,7 @@ mod tests {
         let c = build(&g, 0);
         assert_eq!(c.ell(), 1);
         assert_eq!(c.stages().len(), 1);
-        assert_eq!(c.stage(1).unwrap().inf, vec![0]);
+        assert_eq!(inf_uninf(&c, 1, 1).0, vec![0]);
         assert!(c.stage(1).unwrap().new.is_empty());
     }
 
@@ -252,8 +288,9 @@ mod tests {
         let g = generators::star(6);
         let c = build(&g, 0);
         let s1 = c.stage(1).unwrap();
-        assert_eq!(s1.inf, vec![0]);
-        assert_eq!(s1.uninf, (1..6).collect::<Vec<_>>());
+        let (inf, uninf) = inf_uninf(&c, 6, 1);
+        assert_eq!(inf, vec![0]);
+        assert_eq!(uninf, (1..6).collect::<Vec<_>>());
         assert_eq!(s1.frontier, (1..6).collect::<Vec<_>>());
         assert_eq!(s1.new, (1..6).collect::<Vec<_>>());
         assert_eq!(s1.dom, vec![0]);
@@ -272,11 +309,12 @@ mod tests {
         ] {
             let c = build(&g, s);
             for st in c.stages() {
+                let (_, uninf) = inf_uninf(&c, g.node_count(), st.index);
                 for v in &st.new {
                     assert!(st.frontier.contains(v), "NEW ⊆ FRONTIER");
                 }
                 for v in &st.frontier {
-                    assert!(st.uninf.contains(v), "FRONTIER ⊆ UNINF");
+                    assert!(uninf.contains(v), "FRONTIER ⊆ UNINF");
                 }
             }
         }
@@ -284,20 +322,22 @@ mod tests {
 
     #[test]
     fn fact_2_2_inf_is_source_plus_new_sets() {
+        // INF_i is not stored; with INF_i = {s} ∪ NEW_{<i} (Fact 2.2) the
+        // stored frontiers must be exactly UNINF_i ∩ Γ(INF_i), and the union
+        // must not repeat a node (so |INF_i| = 1 + Σ_{j<i} |NEW_j|).
         let g = generators::grid(4, 4);
+        let n = g.node_count();
         let c = build(&g, 0);
         for st in c.stages() {
-            let mut expected: Vec<NodeId> = vec![c.source()];
-            for prev in c.stages().iter().take_while(|p| p.index < st.index) {
-                expected.extend_from_slice(&prev.new);
-            }
-            expected.sort_unstable();
-            expected.dedup();
-            assert_eq!(st.inf, expected, "stage {}", st.index);
-            // UNINF is the complement of INF.
-            let mut all: Vec<NodeId> = st.inf.iter().chain(st.uninf.iter()).copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..g.node_count()).collect::<Vec<_>>());
+            let (inf, uninf) = inf_uninf(&c, n, st.index);
+            let new_before: usize = c.stages()[..st.index - 1].iter().map(|p| p.new.len()).sum();
+            assert_eq!(inf.len(), 1 + new_before, "stage {}", st.index);
+            let gamma = neighborhood_of_set(&g, &inf);
+            let expected: Vec<NodeId> = uninf
+                .into_iter()
+                .filter(|v| gamma.binary_search(v).is_ok())
+                .collect();
+            assert_eq!(st.frontier, expected, "stage {}", st.index);
         }
     }
 
@@ -319,7 +359,8 @@ mod tests {
         let g = generators::barbell(5, 3);
         let c = build(&g, 0);
         for st in c.stages() {
-            if !st.uninf.is_empty() {
+            let (_, uninf) = inf_uninf(&c, g.node_count(), st.index);
+            if !uninf.is_empty() {
                 assert!(!st.new.is_empty(), "stage {} made no progress", st.index);
             }
         }
@@ -420,8 +461,9 @@ mod tests {
         let g = generators::caterpillar(6, 3);
         let c = build(&g, 0);
         let last = c.stages().last().unwrap();
-        assert_eq!(last.inf.len(), g.node_count());
-        assert!(last.uninf.is_empty());
+        let (inf, uninf) = inf_uninf(&c, g.node_count(), last.index);
+        assert_eq!(inf.len(), g.node_count());
+        assert!(uninf.is_empty());
         assert!(last.frontier.is_empty());
         assert!(last.dom.is_empty());
         assert!(last.new.is_empty());
@@ -441,9 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn complete_graph_needs_three_stages() {
-        // K_n: stage 1 informs everyone adjacent to the source except nobody
-        // is blocked... actually NEW_1 = all others, so ℓ = 2.
+    fn complete_graph_needs_two_stages() {
+        // K_n: the source is the only member of DOM_1 and is adjacent to
+        // every other node, so NEW_1 = V \ {s} and ℓ = 2.
         let g = generators::complete(7);
         let c = build(&g, 0);
         assert_eq!(c.ell(), 2);

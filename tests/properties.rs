@@ -75,43 +75,52 @@ proptest! {
     }
 
     #[test]
-    fn sequence_construction_invariants((g, source) in connected_graph_and_source()) {
-        let c = SequenceConstruction::build(
-            &g,
-            source,
-            radio_labeling::graph::algorithms::ReductionOrder::Forward,
-        )
-        .unwrap();
-        // Lemma 2.6: ell <= n.
-        prop_assert!(c.ell() <= g.node_count());
-        // Corollary 2.7: the NEW sets partition V \ {source}.
-        let mut covered = vec![false; g.node_count()];
-        for stage in c.stages() {
-            for &v in &stage.new {
-                prop_assert!(!covered[v], "node {} in two NEW sets", v);
-                covered[v] = true;
+    fn sequence_construction_invariants(
+        (g, source) in connected_graph_and_source(),
+        seed in any::<u64>(),
+    ) {
+        let n = g.node_count();
+        for order in [
+            algorithms::ReductionOrder::Forward,
+            algorithms::ReductionOrder::Reverse,
+            algorithms::ReductionOrder::Random(seed),
+        ] {
+            let c = SequenceConstruction::build(&g, source, order).unwrap();
+            // Lemma 2.6: ell <= n.
+            prop_assert!(c.ell() <= n);
+            // INF_i = {source} ∪ NEW_{<i} (Fact 2.2), tracked stage by stage.
+            let mut informed = vec![false; n];
+            informed[source] = true;
+            for stage in c.stages() {
+                // FRONTIER_i = UNINF_i ∩ Γ(INF_i), by definition.
+                let inf: Vec<usize> = (0..n).filter(|&v| informed[v]).collect();
+                let gamma = algorithms::neighborhood_of_set(&g, &inf);
+                let expected: Vec<usize> = gamma.into_iter().filter(|&v| !informed[v]).collect();
+                prop_assert_eq!(&stage.frontier, &expected, "{:?} stage {}", order, stage.index);
+                // Fact 2.1: NEW ⊆ FRONTIER ⊆ UNINF.
+                for v in &stage.new {
+                    prop_assert!(stage.frontier.contains(v));
+                }
+                for &v in &stage.frontier {
+                    prop_assert!(!informed[v]);
+                }
+                // DOM_i dominates FRONTIER_i minimally.
+                if !stage.frontier.is_empty() {
+                    prop_assert!(algorithms::is_minimal_dominating_set(
+                        &g,
+                        &stage.dom,
+                        &stage.frontier
+                    ));
+                }
+                // Corollary 2.7: the NEW sets partition V \ {source}.
+                for &v in &stage.new {
+                    prop_assert!(!informed[v], "node {} in two NEW sets", v);
+                    informed[v] = true;
+                }
             }
-            // Fact 2.1: NEW ⊆ FRONTIER ⊆ UNINF.
-            for v in &stage.new {
-                prop_assert!(stage.frontier.contains(v));
-            }
-            for v in &stage.frontier {
-                prop_assert!(stage.uninf.contains(v));
-            }
-            // DOM_i dominates FRONTIER_i minimally.
-            if !stage.frontier.is_empty() {
-                prop_assert!(algorithms::is_minimal_dominating_set(
-                    &g,
-                    &stage.dom,
-                    &stage.frontier
-                ));
-            }
+            prop_assert!(informed.iter().all(|&i| i));
+            prop_assert_eq!(c.stages().iter().map(|s| s.new.len()).sum::<usize>(), n - 1);
         }
-        prop_assert!(!covered[source]);
-        prop_assert_eq!(
-            covered.iter().filter(|&&c| c).count(),
-            g.node_count() - 1
-        );
     }
 
     #[test]
