@@ -33,9 +33,7 @@
 //!   configures scheme + graph + source + message + policies, the built
 //!   [`session::Session`] owns the constructed labeling so repeated and
 //!   batch-parallel runs amortize scheme construction, and every run returns
-//!   one unified [`session::RunReport`];
-//! * [`runner`] — the legacy one-shot runners, kept as thin deprecated
-//!   wrappers around [`session::Session`].
+//!   one unified [`session::RunReport`].
 //!
 //! Every protocol here respects the paper's knowledge model: a node's
 //! behaviour depends only on its label and on the messages it has heard. No
@@ -56,16 +54,12 @@ pub mod delay_relay;
 pub mod gossip;
 pub mod messages;
 pub mod multi;
-pub mod runner;
 pub mod session;
 pub mod verify;
 
 pub use gossip::GossipNode;
 pub use messages::{BMessage, MessageBundle, MultiMessage, Phase, TaggedMessage, TaggedPayload};
 pub use multi::MultiNode;
-#[allow(deprecated)]
-pub use runner::{run_acknowledged_broadcast, run_arbitrary_source, run_broadcast};
-pub use runner::{AckBroadcastResult, ArbBroadcastResult, BroadcastResult};
 pub use session::{
     RoundCapPolicy, RunReport, RunSpec, Scheme, Session, SessionBuilder, StopPolicy, TracePolicy,
 };

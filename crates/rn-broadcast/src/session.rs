@@ -1,10 +1,7 @@
 //! The unified execution API: one builder, one report, reusable schemes,
 //! batch-parallel runs.
 //!
-//! Historically each algorithm had its own ad-hoc runner (`run_broadcast`,
-//! `run_acknowledged_broadcast`, `run_arbitrary_source`, …) that re-built the
-//! labeling scheme and cloned the graph on every call and returned its own
-//! result struct. [`Session`] replaces all of them:
+//! [`Session`] is the one way to execute a scheme:
 //!
 //! * a [`Scheme`] selects the labeling scheme / algorithm pair — the paper's
 //!   λ, λ_ack and λ_arb, the 1-bit delay-relay schemes for cycles and grids,
@@ -16,8 +13,11 @@
 //!   owns the labeling and a template of per-node protocol state machines, so
 //!   repeated runs amortize scheme construction — the dominant pattern in the
 //!   experiment sweeps and benches;
-//! * every run returns the same [`RunReport`], a superset of the three legacy
-//!   result structs;
+//! * every run of every scheme returns the same [`RunReport`], filled by one
+//!   generic driver: a private `Protocol` trait, implemented once per node
+//!   type, says how to build the network, when a node is informed, and what
+//!   else a run observes (ack, completion, common-knowledge and per-message
+//!   completion rounds);
 //! * [`Session::run_batch`] fans independent runs out over the scoped worker
 //!   threads of [`rn_radio::batch`], returning reports in spec order;
 //! * every run borrows its simulator's per-round working buffers
@@ -50,10 +50,10 @@
 use crate::algo_b::BNode;
 use crate::algo_back::BackNode;
 use crate::algo_barb::ArbNode;
-use crate::baselines::SlottedNode;
+use crate::baselines::{SlottedMessage, SlottedNode};
 use crate::delay_relay::DelayRelayNode;
 use crate::gossip::GossipNode;
-use crate::messages::{BMessage, SourceMessage, TaggedPayload};
+use crate::messages::{BMessage, SourceMessage, TaggedMessage, TaggedPayload};
 use crate::multi::MultiNode;
 use crate::verify;
 use rn_graph::{Graph, NodeId};
@@ -65,7 +65,7 @@ use rn_labeling::{
 };
 use rn_radio::{
     CounterSink, Engine, ExecutionStats, FaultPlan, MetricsSink, RadioNode, RoundScratch,
-    RunCounters, Simulator, StopCondition, TraceShape, WakeHintAudit, WakeHintViolation,
+    Simulator, StopCondition, TraceShape, WakeHintAudit, WakeHintViolation,
 };
 use rn_telemetry::{RunMetrics, SpanRecord, SpanTimer};
 use std::sync::{Arc, Mutex};
@@ -314,8 +314,7 @@ pub enum StopPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TracePolicy {
     /// Record the trace and derive [`RunReport::informed_rounds`] and the
-    /// full [`ExecutionStats`] from it (the default, and what the legacy
-    /// runners did).
+    /// full [`ExecutionStats`] from it (the default).
     #[default]
     Recorded,
     /// Skip trace recording (saves memory and time on large batch runs).
@@ -356,8 +355,8 @@ impl RunSpec {
     }
 }
 
-/// The unified result of one session run: a superset of the legacy
-/// `BroadcastResult` / `AckBroadcastResult` / `ArbBroadcastResult`.
+/// The unified result of one session run, for every scheme: the fields a
+/// scheme does not measure stay `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the labeling scheme used.
@@ -491,8 +490,7 @@ impl std::fmt::Display for RunReport {
 /// Builder for a [`Session`].
 ///
 /// Defaults: source 0, coordinator 0 (λ_arb only), message 1, and the `Auto`
-/// stop, `Recorded` trace and `Auto` round-cap policies — which together
-/// reproduce the behaviour of the legacy `run_*` functions exactly.
+/// stop, `Recorded` trace and `Auto` round-cap policies.
 ///
 /// ```
 /// use rn_broadcast::session::{RoundCapPolicy, Scheme, Session, TracePolicy};
@@ -689,7 +687,7 @@ impl SessionBuilder {
             (_, None) => 0,
         };
         build_spans.push(plan_timer.stop());
-        let prepared = prepare(
+        let template = prepare(
             self.scheme,
             &self.graph,
             source,
@@ -710,11 +708,28 @@ impl SessionBuilder {
             round_cap: self.round_cap,
             engine: self.engine,
             faults: self.faults,
-            prepared,
+            template,
             build_spans,
             scratch_pool: Mutex::new(Vec::new()),
         })
     }
+}
+
+/// The single dispatch point from a session's [`Template`] to code generic
+/// over its protocol: `dispatch!(template, p => body)` evaluates `body` with
+/// `p` bound to the variant's typed `&Prepared<P>`.
+macro_rules! dispatch {
+    ($template:expr, $p:ident => $body:expr) => {
+        match $template {
+            Template::B($p) => $body,
+            Template::Back($p) => $body,
+            Template::Arb($p) => $body,
+            Template::Slotted($p) => $body,
+            Template::DelayRelay($p) => $body,
+            Template::Multi($p) => $body,
+            Template::Gossip($p) => $body,
+        }
+    };
 }
 
 /// A reusable execution context: one graph, one constructed labeling scheme,
@@ -737,7 +752,7 @@ pub struct Session {
     /// The deterministic fault schedule every run replays (empty by
     /// default); validated against the graph at build time.
     faults: FaultPlan,
-    prepared: Prepared,
+    template: Template,
     /// Wall-clock spans of the build phases ("plan_build",
     /// "labeling_construction", "template_build"), recorded once at build
     /// time and prepended to the [`RunMetrics`] of every
@@ -782,7 +797,7 @@ impl Session {
     /// The cached labeling this session was built with. Stable across runs:
     /// running never re-labels the session's own graph/source pair.
     pub fn labeling(&self) -> &Labeling {
-        self.prepared.labeling()
+        dispatch!(&self.template, p => p.labeling())
     }
 
     /// The resolved coordinator: the `111`-labeled node for λ_arb and the
@@ -802,17 +817,13 @@ impl Session {
     /// (`None` for every single-message scheme). Exposed so certificate
     /// checkers can audit the exact plan the relay protocol will drive.
     pub fn collection_plan(&self) -> Option<&CollectionPlan> {
-        match &self.prepared.kind {
-            PreparedKind::Multi { scheme, .. } => Some(scheme.plan()),
-            PreparedKind::Gossip { scheme, .. } => Some(scheme.plan()),
-            _ => None,
-        }
+        dispatch!(&self.template, p => p.collection_plan())
     }
 
     /// Runs the session with its configured source and message.
     pub fn run(&self) -> RunReport {
-        self.execute(&self.prepared, self.source, self.message, false, None)
-            .0
+        self.run_with(self.own_spec())
+            .expect("the session's own source is in range")
     }
 
     /// Runs the session with its configured source and message, with full
@@ -829,21 +840,8 @@ impl Session {
     /// nondeterministic and live only in the `RunMetrics` block, so callers
     /// that persist reports stay byte-identical with telemetry on.
     pub fn run_instrumented(&self) -> (RunReport, RunMetrics) {
-        let mut metrics = RunMetrics {
-            spans: self.build_spans.clone(),
-            ..RunMetrics::default()
-        };
-        let report = self
-            .execute(
-                &self.prepared,
-                self.source,
-                self.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0;
-        metrics.peak_rss_kb = rn_telemetry::peak_rss_kb();
-        (report, metrics)
+        self.run_with_instrumented(self.own_spec())
+            .expect("the session's own source is in range")
     }
 
     /// Runs the session with its configured source and message and also
@@ -854,7 +852,9 @@ impl Session {
     /// executions of the same protocol are physically equivalent iff their
     /// shapes match round for round.
     pub fn run_shaped(&self) -> (RunReport, TraceShape) {
-        let (report, shape) = self.execute(&self.prepared, self.source, self.message, true, None);
+        let (report, shape) = self
+            .execute(self.own_spec(), true, None)
+            .expect("the session's own source is in range");
         (report, shape.expect("shape requested"))
     }
 
@@ -882,15 +882,11 @@ impl Session {
     /// Returns the first [`WakeHintViolation`] encountered, identifying the
     /// node, round, offset into the promised span, and violation kind.
     pub fn audit_wake_hints(&self) -> Result<WakeHintAudit, WakeHintViolation> {
-        match &self.prepared.kind {
-            PreparedKind::AlgoB { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::AlgoBack { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::AlgoBarb { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::Slotted { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::DelayRelay { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::Multi { template, .. } => self.audit_nodes(template.clone()),
-            PreparedKind::Gossip { template, .. } => self.audit_nodes(template.clone()),
-        }
+        let cap = self.stop_condition().cap();
+        dispatch!(&self.template, p => {
+            let mut sim = self.simulator(p.template.clone()).without_trace();
+            rn_radio::audit_wake_hints(&mut sim, cap)
+        })
     }
 
     /// Runs the protocol for `rounds` rounds under the session's engine and
@@ -899,53 +895,15 @@ impl Session {
     /// digests after round `r`. The digest-contract tests use this to pin
     /// determinism and the informed-transition sensitivity of the digests.
     pub fn state_digest_history(&self, rounds: u64) -> Vec<Vec<u64>> {
-        match &self.prepared.kind {
-            PreparedKind::AlgoB { template, .. } => self.digest_history(template.clone(), rounds),
-            PreparedKind::AlgoBack { template, .. } => {
-                self.digest_history(template.clone(), rounds)
+        dispatch!(&self.template, p => {
+            let mut sim = self.simulator(p.template.clone()).without_trace();
+            let mut rows = vec![sim.nodes().iter().map(RadioNode::state_digest).collect()];
+            for _ in 0..rounds {
+                sim.step_round();
+                rows.push(sim.nodes().iter().map(RadioNode::state_digest).collect());
             }
-            PreparedKind::AlgoBarb { template, .. } => {
-                self.digest_history(template.clone(), rounds)
-            }
-            PreparedKind::Slotted { template, .. } => self.digest_history(template.clone(), rounds),
-            PreparedKind::DelayRelay { template, .. } => {
-                self.digest_history(template.clone(), rounds)
-            }
-            PreparedKind::Multi { template, .. } => self.digest_history(template.clone(), rounds),
-            PreparedKind::Gossip { template, .. } => self.digest_history(template.clone(), rounds),
-        }
-    }
-
-    /// The shared tail of [`state_digest_history`](Self::state_digest_history).
-    fn digest_history<N: RadioNode + Clone>(&self, nodes: Vec<N>, rounds: u64) -> Vec<Vec<u64>> {
-        let mut sim = Simulator::new(Arc::clone(&self.graph), nodes)
-            .with_engine(self.engine)
-            .with_faults(&self.faults)
-            .without_trace();
-        let digest_row =
-            |sim: &Simulator<N>| sim.nodes().iter().map(RadioNode::state_digest).collect();
-        let mut rows: Vec<Vec<u64>> = Vec::with_capacity(rounds as usize + 1);
-        rows.push(digest_row(&sim));
-        for _ in 0..rounds {
-            sim.step_round();
-            rows.push(digest_row(&sim));
-        }
-        rows
-    }
-
-    /// The shared tail of [`audit_wake_hints`](Self::audit_wake_hints): runs
-    /// the generic auditor on a simulator configured like a normal run
-    /// (engine, faults), up to the resolved round cap.
-    fn audit_nodes<N: RadioNode + Clone>(
-        &self,
-        nodes: Vec<N>,
-    ) -> Result<WakeHintAudit, WakeHintViolation> {
-        let cap = self.stop_condition().cap();
-        let mut sim = Simulator::new(Arc::clone(&self.graph), nodes)
-            .with_engine(self.engine)
-            .with_faults(&self.faults)
-            .without_trace();
-        rn_radio::audit_wake_hints(&mut sim, cap)
+            rows
+        })
     }
 
     /// Runs with the session's source but a different message. The cached
@@ -962,30 +920,7 @@ impl Session {
     /// source (the documented cost of moving the source); specs with the
     /// session's own source always reuse the cache.
     pub fn run_with(&self, spec: RunSpec) -> Result<RunReport, LabelingError> {
-        if spec.source >= self.graph.node_count() {
-            return Err(LabelingError::SourceOutOfRange {
-                source: spec.source,
-                node_count: self.graph.node_count(),
-            });
-        }
-        if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
-            Ok(self
-                .execute(&self.prepared, spec.source, spec.message, false, None)
-                .0)
-        } else {
-            let prepared = prepare(
-                self.scheme,
-                &self.graph,
-                spec.source,
-                &self.sources,
-                self.coordinator,
-                spec.message,
-                &mut Vec::new(),
-            )?;
-            Ok(self
-                .execute(&prepared, spec.source, spec.message, false, None)
-                .0)
-        }
+        Ok(self.execute(spec, false, None)?.0)
     }
 
     /// Runs an arbitrary spec with full telemetry, mirroring
@@ -1005,45 +940,8 @@ impl Session {
         &self,
         spec: RunSpec,
     ) -> Result<(RunReport, RunMetrics), LabelingError> {
-        if spec.source >= self.graph.node_count() {
-            return Err(LabelingError::SourceOutOfRange {
-                source: spec.source,
-                node_count: self.graph.node_count(),
-            });
-        }
         let mut metrics = RunMetrics::default();
-        let report = if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
-            metrics.spans = self.build_spans.clone();
-            self.execute(
-                &self.prepared,
-                spec.source,
-                spec.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0
-        } else {
-            let mut fresh_spans = Vec::new();
-            let prepared = prepare(
-                self.scheme,
-                &self.graph,
-                spec.source,
-                &self.sources,
-                self.coordinator,
-                spec.message,
-                &mut fresh_spans,
-            )?;
-            metrics.spans = fresh_spans;
-            self.execute(
-                &prepared,
-                spec.source,
-                spec.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0
-        };
-        metrics.peak_rss_kb = rn_telemetry::peak_rss_kb();
+        let (report, _) = self.execute(spec, false, Some(&mut metrics))?;
         Ok((report, metrics))
     }
 
@@ -1113,32 +1011,97 @@ impl Session {
         }
     }
 
+    fn own_spec(&self) -> RunSpec {
+        RunSpec::new(self.source, self.message)
+    }
+
+    /// A simulator of `nodes` on the session's graph, engine and fault plan.
+    fn simulator<N: RadioNode>(&self, nodes: Vec<N>) -> Simulator<N> {
+        Simulator::new(Arc::clone(&self.graph), nodes)
+            .with_engine(self.engine)
+            .with_faults(&self.faults)
+    }
+
+    /// The one path every run takes: picks the template for `spec` — the
+    /// cached one, or a fresh construction when a source-dependent scheme
+    /// moves its source — and drives it. With `metrics`, the run is
+    /// instrumented and the block receives the build spans of the template
+    /// used, the run's own spans and counters, and the peak RSS.
     fn execute(
         &self,
-        prepared: &Prepared,
-        source: NodeId,
-        message: SourceMessage,
+        spec: RunSpec,
+        want_shape: bool,
+        mut metrics: Option<&mut RunMetrics>,
+    ) -> Result<(RunReport, Option<TraceShape>), LabelingError> {
+        let node_count = self.graph.node_count();
+        if spec.source >= node_count {
+            return Err(LabelingError::SourceOutOfRange {
+                source: spec.source,
+                node_count,
+            });
+        }
+        let relabeled;
+        let template = if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
+            if let Some(m) = metrics.as_deref_mut() {
+                m.spans = self.build_spans.clone();
+            }
+            &self.template
+        } else {
+            let mut spans = Vec::new();
+            relabeled = prepare(
+                self.scheme,
+                &self.graph,
+                spec.source,
+                &self.sources,
+                self.coordinator,
+                spec.message,
+                &mut spans,
+            )?;
+            if let Some(m) = metrics.as_deref_mut() {
+                m.spans = spans;
+            }
+            &relabeled
+        };
+        let out = dispatch!(template, p => self.drive(p, spec, want_shape, metrics.as_deref_mut()));
+        if let Some(m) = metrics {
+            m.peak_rss_kb = rn_telemetry::peak_rss_kb();
+        }
+        Ok(out)
+    }
+
+    /// Runs protocol `P` from `spec` to the stop condition and fills the
+    /// report: the one driver behind every scheme.
+    fn drive<P: Protocol>(
+        &self,
+        prepared: &Prepared<P>,
+        spec: RunSpec,
         want_shape: bool,
         metrics: Option<&mut RunMetrics>,
     ) -> (RunReport, Option<TraceShape>) {
-        let stop = self.stop_condition();
         let record = self.trace == TracePolicy::Recorded || want_shape;
+        // Informed rounds come from the recorded trace when the protocol's
+        // payloads show who is informed, otherwise from node state after
+        // every round. Skipping that O(n)-per-round scan whenever the trace
+        // can answer keeps it off the traced hot path.
+        let track_online = !record || P::TRACE_PAYLOAD.is_none();
+        let round_timer = metrics.is_some().then(|| SpanTimer::start("round_loop"));
         let labeling = prepared.labeling();
-        let instrument = metrics.is_some();
-        let round_timer = instrument.then(|| SpanTimer::start("round_loop"));
-        // Every match arm below assigns `counters` exactly once (deferred
-        // initialization — no `mut` needed).
-        let counters: Option<RunCounters>;
-        let mut shape = None;
+        // A multi-message run reports its build-time source set, whatever
+        // the spec's source.
+        let multi = self.scheme.is_multi_message();
+        let sources = if multi {
+            self.sources.clone()
+        } else {
+            vec![spec.source]
+        };
         let mut report = RunReport {
             scheme: labeling.scheme(),
             node_count: self.graph.node_count(),
-            source,
-            sources: vec![source],
-            coordinator: (matches!(self.scheme, Scheme::LambdaArb)
-                || self.scheme.is_multi_message())
-            .then_some(self.coordinator),
-            message,
+            source: sources[0],
+            sources,
+            coordinator: (matches!(self.scheme, Scheme::LambdaArb) || multi)
+                .then_some(self.coordinator),
+            message: spec.message,
             label_length: labeling.length(),
             distinct_labels: labeling.distinct_count(),
             informed_rounds: Vec::new(),
@@ -1152,164 +1115,96 @@ impl Session {
             stalled_at: None,
             faults_injected: 0,
         };
+        // The cached template fits a spec with its own source and message;
+        // a multi-message network ignores the source, so there only the
+        // message has to match.
+        let fits =
+            prepared.spec.message == spec.message && (multi || prepared.spec.source == spec.source);
+        let nodes = if fits {
+            prepared.template.clone()
+        } else {
+            P::network(&prepared.plan, spec.source, spec.message)
+        };
 
-        match &prepared.kind {
-            PreparedKind::AlgoB { labeling, template } => {
-                let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
-                    BNode::network(labeling, source, message)
-                });
-                let run = Execution::new(self, nodes, record, !record)
-                    .instrumented(instrument)
-                    .run(stop, BNode::is_informed, |_, _| false);
-                counters = run.counters;
-                run.fill(&mut report, record, |m| matches!(m, BMessage::Data(_)));
-                report.completion_round = verify::completion_round(&report.informed_rounds);
-                if want_shape {
-                    shape = Some(run.sim.trace().shape());
+        // Round 0 is the initial state: nodes informed before round 1 (the
+        // sources) get round 0, exactly as the trace-based accounting
+        // credits the source.
+        let mut online: Vec<Option<u64>> = if track_online {
+            nodes.iter().map(|v| v.is_informed().then_some(0)).collect()
+        } else {
+            Vec::new()
+        };
+        P::observe(&nodes, 0, &mut report);
+
+        // The per-round scratch is borrowed from the session's pool and
+        // returned afterwards, so repeated and batched runs reuse the same
+        // working arrays instead of reallocating them per run.
+        let pooled = self
+            .scratch_pool
+            .lock()
+            .expect("scratch pool not poisoned")
+            .pop();
+        let scratch_reused = pooled.is_some();
+        let mut sim = self
+            .simulator(nodes)
+            .with_scratch(pooled.unwrap_or_default());
+        if !record {
+            sim = sim.without_trace();
+        }
+        // Only an instrumented run installs a sink, so the engines' hot
+        // paths never pay for metric assembly otherwise.
+        if metrics.is_some() {
+            let mut sink = CounterSink::new();
+            sink.on_scratch(scratch_reused);
+            sim = sim.with_metrics(Box::new(sink));
+        }
+        let outcome = sim.run_until(self.stop_condition(), |s| {
+            let round = s.current_round();
+            if track_online {
+                for (v, node) in s.nodes().iter().enumerate() {
+                    if online[v].is_none() && node.is_informed() {
+                        online[v] = Some(round);
+                    }
                 }
             }
-            PreparedKind::AlgoBack { labeling, template } => {
-                let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
-                    BackNode::network(labeling, source, message)
-                });
-                let mut ack_round = None;
-                let run = Execution::new(self, nodes, record, !record)
-                    .instrumented(instrument)
-                    .run(stop, BackNode::is_informed, |sim, round| {
-                        if ack_round.is_none() && sim.nodes()[source].source_received_ack() {
-                            ack_round = Some(round);
-                        }
-                        false
-                    });
-                counters = run.counters;
-                run.fill(&mut report, record, |m| {
-                    matches!(m.payload, TaggedPayload::Data(_))
-                });
-                report.completion_round = verify::completion_round(&report.informed_rounds);
-                report.ack_round = ack_round;
-                if want_shape {
-                    shape = Some(run.sim.trace().shape());
-                }
+            P::observe(s.nodes(), round, &mut report)
+        });
+        self.scratch_pool
+            .lock()
+            .expect("scratch pool not poisoned")
+            .push(sim.take_scratch());
+        let counters = sim.metrics_counters();
+
+        report.rounds_executed = outcome.rounds_executed;
+        report.informed_rounds = match P::TRACE_PAYLOAD {
+            Some(is_payload) if record => verify::first_payload_rounds(
+                sim.trace(),
+                report.node_count,
+                report.source,
+                is_payload,
+            ),
+            // A copy, not `online` itself: allocated after the run, the
+            // vector the caller keeps sits above the trace in the heap, so
+            // the freed trace is not left on top for the allocator to hand
+            // back to the OS and the next traced run to fault back in
+            // (about 10% of a traced batch's throughput).
+            _ => online.clone(),
+        };
+        report.stats = if record {
+            ExecutionStats::from_trace(sim.trace())
+        } else {
+            // Counter-backed when the run was instrumented (a byte-exact
+            // substitute for the trace walk), a bare round count otherwise.
+            match &counters {
+                Some(c) => ExecutionStats::from_counters(c),
+                None => ExecutionStats {
+                    rounds: outcome.rounds_executed,
+                    ..ExecutionStats::default()
+                },
             }
-            PreparedKind::AlgoBarb { labeling, template } => {
-                let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
-                    ArbNode::network(labeling, source, message)
-                });
-                let mut completion = None;
-                let mut common_knowledge = None;
-                let run = Execution::new(self, nodes, record, true)
-                    .instrumented(instrument)
-                    .run(
-                        stop,
-                        |node: &ArbNode| node.learned_message().is_some(),
-                        |sim, round| {
-                            if completion.is_none()
-                                && sim
-                                    .nodes()
-                                    .iter()
-                                    .all(|n| n.learned_message() == Some(message))
-                            {
-                                completion = Some(round);
-                            }
-                            if common_knowledge.is_none()
-                                && sim.nodes().iter().all(ArbNode::knows_completion)
-                            {
-                                common_knowledge = Some(round);
-                            }
-                            completion.is_some() && common_knowledge.is_some()
-                        },
-                    );
-                counters = run.counters;
-                // B_arb relays µ inside several message kinds, so informed
-                // rounds come from node state rather than a payload pattern
-                // (the legacy runner did not report them at all).
-                run.fill_from_nodes(&mut report);
-                report.completion_round = completion;
-                report.common_knowledge_round = common_knowledge;
-                if want_shape {
-                    shape = Some(run.sim.trace().shape());
-                }
-            }
-            PreparedKind::Slotted { labeling, template } => {
-                let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
-                    SlottedNode::network(labeling, source, message)
-                });
-                let run = Execution::new(self, nodes, record, !record)
-                    .instrumented(instrument)
-                    .run(stop, SlottedNode::is_informed, |sim, _| {
-                        sim.nodes().iter().all(SlottedNode::is_informed)
-                    });
-                counters = run.counters;
-                run.fill(&mut report, record, |_| true);
-                report.completion_round = verify::completion_round(&report.informed_rounds);
-                if want_shape {
-                    shape = Some(run.sim.trace().shape());
-                }
-            }
-            PreparedKind::DelayRelay { labeling, template } => {
-                let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
-                    DelayRelayNode::network(labeling, source, message)
-                });
-                let run = Execution::new(self, nodes, record, !record)
-                    .instrumented(instrument)
-                    .run(stop, DelayRelayNode::is_informed, |_, _| false);
-                counters = run.counters;
-                run.fill(&mut report, record, |m| matches!(m, BMessage::Data(_)));
-                report.completion_round = verify::completion_round(&report.informed_rounds);
-                if want_shape {
-                    shape = Some(run.sim.trace().shape());
-                }
-            }
-            // The multi-message arms ignore the per-run source (their
-            // source sets are fixed at build time), so the cached template
-            // is reusable whenever the *message* matches — hence
-            // `prepared.spec.source` in place of the run's source below.
-            PreparedKind::Multi {
-                scheme: mscheme,
-                template,
-            } => {
-                let nodes = clone_or_rebuild(
-                    template,
-                    prepared.spec.source,
-                    message,
-                    prepared.spec,
-                    || MultiNode::network(mscheme, &multi_payloads(message, mscheme.k())),
-                );
-                (shape, counters) = self.run_bundle_protocol(
-                    &mut report,
-                    stop,
-                    record,
-                    want_shape,
-                    instrument,
-                    nodes,
-                    mscheme.sources().to_vec(),
-                    MultiNode::has_message,
-                    MultiNode::holds_all_messages,
-                );
-            }
-            PreparedKind::Gossip {
-                scheme: gscheme,
-                template,
-            } => {
-                let nodes = clone_or_rebuild(
-                    template,
-                    prepared.spec.source,
-                    message,
-                    prepared.spec,
-                    || GossipNode::network(gscheme, &multi_payloads(message, gscheme.k())),
-                );
-                (shape, counters) = self.run_bundle_protocol(
-                    &mut report,
-                    stop,
-                    record,
-                    want_shape,
-                    instrument,
-                    nodes,
-                    self.sources.clone(),
-                    GossipNode::has_message,
-                    GossipNode::holds_all_messages,
-                );
-            }
+        };
+        if !P::OBSERVES_COMPLETION {
+            report.completion_round = verify::completion_round(&report.informed_rounds);
         }
         self.fill_robustness(&mut report);
         if let Some(m) = metrics {
@@ -1328,7 +1223,7 @@ impl Session {
             };
             m.spans.push(verify_timer.stop());
         }
-        (report, shape)
+        (report, want_shape.then(|| sim.trace().shape()))
     }
 
     /// Fills the robustness columns from the informed rounds and the fault
@@ -1359,121 +1254,245 @@ impl Session {
         report.stalled_at = report.informed_rounds.iter().flatten().copied().max();
         report.faults_injected = self.faults.injected_by(report.rounds_executed);
     }
+}
 
-    /// Runs a multi-message (collection + bundle broadcast) execution and
-    /// fills the report: the shared tail of the `multi_lambda` and gossip
-    /// arms, whose node types differ only in the collection plan they were
-    /// built from. `has_message(node, j)` and `holds_all(node)` expose the
-    /// per-node payload state of the concrete protocol.
-    #[allow(clippy::too_many_arguments)]
-    fn run_bundle_protocol<N: RadioNode>(
-        &self,
-        report: &mut RunReport,
-        stop: StopCondition,
-        record: bool,
-        want_shape: bool,
-        instrument: bool,
-        nodes: Vec<N>,
-        sources: Vec<NodeId>,
-        has_message: impl Fn(&N, usize) -> bool,
-        holds_all: impl Fn(&N) -> bool + Copy,
-    ) -> (Option<TraceShape>, Option<RunCounters>) {
-        let k = sources.len();
-        report.source = sources[0];
-        report.sources = sources.clone();
-        // Per-message completion: the round by which every node holds
-        // message j. Seeded for the degenerate single-node case where a
-        // message is universal at round 0.
-        let mut msg_completion: Vec<Option<u64>> = (0..k)
-            .map(|j| nodes.iter().all(|nd| has_message(nd, j)).then_some(0))
-            .collect();
-        let run = Execution::new(self, nodes, record, true)
-            .instrumented(instrument)
-            .run(stop, holds_all, |sim, round| {
-                let mut all_complete = true;
-                for (j, slot) in msg_completion.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        if sim.nodes().iter().all(|nd| has_message(nd, j)) {
-                            *slot = Some(round);
-                        } else {
-                            all_complete = false;
-                        }
-                    }
-                }
-                all_complete
-            });
-        // "Informed" for a multi-message run means holding all k messages,
-        // which no payload pattern in the trace captures (relays, tokens,
-        // bundles and overhearing all contribute), so the rounds come from
-        // node state like B_arb's.
-        run.fill_from_nodes(report);
-        report.completion_round = verify::completion_round(&report.informed_rounds);
-        report.message_completion_rounds = Some(sources.into_iter().zip(msg_completion).collect());
-        (want_shape.then(|| run.sim.trace().shape()), run.counters)
+/// One broadcast protocol as a session drives it: how its network is built,
+/// when a node counts as informed, and what else a run of it observes and
+/// reports. Implemented once per node type; [`Session::drive`] is generic
+/// over it, so every scheme runs through one statically dispatched driver.
+trait Protocol: RadioNode + Clone {
+    /// What the network is built from: a labeling, or the multi-message
+    /// scheme that owns the labeling and the collection plan.
+    type Plan;
+
+    /// Whether a trace message carries the source message, so that informed
+    /// rounds can be read off a recorded trace. `None` where they come from
+    /// node state instead: B_arb relays µ inside several message kinds, and
+    /// a multi-message node is informed only once it holds all k messages,
+    /// which relays, tokens, bundles and overhearing all contribute to.
+    const TRACE_PAYLOAD: Option<fn(&Self::Msg) -> bool> = None;
+
+    /// Whether [`observe`](Self::observe) decides the completion round;
+    /// otherwise it is the round by which every node was informed.
+    const OBSERVES_COMPLETION: bool = false;
+
+    /// The labeling inside `plan`.
+    fn labeling(plan: &Self::Plan) -> &Labeling;
+
+    /// The collection schedule inside `plan`, for multi-message protocols.
+    fn collection_plan(_plan: &Self::Plan) -> Option<&CollectionPlan> {
+        None
+    }
+
+    /// The initial node states of a run from `source` with `message`.
+    fn network(plan: &Self::Plan, source: NodeId, message: SourceMessage) -> Vec<Self>;
+
+    /// Whether this node is informed (for a multi-message protocol: holds
+    /// every message).
+    fn is_informed(&self) -> bool;
+
+    /// Observes the network at `round` — round 0 is the initial state, then
+    /// once after every executed round — and records the protocol's own
+    /// measurements in `report`: the ack, completion, common-knowledge and
+    /// per-message completion rounds. Returning `true` stops the run early
+    /// (ignored at round 0).
+    fn observe(_nodes: &[Self], _round: u64, _report: &mut RunReport) -> bool {
+        false
     }
 }
 
-/// The cached output of scheme construction: the labeling plus a template of
-/// per-node protocol state machines, and the spec the template was built for.
-struct Prepared {
-    /// The (source, message) pair the node template encodes.
-    spec: RunSpec,
-    kind: PreparedKind,
+impl Protocol for BNode {
+    type Plan = Labeling;
+    const TRACE_PAYLOAD: Option<fn(&BMessage) -> bool> = Some(|m| matches!(m, BMessage::Data(_)));
+
+    fn labeling(plan: &Labeling) -> &Labeling {
+        plan
+    }
+
+    fn network(plan: &Labeling, source: NodeId, message: SourceMessage) -> Vec<Self> {
+        BNode::network(plan, source, message)
+    }
+
+    fn is_informed(&self) -> bool {
+        BNode::is_informed(self)
+    }
 }
 
-/// The scheme-specific half of a [`Prepared`].
-enum PreparedKind {
-    /// λ with Algorithm B.
-    AlgoB {
-        labeling: Labeling,
-        template: Vec<BNode>,
-    },
-    /// λ_ack with Algorithm B_ack.
-    AlgoBack {
-        labeling: Labeling,
-        template: Vec<BackNode>,
-    },
-    /// λ_arb with Algorithm B_arb.
-    AlgoBarb {
-        labeling: Labeling,
-        template: Vec<ArbNode>,
-    },
-    /// A baseline labeling with the slotted round-robin algorithm.
-    Slotted {
-        labeling: Labeling,
-        template: Vec<SlottedNode>,
-    },
-    /// A 1-bit labeling with the delay-relay algorithm.
-    DelayRelay {
-        labeling: Labeling,
-        template: Vec<DelayRelayNode>,
-    },
-    /// The `multi_lambda` scheme with the k-source multi-broadcast
-    /// algorithm; the scheme owns the labeling and the collection schedule.
-    Multi {
-        scheme: MultiLambdaScheme,
-        template: Vec<MultiNode>,
-    },
-    /// The gossip scheme with the all-to-all token-walk algorithm; the
-    /// scheme owns the labeling and the DFS token plan.
-    Gossip {
-        scheme: GossipScheme,
-        template: Vec<GossipNode>,
-    },
+impl Protocol for BackNode {
+    type Plan = Labeling;
+    const TRACE_PAYLOAD: Option<fn(&TaggedMessage) -> bool> =
+        Some(|m| matches!(m.payload, TaggedPayload::Data(_)));
+
+    fn labeling(plan: &Labeling) -> &Labeling {
+        plan
+    }
+
+    fn network(plan: &Labeling, source: NodeId, message: SourceMessage) -> Vec<Self> {
+        BackNode::network(plan, source, message)
+    }
+
+    fn is_informed(&self) -> bool {
+        BackNode::is_informed(self)
+    }
+
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+        if report.ack_round.is_none() && nodes[report.source].source_received_ack() {
+            report.ack_round = Some(round);
+        }
+        false
+    }
 }
 
-impl Prepared {
-    fn labeling(&self) -> &Labeling {
-        match &self.kind {
-            PreparedKind::AlgoB { labeling, .. }
-            | PreparedKind::AlgoBack { labeling, .. }
-            | PreparedKind::AlgoBarb { labeling, .. }
-            | PreparedKind::Slotted { labeling, .. }
-            | PreparedKind::DelayRelay { labeling, .. } => labeling,
-            PreparedKind::Multi { scheme, .. } => scheme.labeling(),
-            PreparedKind::Gossip { scheme, .. } => scheme.labeling(),
+impl Protocol for ArbNode {
+    type Plan = Labeling;
+    const OBSERVES_COMPLETION: bool = true;
+
+    fn labeling(plan: &Labeling) -> &Labeling {
+        plan
+    }
+
+    fn network(plan: &Labeling, source: NodeId, message: SourceMessage) -> Vec<Self> {
+        ArbNode::network(plan, source, message)
+    }
+
+    fn is_informed(&self) -> bool {
+        self.learned_message().is_some()
+    }
+
+    /// Completion is every node knowing µ itself, not just some message;
+    /// both it and common knowledge are first checked after round 1, so
+    /// even a one-node network completes in round 1.
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+        if round == 0 {
+            return false;
+        }
+        if report.completion_round.is_none()
+            && nodes
+                .iter()
+                .all(|n| n.learned_message() == Some(report.message))
+        {
+            report.completion_round = Some(round);
+        }
+        if report.common_knowledge_round.is_none() && nodes.iter().all(ArbNode::knows_completion) {
+            report.common_knowledge_round = Some(round);
+        }
+        report.completion_round.is_some() && report.common_knowledge_round.is_some()
+    }
+}
+
+impl Protocol for SlottedNode {
+    type Plan = Labeling;
+    const TRACE_PAYLOAD: Option<fn(&SlottedMessage) -> bool> = Some(|_| true);
+
+    fn labeling(plan: &Labeling) -> &Labeling {
+        plan
+    }
+
+    fn network(plan: &Labeling, source: NodeId, message: SourceMessage) -> Vec<Self> {
+        SlottedNode::network(plan, source, message)
+    }
+
+    fn is_informed(&self) -> bool {
+        SlottedNode::is_informed(self)
+    }
+
+    /// The slotted baselines never go quiet on their own: stop once every
+    /// node is informed.
+    fn observe(nodes: &[Self], _round: u64, _report: &mut RunReport) -> bool {
+        nodes.iter().all(SlottedNode::is_informed)
+    }
+}
+
+impl Protocol for DelayRelayNode {
+    type Plan = Labeling;
+    const TRACE_PAYLOAD: Option<fn(&BMessage) -> bool> = Some(|m| matches!(m, BMessage::Data(_)));
+
+    fn labeling(plan: &Labeling) -> &Labeling {
+        plan
+    }
+
+    fn network(plan: &Labeling, source: NodeId, message: SourceMessage) -> Vec<Self> {
+        DelayRelayNode::network(plan, source, message)
+    }
+
+    fn is_informed(&self) -> bool {
+        DelayRelayNode::is_informed(self)
+    }
+}
+
+impl Protocol for MultiNode {
+    type Plan = MultiLambdaScheme;
+
+    fn labeling(plan: &MultiLambdaScheme) -> &Labeling {
+        plan.labeling()
+    }
+
+    fn collection_plan(plan: &MultiLambdaScheme) -> Option<&CollectionPlan> {
+        Some(plan.plan())
+    }
+
+    fn network(plan: &MultiLambdaScheme, _source: NodeId, message: SourceMessage) -> Vec<Self> {
+        MultiNode::network(plan, &multi_payloads(message, plan.k()))
+    }
+
+    fn is_informed(&self) -> bool {
+        self.holds_all_messages()
+    }
+
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+        observe_messages(nodes, round, report, MultiNode::has_message)
+    }
+}
+
+impl Protocol for GossipNode {
+    type Plan = GossipScheme;
+
+    fn labeling(plan: &GossipScheme) -> &Labeling {
+        plan.labeling()
+    }
+
+    fn collection_plan(plan: &GossipScheme) -> Option<&CollectionPlan> {
+        Some(plan.plan())
+    }
+
+    fn network(plan: &GossipScheme, _source: NodeId, message: SourceMessage) -> Vec<Self> {
+        GossipNode::network(plan, &multi_payloads(message, plan.k()))
+    }
+
+    fn is_informed(&self) -> bool {
+        self.holds_all_messages()
+    }
+
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+        observe_messages(nodes, round, report, GossipNode::has_message)
+    }
+}
+
+/// The per-message completion rounds of a multi-message run: message `j` is
+/// complete in the first observed round in which every node holds it
+/// (round 0 when it is universal from the start). Returns whether every
+/// message is complete.
+fn observe_messages<N>(
+    nodes: &[N],
+    round: u64,
+    report: &mut RunReport,
+    has_message: impl Fn(&N, usize) -> bool,
+) -> bool {
+    let sources = &report.sources;
+    let slots = report
+        .message_completion_rounds
+        .get_or_insert_with(|| sources.iter().map(|&s| (s, None)).collect());
+    let mut all_complete = true;
+    for (j, (_, slot)) in slots.iter_mut().enumerate() {
+        if slot.is_none() {
+            if nodes.iter().all(|nd| has_message(nd, j)) {
+                *slot = Some(round);
+            } else {
+                all_complete = false;
+            }
         }
     }
+    all_complete
 }
 
 /// The per-source payloads of a multi-broadcast run: source `j` (in sorted
@@ -1483,16 +1502,58 @@ fn multi_payloads(message: SourceMessage, k: usize) -> Vec<SourceMessage> {
     (0..k as u64).map(|j| message.wrapping_add(j)).collect()
 }
 
-/// Times `f` under `name`, appending the span to `spans` — the phase-span
-/// bookkeeping of [`prepare`] (and, through it, of the session's
-/// [`RunMetrics`] output).
-fn timed<T>(spans: &mut Vec<SpanRecord>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let timer = SpanTimer::start(name);
-    let out = f();
-    spans.push(timer.stop());
-    out
+/// The cached output of scheme construction for protocol `P`: its plan, and
+/// a template of per-node state machines for the spec it was built for.
+struct Prepared<P: Protocol> {
+    plan: P::Plan,
+    /// The (source, message) pair the node template encodes.
+    spec: RunSpec,
+    template: Vec<P>,
 }
 
+impl<P: Protocol> Prepared<P> {
+    fn labeling(&self) -> &Labeling {
+        P::labeling(&self.plan)
+    }
+
+    fn collection_plan(&self) -> Option<&CollectionPlan> {
+        P::collection_plan(&self.plan)
+    }
+
+    /// Constructs the plan and the template for `spec`, timing each as a
+    /// phase span ("labeling_construction", "template_build").
+    fn build(
+        spans: &mut Vec<SpanRecord>,
+        spec: RunSpec,
+        construct: impl FnOnce() -> Result<P::Plan, LabelingError>,
+    ) -> Result<Self, LabelingError> {
+        let timer = SpanTimer::start("labeling_construction");
+        let plan = construct();
+        spans.push(timer.stop());
+        let plan = plan?;
+        let timer = SpanTimer::start("template_build");
+        let template = P::network(&plan, spec.source, spec.message);
+        spans.push(timer.stop());
+        Ok(Prepared {
+            plan,
+            spec,
+            template,
+        })
+    }
+}
+
+/// A session's prepared protocol, one variant per node type.
+enum Template {
+    B(Prepared<BNode>),
+    Back(Prepared<BackNode>),
+    Arb(Prepared<ArbNode>),
+    Slotted(Prepared<SlottedNode>),
+    DelayRelay(Prepared<DelayRelayNode>),
+    Multi(Prepared<MultiNode>),
+    Gossip(Prepared<GossipNode>),
+}
+
+/// Maps each scheme to its construction and protocol.
 fn prepare(
     scheme: Scheme,
     graph: &Graph,
@@ -1501,281 +1562,44 @@ fn prepare(
     coordinator: NodeId,
     message: SourceMessage,
     spans: &mut Vec<SpanRecord>,
-) -> Result<Prepared, LabelingError> {
-    const CONSTRUCT: &str = "labeling_construction";
-    const TEMPLATE: &str = "template_build";
-    let kind = match scheme {
-        Scheme::Lambda => {
-            let labeling =
-                timed(spans, CONSTRUCT, || lambda::construct(graph, source))?.into_labeling();
-            let template = timed(spans, TEMPLATE, || {
-                BNode::network(&labeling, source, message)
-            });
-            PreparedKind::AlgoB { labeling, template }
-        }
-        Scheme::LambdaAck => {
-            let labeling =
-                timed(spans, CONSTRUCT, || lambda_ack::construct(graph, source))?.into_labeling();
-            let template = timed(spans, TEMPLATE, || {
-                BackNode::network(&labeling, source, message)
-            });
-            PreparedKind::AlgoBack { labeling, template }
-        }
-        Scheme::LambdaArb => {
-            let labeling = timed(spans, CONSTRUCT, || {
-                lambda_arb::construct_with_coordinator(
-                    graph,
-                    coordinator,
-                    rn_graph::algorithms::ReductionOrder::Forward,
-                )
-            })?
-            .into_labeling();
-            let template = timed(spans, TEMPLATE, || {
-                ArbNode::network(&labeling, source, message)
-            });
-            PreparedKind::AlgoBarb { labeling, template }
-        }
-        Scheme::OneBitCycle => {
-            let labeling = timed(spans, CONSTRUCT, || onebit::cycle_onebit(graph, source))?;
-            let template = timed(spans, TEMPLATE, || {
-                DelayRelayNode::network(&labeling, source, message)
-            });
-            PreparedKind::DelayRelay { labeling, template }
-        }
+) -> Result<Template, LabelingError> {
+    let spec = RunSpec::new(source, message);
+    Ok(match scheme {
+        Scheme::Lambda => Template::B(Prepared::build(spans, spec, || {
+            lambda::construct(graph, source).map(lambda::LambdaScheme::into_labeling)
+        })?),
+        Scheme::LambdaAck => Template::Back(Prepared::build(spans, spec, || {
+            lambda_ack::construct(graph, source).map(lambda_ack::LambdaAckScheme::into_labeling)
+        })?),
+        Scheme::LambdaArb => Template::Arb(Prepared::build(spans, spec, || {
+            lambda_arb::construct_with_coordinator(
+                graph,
+                coordinator,
+                rn_graph::algorithms::ReductionOrder::Forward,
+            )
+            .map(lambda_arb::LambdaArbScheme::into_labeling)
+        })?),
+        Scheme::OneBitCycle => Template::DelayRelay(Prepared::build(spans, spec, || {
+            onebit::cycle_onebit(graph, source)
+        })?),
         Scheme::OneBitGrid { rows, cols } => {
-            let labeling = timed(spans, CONSTRUCT, || {
+            Template::DelayRelay(Prepared::build(spans, spec, || {
                 onebit::grid_onebit(graph, rows, cols, source)
-            })?;
-            let template = timed(spans, TEMPLATE, || {
-                DelayRelayNode::network(&labeling, source, message)
-            });
-            PreparedKind::DelayRelay { labeling, template }
+            })?)
         }
-        Scheme::UniqueIds => {
-            let labeling = timed(spans, CONSTRUCT, || baselines::unique_ids(graph))?;
-            let template = timed(spans, TEMPLATE, || {
-                SlottedNode::network(&labeling, source, message)
-            });
-            PreparedKind::Slotted { labeling, template }
-        }
-        Scheme::SquareColoring => {
-            let (labeling, _) = timed(spans, CONSTRUCT, || baselines::square_coloring(graph))?;
-            let template = timed(spans, TEMPLATE, || {
-                SlottedNode::network(&labeling, source, message)
-            });
-            PreparedKind::Slotted { labeling, template }
-        }
-        Scheme::MultiLambda { .. } => {
-            let mscheme = timed(spans, CONSTRUCT, || {
-                multi::construct_with_coordinator(graph, sources, coordinator)
-            })?;
-            let template = timed(spans, TEMPLATE, || {
-                MultiNode::network(&mscheme, &multi_payloads(message, mscheme.k()))
-            });
-            PreparedKind::Multi {
-                scheme: mscheme,
-                template,
-            }
-        }
-        Scheme::Gossip => {
-            let gscheme = timed(spans, CONSTRUCT, || {
-                gossip::construct_with_coordinator(graph, coordinator)
-            })?;
-            let template = timed(spans, TEMPLATE, || {
-                GossipNode::network(&gscheme, &multi_payloads(message, gscheme.k()))
-            });
-            PreparedKind::Gossip {
-                scheme: gscheme,
-                template,
-            }
-        }
-    };
-    Ok(Prepared {
-        spec: RunSpec::new(source, message),
-        kind,
+        Scheme::UniqueIds => Template::Slotted(Prepared::build(spans, spec, || {
+            baselines::unique_ids(graph)
+        })?),
+        Scheme::SquareColoring => Template::Slotted(Prepared::build(spans, spec, || {
+            baselines::square_coloring(graph).map(|(labeling, _)| labeling)
+        })?),
+        Scheme::MultiLambda { .. } => Template::Multi(Prepared::build(spans, spec, || {
+            multi::construct_with_coordinator(graph, sources, coordinator)
+        })?),
+        Scheme::Gossip => Template::Gossip(Prepared::build(spans, spec, || {
+            gossip::construct_with_coordinator(graph, coordinator)
+        })?),
     })
-}
-
-/// Clones a prepared node template when the run's spec matches the spec the
-/// template was built for, otherwise rebuilds the (cheap, O(n)) node vector
-/// from the cached labeling.
-fn clone_or_rebuild<N: Clone>(
-    template: &[N],
-    source: NodeId,
-    message: SourceMessage,
-    template_spec: RunSpec,
-    rebuild: impl FnOnce() -> Vec<N>,
-) -> Vec<N> {
-    if template_spec == RunSpec::new(source, message) {
-        template.to_vec()
-    } else {
-        rebuild()
-    }
-}
-
-/// One simulation in flight: wires the online informed-round tracking and the
-/// per-scheme observation hook into `Simulator::run_until`.
-struct Execution<'g, N: RadioNode> {
-    session: &'g Session,
-    nodes: Vec<N>,
-    record: bool,
-    /// Whether to track informed rounds from node state after each round.
-    /// Only needed when the trace (the usual source of informed rounds) is
-    /// disabled, or for protocols whose payloads are not a simple message
-    /// pattern (B_arb) — skipping it keeps the O(n)-per-round scan off the
-    /// default hot path.
-    track_online: bool,
-    /// Whether to install a [`CounterSink`] on the simulator. Off (the
-    /// default) for every plain run, so the engines' hot paths never pay
-    /// for metric assembly; [`Session::run_instrumented`] turns it on.
-    instrument: bool,
-}
-
-/// A finished simulation, ready to fill a [`RunReport`].
-struct Finished<N: RadioNode> {
-    sim: Simulator<N>,
-    online_informed: Vec<Option<u64>>,
-    rounds_executed: u64,
-    /// The aggregated deterministic counters, when the execution was
-    /// instrumented with a [`CounterSink`].
-    counters: Option<RunCounters>,
-}
-
-impl<'g, N: RadioNode> Execution<'g, N> {
-    fn new(session: &'g Session, nodes: Vec<N>, record: bool, track_online: bool) -> Self {
-        Execution {
-            session,
-            nodes,
-            record,
-            track_online,
-            instrument: false,
-        }
-    }
-
-    /// Installs (or skips) the metrics sink for this execution.
-    fn instrumented(mut self, instrument: bool) -> Self {
-        self.instrument = instrument;
-        self
-    }
-
-    /// Runs to the stop condition. After every round, `informed` marks newly
-    /// informed nodes and `observe` (receiving the simulator and the current
-    /// round) updates scheme-specific measurements; returning `true` from
-    /// `observe` stops the run early.
-    ///
-    /// The simulator's per-round scratch is borrowed from the session's pool
-    /// before the run and returned afterwards, so repeated and batched runs
-    /// reuse the same working arrays instead of reallocating them per run.
-    fn run(
-        self,
-        stop: StopCondition,
-        informed: impl Fn(&N) -> bool,
-        mut observe: impl FnMut(&Simulator<N>, u64) -> bool,
-    ) -> Finished<N> {
-        let pooled = self
-            .session
-            .scratch_pool
-            .lock()
-            .expect("scratch pool not poisoned")
-            .pop();
-        let scratch_reused = pooled.is_some();
-        let scratch = pooled.unwrap_or_default();
-        // Nodes that are informed before round 1 — the source(s) holding
-        // their message(s) from the start — get round 0, exactly as the
-        // trace-based accounting credits the source.
-        let mut online = if self.track_online {
-            self.nodes
-                .iter()
-                .map(|node| informed(node).then_some(0))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut sim = Simulator::new(Arc::clone(&self.session.graph), self.nodes)
-            .with_engine(self.session.engine)
-            .with_scratch(scratch)
-            .with_faults(&self.session.faults);
-        if !self.record {
-            sim = sim.without_trace();
-        }
-        if self.instrument {
-            let mut sink = CounterSink::new();
-            sink.on_scratch(scratch_reused);
-            sim = sim.with_metrics(Box::new(sink));
-        }
-        let track = self.track_online;
-        let outcome = sim.run_until(stop, |s| {
-            let round = s.current_round();
-            if track {
-                for (v, node) in s.nodes().iter().enumerate() {
-                    if online[v].is_none() && informed(node) {
-                        online[v] = Some(round);
-                    }
-                }
-            }
-            observe(s, round)
-        });
-        self.session
-            .scratch_pool
-            .lock()
-            .expect("scratch pool not poisoned")
-            .push(sim.take_scratch());
-        let counters = sim.metrics_counters();
-        Finished {
-            sim,
-            online_informed: online,
-            rounds_executed: outcome.rounds_executed,
-            counters,
-        }
-    }
-}
-
-impl<N: RadioNode> Finished<N> {
-    /// Fills the trace-derived report fields. With a recorded trace the
-    /// informed rounds come from the trace through the same payload predicate
-    /// the legacy runners used; without one they come from the online node
-    /// state, and the statistics carry only the round count.
-    fn fill(&self, report: &mut RunReport, record: bool, is_payload: impl Fn(&N::Msg) -> bool) {
-        if record {
-            report.informed_rounds = verify::first_payload_rounds(
-                self.sim.trace(),
-                report.node_count,
-                report.source,
-                is_payload,
-            );
-            report.stats = ExecutionStats::from_trace(self.sim.trace());
-        } else {
-            report.informed_rounds = self.online_informed.clone();
-            report.stats = self.traceless_stats();
-        }
-        report.rounds_executed = self.rounds_executed;
-    }
-
-    /// Like [`fill`](Self::fill), but always takes informed rounds from node
-    /// state (for protocols whose payloads are not a simple message pattern).
-    fn fill_from_nodes(&self, report: &mut RunReport) {
-        report.informed_rounds = self.online_informed.clone();
-        if self.sim.trace().is_empty() {
-            report.stats = self.traceless_stats();
-        } else {
-            report.stats = ExecutionStats::from_trace(self.sim.trace());
-        }
-        report.rounds_executed = self.rounds_executed;
-    }
-
-    /// Statistics for a run executed without a trace: the full counter-backed
-    /// set when the run was instrumented (the counters are a byte-exact
-    /// substitute for the trace walk), a bare round count otherwise —
-    /// exactly what trace-off runs have always reported.
-    fn traceless_stats(&self) -> ExecutionStats {
-        match &self.counters {
-            Some(c) => ExecutionStats::from_counters(c),
-            None => ExecutionStats {
-                rounds: self.rounds_executed,
-                ..ExecutionStats::default()
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2010,19 +1834,24 @@ mod tests {
 
     #[test]
     fn repeated_runs_reuse_the_cached_labeling_and_agree() {
-        let g = generators::gnp_connected(24, 0.15, 3).unwrap();
-        let session = Session::builder(Scheme::Lambda, g)
-            .source(5)
-            .message(9)
-            .build()
-            .unwrap();
-        let labeling_before = session.labeling() as *const Labeling;
-        let a = session.run();
-        let b = session.run();
-        assert!(std::ptr::eq(labeling_before, session.labeling()));
-        assert_eq!(a.completion_round, b.completion_round);
-        assert_eq!(a.informed_rounds, b.informed_rounds);
-        assert_eq!(a.stats, b.stats);
+        for (n, p, seed, source, message) in [(24, 0.15, 3, 5, 9), (30, 0.12, 5, 3, 42)] {
+            let g = generators::gnp_connected(n, p, seed).unwrap();
+            let session = Session::builder(Scheme::Lambda, g)
+                .source(source)
+                .message(message)
+                .build()
+                .unwrap();
+            // The labeling is owned by the session: the same allocation is
+            // observed before, between and after the runs.
+            let labeling_before = session.labeling() as *const Labeling;
+            let a = session.run();
+            assert!(std::ptr::eq(labeling_before, session.labeling()), "n={n}");
+            let b = session.run();
+            assert!(std::ptr::eq(labeling_before, session.labeling()), "n={n}");
+            assert_eq!(a.completion_round, b.completion_round, "n={n}");
+            assert_eq!(a.informed_rounds, b.informed_rounds, "n={n}");
+            assert_eq!(a.stats, b.stats, "n={n}");
+        }
     }
 
     #[test]
@@ -2064,45 +1893,73 @@ mod tests {
 
     #[test]
     fn run_batch_matches_sequential_runs_in_order() {
-        let g = Arc::new(generators::gnp_connected(18, 0.2, 7).unwrap());
-        let session = Session::builder(Scheme::LambdaArb, Arc::clone(&g))
-            .build()
-            .unwrap();
-        let specs: Vec<RunSpec> = (0..g.node_count())
-            .map(|s| RunSpec::new(s, 40 + s as u64))
-            .collect();
-        let sequential: Vec<RunReport> = specs
-            .iter()
-            .map(|&spec| session.run_with(spec).unwrap())
-            .collect();
-        let parallel = session.run_batch(&specs, 4).unwrap();
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.source, s.source);
-            assert_eq!(p.completion_round, s.completion_round);
-            assert_eq!(p.common_knowledge_round, s.common_knowledge_round);
-            assert_eq!(p.stats, s.stats);
+        for (n, p, seed) in [(18, 0.2, 7), (20, 0.18, 11)] {
+            let g = Arc::new(generators::gnp_connected(n, p, seed).unwrap());
+            let session = Session::builder(Scheme::LambdaArb, Arc::clone(&g))
+                .build()
+                .unwrap();
+            let specs: Vec<RunSpec> = (0..g.node_count())
+                .map(|s| RunSpec::new(s, 40 + s as u64))
+                .collect();
+            let sequential: Vec<RunReport> = specs
+                .iter()
+                .map(|&spec| session.run_with(spec).unwrap())
+                .collect();
+            for threads in [1, 2, 4, 8] {
+                let parallel = session.run_batch(&specs, threads).unwrap();
+                assert_eq!(parallel.len(), sequential.len());
+                for (p, s) in parallel.iter().zip(&sequential) {
+                    let at = format!("n={n} threads={threads}");
+                    assert_eq!(p.source, s.source, "{at}");
+                    assert_eq!(p.completion_round, s.completion_round, "{at}");
+                    assert_eq!(p.common_knowledge_round, s.common_knowledge_round, "{at}");
+                    assert_eq!(p.informed_rounds, s.informed_rounds, "{at}");
+                    assert_eq!(p.stats, s.stats, "{at}");
+                }
+            }
         }
     }
 
     #[test]
     fn disabled_trace_still_tracks_informed_rounds() {
-        let g = generators::grid(4, 5);
-        let with_trace = Session::builder(Scheme::Lambda, g.clone())
-            .source(7)
-            .build()
-            .unwrap()
-            .run();
-        let without = Session::builder(Scheme::Lambda, g)
-            .source(7)
-            .trace(TracePolicy::Disabled)
-            .build()
-            .unwrap()
-            .run();
-        assert_eq!(with_trace.informed_rounds, without.informed_rounds);
-        assert_eq!(with_trace.completion_round, without.completion_round);
-        assert_eq!(without.stats.transmissions, 0, "no trace, no tx stats");
-        assert_eq!(without.stats.rounds, without.rounds_executed);
+        let workloads = [
+            ("grid-4x5", generators::grid(4, 5), 7),
+            ("path-16", generators::path(16), 0),
+            ("path-16-mid", generators::path(16), 8),
+            ("star-12", generators::star(12), 0),
+            ("star-12-leaf", generators::star(12), 5),
+            ("gnp-24", generators::gnp_connected(24, 0.12, 9).unwrap(), 3),
+        ];
+        for (name, g, source) in workloads {
+            let with_trace = Session::builder(Scheme::Lambda, g.clone())
+                .source(source)
+                .build()
+                .unwrap()
+                .run();
+            let without = Session::builder(Scheme::Lambda, g)
+                .source(source)
+                .trace(TracePolicy::Disabled)
+                .build()
+                .unwrap()
+                .run();
+            assert_eq!(
+                with_trace.informed_rounds, without.informed_rounds,
+                "{name}"
+            );
+            assert_eq!(
+                with_trace.completion_round, without.completion_round,
+                "{name}"
+            );
+            assert_eq!(
+                with_trace.rounds_executed, without.rounds_executed,
+                "{name}"
+            );
+            assert_eq!(
+                without.stats.transmissions, 0,
+                "{name}: no trace, no tx stats"
+            );
+            assert_eq!(without.stats.rounds, without.rounds_executed, "{name}");
+        }
     }
 
     #[test]
@@ -2124,6 +1981,7 @@ mod tests {
             .unwrap()
             .run();
         assert!(ids.completed() && colors.completed() && lambda.completed());
+        assert!(ids.label_length >= colors.label_length);
         assert!(ids.label_length > lambda.label_length);
         assert!(colors.label_length >= lambda.label_length || lambda.label_length == 2);
     }
@@ -2164,10 +2022,16 @@ mod tests {
             );
         }
         let g = generators::path(4);
-        assert!(Session::builder(Scheme::Lambda, g.clone())
-            .source(9)
-            .build()
-            .is_err());
+        for scheme in [Scheme::Lambda, Scheme::LambdaArb, Scheme::UniqueIds] {
+            assert!(
+                Session::builder(scheme, g.clone())
+                    .source(9)
+                    .build()
+                    .is_err(),
+                "{}",
+                scheme.name()
+            );
+        }
         assert!(Session::builder(Scheme::OneBitCycle, g).build().is_err());
     }
 

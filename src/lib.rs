@@ -54,11 +54,6 @@
 //! assert!(reports.iter().all(|r| r.common_knowledge_round.is_some()));
 //! ```
 //!
-//! The legacy one-shot entry points (`broadcast::runner::run_broadcast` and
-//! friends) are deprecated thin wrappers over sessions, kept for source
-//! compatibility; `tests/session_equivalence.rs` pins down that they produce
-//! identical results.
-//!
 //! ## Topologies and sweeps
 //!
 //! Workload instances come from the seeded

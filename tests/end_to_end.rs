@@ -10,8 +10,8 @@ use radio_labeling::graph::{algorithms, generators, Graph};
 use radio_labeling::labeling::{lambda, lambda_ack, lambda_arb};
 use radio_labeling::radio::{Simulator, StopCondition};
 
-/// Builds a single-use session and runs it: the new-API equivalent of the
-/// old one-shot runners, used wherever a workload is only exercised once.
+/// Builds a single-use session and runs it, for workloads that are only
+/// exercised once.
 fn run_once(scheme: Scheme, g: Graph, source: usize, message: u64) -> RunReport {
     Session::builder(scheme, g)
         .source(source)

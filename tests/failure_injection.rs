@@ -160,7 +160,7 @@ fn session_fault_injection_breaks_broadcast_and_the_report_says_where() {
 }
 
 #[test]
-fn runner_error_paths_are_exercised() {
+fn session_builder_rejects_invalid_inputs() {
     let disconnected = radio_labeling::graph::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
     assert!(Session::builder(Scheme::Lambda, disconnected)
         .build()

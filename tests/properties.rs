@@ -8,8 +8,7 @@ use radio_labeling::broadcast::verify;
 use radio_labeling::graph::{algorithms, generators, Graph};
 use radio_labeling::labeling::{lambda, lambda_ack, lambda_arb, SequenceConstruction};
 
-/// Builds a single-use session and runs it: the new-API equivalent of the
-/// old one-shot runners.
+/// Builds a single-use session and runs it once.
 fn run_once(scheme: Scheme, g: Graph, source: usize, message: u64) -> RunReport {
     Session::builder(scheme, g)
         .source(source)
