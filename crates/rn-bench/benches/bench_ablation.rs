@@ -2,15 +2,15 @@
 //! different candidate orders and regenerates both ablation tables.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rn_experiments::experiments::ablation;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{ablation, family};
+use rn_experiments::ExperimentConfig;
 use rn_graph::algorithms::ReductionOrder;
 use rn_labeling::lambda;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("a1_reduction_order");
     group.sample_size(15);
-    let g = GraphFamily::GnpSparse.generate(256, 1);
+    let g = family("gnp_sparse").generate(256, 1).unwrap();
     for (name, order) in [
         ("forward", ReductionOrder::Forward),
         ("reverse", ReductionOrder::Reverse),

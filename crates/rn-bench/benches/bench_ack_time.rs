@@ -3,21 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
-use rn_experiments::experiments::ack_time;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{ack_time, family};
+use rn_experiments::ExperimentConfig;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_ack_time");
     group.sample_size(15);
-    for family in [
-        GraphFamily::Path,
-        GraphFamily::RandomTree,
-        GraphFamily::GnpSparse,
-    ] {
+    for label in ["path", "random_tree", "gnp_sparse"] {
         for n in [64usize, 256] {
-            let g = Arc::new(family.generate(n, 1));
-            let id = BenchmarkId::new(family.name(), g.node_count());
+            let g = Arc::new(family(label).generate(n, 1).unwrap());
+            let id = BenchmarkId::new(label, g.node_count());
             group.bench_with_input(id, &g, |b, g| {
                 b.iter(|| {
                     std::hint::black_box(

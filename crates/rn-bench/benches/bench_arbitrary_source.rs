@@ -4,21 +4,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{RunSpec, Scheme, Session};
-use rn_experiments::experiments::arbitrary_source;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{arbitrary_source, family};
+use rn_experiments::ExperimentConfig;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_arbitrary_source");
     group.sample_size(10);
-    for family in [
-        GraphFamily::Cycle,
-        GraphFamily::Grid,
-        GraphFamily::GnpSparse,
-    ] {
-        let g = Arc::new(family.generate(64, 1));
+    for label in ["cycle", "grid", "gnp_sparse"] {
+        let g = Arc::new(family(label).generate(64, 1).unwrap());
         let source = g.node_count() / 2;
-        let full_id = BenchmarkId::new(format!("{}_full", family.name()), g.node_count());
+        let full_id = BenchmarkId::new(format!("{label}_full"), g.node_count());
         group.bench_with_input(full_id, &g, |b, g| {
             b.iter(|| {
                 std::hint::black_box(
@@ -37,7 +33,7 @@ fn bench(c: &mut Criterion) {
             .message(7)
             .build()
             .unwrap();
-        let amortized_id = BenchmarkId::new(format!("{}_amortized", family.name()), g.node_count());
+        let amortized_id = BenchmarkId::new(format!("{label}_amortized"), g.node_count());
         group.bench_with_input(amortized_id, &session, |b, s| {
             b.iter(|| std::hint::black_box(s.run_with(RunSpec::new(source, 7)).unwrap()));
         });

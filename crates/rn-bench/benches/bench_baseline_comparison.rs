@@ -4,14 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
-use rn_experiments::experiments::baseline_comparison;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{baseline_comparison, family};
+use rn_experiments::ExperimentConfig;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_baseline_comparison");
     group.sample_size(10);
-    let g = Arc::new(GraphFamily::Grid.generate(100, 1));
+    let g = Arc::new(family("grid").generate(100, 1).unwrap());
     for (name, scheme) in [
         ("lambda", Scheme::Lambda),
         ("unique_ids", Scheme::UniqueIds),

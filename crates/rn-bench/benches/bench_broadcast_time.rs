@@ -5,17 +5,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
-use rn_experiments::experiments::broadcast_time;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{broadcast_time, family};
+use rn_experiments::ExperimentConfig;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_broadcast_time");
     group.sample_size(15);
-    for family in [GraphFamily::Path, GraphFamily::Grid, GraphFamily::GnpSparse] {
+    for label in ["path", "grid", "gnp_sparse"] {
         for n in [64usize, 256] {
-            let g = Arc::new(family.generate(n, 1));
-            let full_id = BenchmarkId::new(format!("{}_full", family.name()), g.node_count());
+            let g = Arc::new(family(label).generate(n, 1).unwrap());
+            let full_id = BenchmarkId::new(format!("{label}_full"), g.node_count());
             group.bench_with_input(full_id, &g, |b, g| {
                 b.iter(|| {
                     std::hint::black_box(
@@ -31,8 +31,7 @@ fn bench(c: &mut Criterion) {
                 .message(7)
                 .build()
                 .unwrap();
-            let amortized_id =
-                BenchmarkId::new(format!("{}_amortized", family.name()), g.node_count());
+            let amortized_id = BenchmarkId::new(format!("{label}_amortized"), g.node_count());
             group.bench_with_input(amortized_id, &session, |b, s| {
                 b.iter(|| std::hint::black_box(s.run()));
             });

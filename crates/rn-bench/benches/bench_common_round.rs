@@ -3,15 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::common_round::run_common_round;
-use rn_experiments::experiments::common_round;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{common_round, family};
+use rn_experiments::ExperimentConfig;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_common_round");
     group.sample_size(15);
-    for family in [GraphFamily::Path, GraphFamily::Grid] {
-        let g = family.generate(64, 1);
-        let id = BenchmarkId::new(family.name(), g.node_count());
+    for label in ["path", "grid"] {
+        let g = family(label).generate(64, 1).unwrap();
+        let id = BenchmarkId::new(label, g.node_count());
         group.bench_with_input(id, &g, |b, g| {
             b.iter(|| std::hint::black_box(run_common_round(g, 0, 7).unwrap()));
         });

@@ -2,14 +2,14 @@
 //! scheme and regenerates the comparison table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rn_experiments::experiments::label_length;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{family, label_length};
+use rn_experiments::ExperimentConfig;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_label_length");
     group.sample_size(20);
-    let g = GraphFamily::GnpSparse.generate(256, 1);
+    let g = family("gnp_sparse").generate(256, 1).unwrap();
     for scheme in SchemeKind::ALL {
         let id = BenchmarkId::new(scheme.name(), g.node_count());
         group.bench_with_input(id, &g, |b, g| {

@@ -9,9 +9,8 @@
 //!   it changes χ(G²)'s greedy approximation and hence the baseline's label
 //!   length.
 
+use super::{sweep, CORE, SOURCE};
 use crate::report::{fmt_bool, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::algo_b::BNode;
 use rn_broadcast::verify;
@@ -62,11 +61,12 @@ fn broadcast_rounds_with_order(
 }
 
 fn reduction_order(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        ORDERS
+    let points = sweep(&CORE, config, |i| {
+        let rounds: Vec<_> = ORDERS
             .iter()
-            .map(|(_, o)| broadcast_rounds_with_order(g, source, *o))
-            .collect::<Vec<_>>()
+            .map(|(_, o)| broadcast_rounds_with_order(&i.graph, SOURCE, *o))
+            .collect();
+        (i.graph.node_count(), rounds)
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
@@ -79,10 +79,10 @@ fn reduction_order(config: &ExperimentConfig) -> Table {
         "A1a: dominating-set reduction order ablation (algorithm B completion round)",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![p.workload.family.name().to_string(), p.actual_n.to_string()];
+    for (family, (n, rounds)) in &points {
+        let mut row = vec![family.to_string(), n.to_string()];
         let mut all_within = true;
-        for (completion, within) in &p.result {
+        for (completion, within) in rounds {
             row.push(completion.map_or("-".into(), |c| c.to_string()));
             all_within &= *within;
         }
@@ -94,15 +94,16 @@ fn reduction_order(config: &ExperimentConfig) -> Table {
 }
 
 fn coloring_order(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, _source, _w| {
-        COLOR_ORDERS
+    let points = sweep(&CORE, config, |i| {
+        let colors: Vec<_> = COLOR_ORDERS
             .iter()
             .map(|(_, o)| {
-                let (labeling, k) =
-                    baselines::square_coloring_with_order(g, *o).expect("connected workload");
+                let (labeling, k) = baselines::square_coloring_with_order(&i.graph, *o)
+                    .expect("connected workload");
                 (k, labeling.length())
             })
-            .collect::<Vec<_>>()
+            .collect();
+        (i.graph.node_count(), colors)
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
@@ -115,9 +116,9 @@ fn coloring_order(config: &ExperimentConfig) -> Table {
         "A1b: greedy colouring order ablation for the square-colouring baseline",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![p.workload.family.name().to_string(), p.actual_n.to_string()];
-        for (k, bits) in &p.result {
+    for (family, (n, colors)) in &points {
+        let mut row = vec![family.to_string(), n.to_string()];
+        for (k, bits) in colors {
             row.push(k.to_string());
             row.push(bits.to_string());
         }

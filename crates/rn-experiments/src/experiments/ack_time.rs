@@ -2,9 +2,8 @@
 //! by some round `t ≤ 2n − 3` and the source receives an "ack" by a round in
 //! `{t + 1, …, t + n − 2}`.
 
+use super::{sweep, FAMILIES, SOURCE};
 use crate::report::{fmt_bool, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
@@ -24,9 +23,10 @@ pub struct Point {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::ALL, config, |g, source, _w| {
+    let points = sweep(&FAMILIES, config, |i| {
+        let g = &i.graph;
         let r = Session::builder(Scheme::LambdaAck, Arc::clone(g))
-            .source(source)
+            .source(SOURCE)
             .message(7)
             .build()
             .expect("connected workload")
@@ -52,24 +52,24 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within window",
         ],
     );
-    for p in &points {
-        let n = p.result.n as u64;
-        let ok = match (p.result.completion, p.result.ack_round) {
+    for (family, p) in &points {
+        let n = p.n as u64;
+        let ok = match (p.completion, p.ack_round) {
             (Some(t), Some(ta)) => ta > t && ta <= t + (n - 1),
             _ => false,
         };
-        let delay = match (p.result.completion, p.result.ack_round) {
+        let delay = match (p.completion, p.ack_round) {
             (Some(t), Some(ta)) => Some(ta - t),
             _ => None,
         };
         table.push_row(vec![
-            p.workload.family.name().to_string(),
+            family.to_string(),
             n.to_string(),
-            fmt_opt(p.result.completion),
-            fmt_opt(p.result.ack_round),
+            fmt_opt(p.completion),
+            fmt_opt(p.ack_round),
             fmt_opt(delay),
             (n - 1).to_string(),
-            p.result.max_message_bits.to_string(),
+            p.max_message_bits.to_string(),
             fmt_bool(ok),
         ]);
     }

@@ -3,9 +3,8 @@
 //! broadcast — and lets every node know it completed — for every possible
 //! source position.
 
+use super::{sweep, CORE};
 use crate::report::{fmt_bool, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::session::{RunSpec, Scheme, Session};
 use std::sync::Arc;
@@ -31,17 +30,17 @@ pub struct Point {
 pub fn run(config: &ExperimentConfig) -> Table {
     // B_arb runs three phases and is the slowest algorithm in the repository,
     // so sweep the compact family set and a handful of source positions.
-    let points = run_sweep(&GraphFamily::CORE, config, |g, _default_source, w| {
-        let n = g.node_count();
+    let points = sweep(&CORE, config, |i| {
+        let n = i.graph.node_count();
         // λ_arb labels are source-independent, so one session serves every
         // source position against the same cached labeling.
-        let session = Session::builder(Scheme::LambdaArb, Arc::clone(g))
+        let session = Session::builder(Scheme::LambdaArb, Arc::clone(&i.graph))
             .coordinator(0)
             .build()
             .expect("connected workload");
         let specs: Vec<RunSpec> = [0, n / 3, n / 2, n - 1]
             .into_iter()
-            .map(|s| RunSpec::new(s, 7 + w.seed))
+            .map(|s| RunSpec::new(s, 7 + i.seed))
             .collect();
         let mut all_ok = true;
         let mut worst_completion = Some(0u64);
@@ -79,19 +78,18 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "all succeeded",
         ],
     );
-    for p in &points {
-        let per_n = p.result.worst_common_knowledge.map_or_else(
-            || "-".into(),
-            |c| format!("{:.2}", c as f64 / p.result.n as f64),
-        );
+    for (family, p) in &points {
+        let per_n = p
+            .worst_common_knowledge
+            .map_or_else(|| "-".into(), |c| format!("{:.2}", c as f64 / p.n as f64));
         table.push_row(vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.sources_tried.to_string(),
-            fmt_opt(p.result.worst_completion),
-            fmt_opt(p.result.worst_common_knowledge),
+            family.to_string(),
+            p.n.to_string(),
+            p.sources_tried.to_string(),
+            fmt_opt(p.worst_completion),
+            fmt_opt(p.worst_common_knowledge),
             per_n,
-            fmt_bool(p.result.all_succeeded),
+            fmt_bool(p.all_succeeded),
         ]);
     }
     table.push_note(

@@ -7,9 +7,8 @@
 //! slot sweep is long (identifiers ~ n slots, colouring ~ χ(G²) slots per
 //! progress step), while λ completes within 2n − 3 rounds with 2-bit labels.
 
+use super::{sweep, CORE, SOURCE};
 use crate::report::{fmt_f64, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
@@ -31,11 +30,12 @@ pub struct Point {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
+    let points = sweep(&CORE, config, |i| {
+        let g = &i.graph;
         // All three schemes share one graph allocation through the session.
         let run = |scheme| {
             Session::builder(scheme, Arc::clone(g))
-                .source(source)
+                .source(SOURCE)
                 .message(7)
                 .build()
                 .expect("connected workload")
@@ -66,14 +66,13 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "label bits (lambda/id/color)",
         ],
     );
-    for p in &points {
-        let r = p.result;
+    for (family, r) in &points {
         let ratio = |a: Option<u64>, b: Option<u64>| match (a, b) {
             (Some(a), Some(b)) if b > 0 => fmt_f64(a as f64 / b as f64),
             _ => "-".into(),
         };
         table.push_row(vec![
-            p.workload.family.name().to_string(),
+            family.to_string(),
             r.n.to_string(),
             fmt_opt(r.lambda_rounds),
             fmt_opt(r.id_rounds),

@@ -5,9 +5,8 @@
 //! the measured completion round next to the bound, and flags any violation
 //! (none are expected; the integration tests additionally assert this).
 
+use super::{sweep, FAMILIES, SOURCE};
 use crate::report::{fmt_bool, fmt_f64, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
@@ -25,9 +24,10 @@ pub struct Point {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::ALL, config, |g, source, _w| {
+    let points = sweep(&FAMILIES, config, |i| {
+        let g = &i.graph;
         let r = Session::builder(Scheme::Lambda, Arc::clone(g))
-            .source(source)
+            .source(SOURCE)
             .message(7)
             .build()
             .expect("connected workload")
@@ -51,17 +51,17 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within bound",
         ],
     );
-    for p in &points {
-        let n = p.result.n;
+    for (family, p) in &points {
+        let n = p.n;
         let bound = 2 * n as u64 - 3;
-        let completion = p.result.completion;
+        let completion = p.completion;
         table.push_row(vec![
-            p.workload.family.name().to_string(),
+            family.to_string(),
             n.to_string(),
             fmt_opt(completion),
             bound.to_string(),
             completion.map_or("-".to_string(), |c| fmt_f64(c as f64 / bound as f64)),
-            p.result.transmissions.to_string(),
+            p.transmissions.to_string(),
             fmt_bool(completion.is_some_and(|c| c <= bound)),
         ]);
     }

@@ -3,16 +3,16 @@
 //! `2m` is a common round in which every node knows the original broadcast
 //! completed.
 
+use super::{sweep, CORE, SOURCE};
 use crate::report::{fmt_bool, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_broadcast::common_round::run_common_round;
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        run_common_round(g, source, 7).expect("connected workload")
+    let points = sweep(&CORE, config, |i| {
+        let r = run_common_round(&i.graph, SOURCE, 7).expect("connected workload");
+        (i.graph.node_count(), r)
     });
 
     let mut table = Table::new(
@@ -26,11 +26,10 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "claim holds",
         ],
     );
-    for p in &points {
-        let r = &p.result;
+    for (family, (n, r)) in &points {
         table.push_row(vec![
-            p.workload.family.name().to_string(),
-            p.actual_n.to_string(),
+            family.to_string(),
+            n.to_string(),
             r.ack_round.to_string(),
             r.second_completion_round.to_string(),
             r.common_round.to_string(),

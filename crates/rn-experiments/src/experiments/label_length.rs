@@ -8,9 +8,8 @@
 //! 4/5/6 distinct labels no matter how large the network grows, while both
 //! baselines grow with Θ(log n) or Θ(log Δ).
 
+use super::{sweep, CORE, SOURCE};
 use crate::report::Table;
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 
@@ -27,11 +26,12 @@ pub struct Point {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
+    let points = sweep(&CORE, config, |i| {
+        let g = &i.graph;
         let per_scheme = SchemeKind::ALL
             .iter()
             .map(|s| {
-                let l = s.assign(g, source).expect("connected workload");
+                let l = s.assign(g, SOURCE).expect("connected workload");
                 (l.length(), l.distinct_count(), l.total_bits())
             })
             .collect();
@@ -52,13 +52,13 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E4: label length (bits) and distinct labels per scheme",
         &header_refs,
     );
-    for p in &points {
+    for (family, p) in &points {
         let mut row = vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.max_degree.to_string(),
+            family.to_string(),
+            p.n.to_string(),
+            p.max_degree.to_string(),
         ];
-        for (len, distinct, _total) in &p.result.per_scheme {
+        for (len, distinct, _total) in &p.per_scheme {
             row.push(len.to_string());
             row.push(distinct.to_string());
         }

@@ -1,4 +1,4 @@
-//! One module per experiment of the DESIGN.md index.
+//! One module per paper experiment: this table is the experiment index.
 //!
 //! | id  | module                | reproduces                                             |
 //! |-----|-----------------------|--------------------------------------------------------|
@@ -13,6 +13,12 @@
 //! | E9  | [`baseline_comparison`] | λ vs round-robin vs square-colouring broadcast time |
 //! | E10 | [`common_round`]      | §3: the common completion round                        |
 //! | A1  | [`ablation`]          | dominating-set reduction order / colouring order       |
+//!
+//! The sweep-based tables draw their instances from the
+//! [`TopologyFamily`] registry through the same (family × size × seed)
+//! fan-out as the scenario sweeps ([`scenario::fan_out`]), over the
+//! [`FAMILIES`] list (or its [`CORE`] subset for the heavier tables), and
+//! broadcast from [`SOURCE`].
 
 pub mod ablation;
 pub mod ack_time;
@@ -26,7 +32,88 @@ pub mod label_length;
 pub mod onebit;
 pub mod scheme_cost;
 
+use crate::scenario::{self, Instance};
 use crate::{ExperimentConfig, Table};
+use rn_graph::generators::TopologyFamily;
+use rn_graph::NodeId;
+
+/// Every family the paper tables sweep, as `(family column label,
+/// registry family)`, in presentation order.
+pub const FAMILIES: [(&str, TopologyFamily); 13] = [
+    ("path", TopologyFamily::Path),
+    ("cycle", TopologyFamily::Cycle),
+    ("star", TopologyFamily::Star),
+    ("complete", TopologyFamily::Complete),
+    ("grid", TopologyFamily::Grid),
+    ("hypercube", TopologyFamily::Hypercube),
+    ("random_tree", TopologyFamily::RandomTree),
+    (
+        "gnp_sparse",
+        TopologyFamily::GnpAvgDegree { avg_degree: 10.0 },
+    ),
+    ("gnp_dense", TopologyFamily::Gnp { p: 0.3 }),
+    ("series_parallel", TopologyFamily::SeriesParallel),
+    ("barbell", TopologyFamily::Barbell),
+    ("caterpillar", TopologyFamily::Caterpillar { legs: 2 }),
+    ("unit_disk", TopologyFamily::UnitDisk { avg_degree: 8.0 }),
+];
+
+/// A compact subset of [`FAMILIES`] that still covers the qualitative
+/// regimes, for the heavier tables and the benches.
+pub const CORE: [(&str, TopologyFamily); 6] = [
+    FAMILIES[0],
+    FAMILIES[1],
+    FAMILIES[4],
+    FAMILIES[6],
+    FAMILIES[7],
+    FAMILIES[10],
+];
+
+/// The broadcast source of every single-source table: node 0, which every
+/// registry family builds as its natural hard case (the path end, the grid
+/// corner, a clique node of the barbell).
+pub const SOURCE: NodeId = 0;
+
+/// The registry family behind a [`FAMILIES`] label.
+///
+/// # Panics
+/// Panics on a label [`FAMILIES`] does not list.
+pub fn family(label: &str) -> TopologyFamily {
+    let Some(&(_, f)) = FAMILIES.iter().find(|(l, _)| *l == label) else {
+        panic!("no paper-table family is labelled {label:?}");
+    };
+    f
+}
+
+/// Runs `measure` on every instance of `config`'s grid over `families`,
+/// returning each measurement with its family label, in job order.
+///
+/// # Panics
+/// Panics if an instance fails to generate (a size below 4).
+fn sweep<R: Send>(
+    families: &[(&'static str, TopologyFamily)],
+    config: &ExperimentConfig,
+    measure: impl Fn(Instance) -> R + Sync,
+) -> Vec<(&'static str, R)> {
+    let registry: Vec<TopologyFamily> = families.iter().map(|&(_, f)| f).collect();
+    let per_family = config.sizes.len() * config.seeds.len();
+    let results = scenario::fan_out(
+        &registry,
+        &config.sizes,
+        &config.seeds,
+        config.threads,
+        None,
+        measure,
+    );
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(job, result)| {
+            let measured = result.unwrap_or_else(|e| panic!("{e}"));
+            (families[job / per_family].0, measured)
+        })
+        .collect()
+}
 
 /// Identifier and human name of each experiment, for the `repro` binary.
 pub const EXPERIMENT_IDS: [(&str, &str); 11] = [
@@ -72,6 +159,17 @@ pub fn run_all(config: &ExperimentConfig) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn family_labels_are_distinct_and_resolve() {
+        let mut labels: Vec<&str> = FAMILIES.iter().map(|&(l, _)| l).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), FAMILIES.len());
+        for (label, f) in FAMILIES.into_iter().chain(CORE) {
+            assert_eq!(family(label), f);
+        }
+    }
 
     #[test]
     fn unknown_id_is_none() {

@@ -6,9 +6,8 @@
 //! sequence of minimal-dominating-set reductions) is cheap enough for the
 //! scenario to be practical.
 
+use super::{sweep, CORE, SOURCE};
 use crate::report::{fmt_f64, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
 use crate::ExperimentConfig;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 use std::time::Instant;
@@ -27,12 +26,13 @@ pub struct Point {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
+    let points = sweep(&CORE, config, |i| {
+        let g = &i.graph;
         let micros = SchemeKind::ALL
             .iter()
             .map(|s| {
                 let start = Instant::now();
-                let labeling = s.assign(g, source).expect("connected workload");
+                let labeling = s.assign(g, SOURCE).expect("connected workload");
                 let elapsed = start.elapsed().as_secs_f64() * 1e6;
                 // Keep the labeling alive so the construction is not optimised
                 // away.
@@ -56,13 +56,9 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E8: labeling-scheme construction wall time (microseconds)",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.m.to_string(),
-        ];
-        for us in &p.result.micros {
+    for (family, p) in &points {
+        let mut row = vec![family.to_string(), p.n.to_string(), p.m.to_string()];
+        for us in &p.micros {
             row.push(fmt_f64(*us));
         }
         table.push_row(row);
@@ -83,7 +79,7 @@ mod tests {
             threads: 1,
         };
         let t = run(&cfg);
-        assert_eq!(t.row_count(), GraphFamily::CORE.len() * 2);
+        assert_eq!(t.row_count(), CORE.len() * 2);
         for row in &t.rows {
             for cell in &row[3..] {
                 let v: f64 = cell.parse().unwrap();

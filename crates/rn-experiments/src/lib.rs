@@ -25,15 +25,12 @@ pub mod faults;
 pub mod report;
 pub mod scenario;
 pub mod stats;
-pub mod sweep;
 pub mod telemetry;
-pub mod workloads;
 
 pub use faults::FaultSpec;
 pub use report::Table;
 pub use scenario::{SweepRecord, SweepReport, SweepSpec};
 pub use telemetry::SweepTelemetry;
-pub use workloads::{GraphFamily, Workload};
 
 /// Configuration shared by the sweep experiments.
 #[derive(Debug, Clone)]

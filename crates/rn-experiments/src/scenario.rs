@@ -28,7 +28,7 @@ use crate::telemetry::SweepTelemetry;
 use crate::Table;
 use rn_broadcast::session::{RunReport, RunSpec, Scheme, Session, TracePolicy};
 use rn_graph::generators::TopologyFamily;
-use rn_graph::GraphError;
+use rn_graph::{Graph, GraphError};
 use rn_labeling::LabelingError;
 use rn_radio::Engine;
 use rn_telemetry::RunMetrics;
@@ -199,9 +199,8 @@ impl SweepSpec {
     }
 
     /// The number of distinct sources an instance of `n` nodes actually
-    /// runs: `run_point` spreads `sources_per_point` sources evenly over the
-    /// node range and dedups them, so at most `n` distinct sources exist —
-    /// asking for more cannot produce more runs.
+    /// runs, which `run_point` spreads evenly over the node range: at least
+    /// one, and at most `n` — asking for more cannot produce more runs.
     pub fn sources_for(&self, n: usize) -> usize {
         self.sources_per_point.max(1).min(n.max(1))
     }
@@ -260,61 +259,26 @@ impl SweepSpec {
         &self,
         telemetry: Option<&SweepTelemetry>,
     ) -> Result<SweepReport, SweepError> {
-        let mut jobs = Vec::with_capacity(self.instance_count());
-        for &family in &self.families {
-            for &n in &self.sizes {
-                for &seed in &self.seeds {
-                    jobs.push((family, n, seed));
-                }
-            }
-        }
-        let schemes = self.schemes.clone();
-        let sources = self.sources_per_point;
-        let trace = if self.record_traces {
-            TracePolicy::Recorded
-        } else {
-            TracePolicy::Disabled
-        };
-        let threads = if self.threads == 0 {
-            rn_radio::batch::default_threads_for(jobs.len())
-        } else {
-            self.threads
-        };
-        let verify = self.verify_static;
-        let fault_specs = if self.faults.is_empty() {
-            vec![FaultSpec::None]
-        } else {
-            self.faults.clone()
-        };
-        let engine = self.engine;
         if let Some(t) = telemetry {
-            t.sweep_start(&self.name, jobs.len(), self.run_count(), engine);
-        }
-        let results = rn_radio::batch::run_parallel(jobs, threads, |(family, n, seed)| {
-            if let Some(t) = telemetry {
-                t.job_start(family.name(), n, seed);
-            }
-            let point = run_point(
-                family,
-                n,
-                seed,
-                &schemes,
-                sources,
-                trace,
-                verify,
-                engine,
-                &fault_specs,
-                telemetry,
+            t.sweep_start(
+                &self.name,
+                self.instance_count(),
+                self.run_count(),
+                self.engine,
             );
-            if let Some(t) = telemetry {
-                t.job_finish(family.name(), n, seed);
-            }
-            point
-        });
+        }
+        let results = fan_out(
+            &self.families,
+            &self.sizes,
+            &self.seeds,
+            self.threads,
+            telemetry,
+            |instance| run_point(self, &instance, telemetry),
+        );
         let mut records = Vec::with_capacity(self.run_count());
         let mut histograms: BTreeMap<&'static str, BTreeMap<usize, u64>> = BTreeMap::new();
         for result in results {
-            let point = result?;
+            let point = result??;
             for (scheme_name, lengths) in point.label_lengths {
                 let hist = histograms.entry(scheme_name).or_default();
                 for len in lengths {
@@ -333,6 +297,83 @@ impl SweepSpec {
             label_length_histograms: histograms,
         })
     }
+}
+
+/// One generated instance of a (family × size × seed) grid, as [`fan_out`]
+/// hands it to the measurement.
+#[derive(Debug, Clone)]
+pub struct Instance {
+    /// Registry family the instance was drawn from.
+    pub family: TopologyFamily,
+    /// Requested node count (families round it; read the actual one off
+    /// `graph`).
+    pub n: usize,
+    /// Instance seed.
+    pub seed: u64,
+    /// The generated, connectivity-checked graph, shared (not cloned) by
+    /// every session built on it.
+    pub graph: Arc<Graph>,
+}
+
+/// Runs `measure` on every instance of the (family × size × seed) grid: the
+/// one job loop behind [`SweepSpec::run`] and the paper-table
+/// [`experiments`](crate::experiments).
+///
+/// Jobs are built family-major, then size, then seed, and fan out over
+/// [`rn_radio::batch::run_parallel`] with `threads` workers (`0` resolves
+/// to [`rn_radio::batch::default_threads_for`] the job count). Results come
+/// back in job order, so they never depend on the thread count. Each job
+/// generates its instance through [`TopologyFamily::generate`]; a failure
+/// fills that job's slot with [`SweepError::Generate`]. With telemetry,
+/// `job_start`/`job_finish` bracket every job, generation included.
+pub fn fan_out<R, F>(
+    families: &[TopologyFamily],
+    sizes: &[usize],
+    seeds: &[u64],
+    threads: usize,
+    telemetry: Option<&SweepTelemetry>,
+    measure: F,
+) -> Vec<Result<R, SweepError>>
+where
+    R: Send,
+    F: Fn(Instance) -> R + Sync,
+{
+    let mut jobs = Vec::with_capacity(families.len() * sizes.len() * seeds.len());
+    for &family in families {
+        for &n in sizes {
+            for &seed in seeds {
+                jobs.push((family, n, seed));
+            }
+        }
+    }
+    let threads = if threads == 0 {
+        rn_radio::batch::default_threads_for(jobs.len())
+    } else {
+        threads
+    };
+    rn_radio::batch::run_parallel(jobs, threads, |(family, n, seed)| {
+        if let Some(t) = telemetry {
+            t.job_start(family.name(), n, seed);
+        }
+        let result = match family.generate(n, seed) {
+            Ok(graph) => Ok(measure(Instance {
+                family,
+                n,
+                seed,
+                graph: Arc::new(graph),
+            })),
+            Err(source) => Err(SweepError::Generate {
+                family: family.name().to_string(),
+                n,
+                seed,
+                source,
+            }),
+        };
+        if let Some(t) = telemetry {
+            t.job_finish(family.name(), n, seed);
+        }
+        result
+    })
 }
 
 /// What went wrong while running a sweep point.
@@ -471,23 +512,17 @@ pub struct SweepRecord {
 }
 
 impl SweepRecord {
-    fn from_report(
-        family: TopologyFamily,
-        n_requested: usize,
-        seed: u64,
-        graph: &rn_graph::Graph,
-        report: &RunReport,
-        fault_spec: &FaultSpec,
-    ) -> Self {
+    fn from_report(instance: &Instance, report: &RunReport, fault_spec: &FaultSpec) -> Self {
+        let graph = &instance.graph;
         SweepRecord {
-            family: family.name(),
-            family_params: family.params(),
-            n_requested,
+            family: instance.family.name(),
+            family_params: instance.family.params(),
+            n_requested: instance.n,
             n: report.node_count,
             edges: graph.edge_count(),
             max_degree: graph.max_degree(),
             avg_degree: graph.average_degree(),
-            seed,
+            seed: instance.seed,
             scheme: report.scheme,
             source: report.source,
             k_sources: report.sources.len().max(1),
@@ -553,40 +588,39 @@ fn execute_specs(
     }
 }
 
-/// Generates one instance and executes every scheme on it, once per fault
-/// preset.
-#[allow(clippy::too_many_arguments)]
+/// The fault axis of a spec whose `faults` field was emptied by hand.
+const FAULT_FREE: [FaultSpec; 1] = [FaultSpec::None];
+
+/// Executes every scheme on one instance, once per fault preset.
 fn run_point(
-    family: TopologyFamily,
-    n: usize,
-    seed: u64,
-    schemes: &[Scheme],
-    sources_per_point: usize,
-    trace: TracePolicy,
-    verify_static: bool,
-    engine: Engine,
-    fault_specs: &[FaultSpec],
+    spec: &SweepSpec,
+    instance: &Instance,
     telemetry: Option<&SweepTelemetry>,
 ) -> Result<PointResult, SweepError> {
-    let graph = family
-        .generate(n, seed)
-        .map_err(|source| SweepError::Generate {
-            family: family.name().to_string(),
-            n,
-            seed,
-            source,
-        })?;
-    let graph = Arc::new(graph);
+    let (family, seed, graph) = (instance.family, instance.seed, &instance.graph);
+    let trace = if spec.record_traces {
+        TracePolicy::Recorded
+    } else {
+        TracePolicy::Disabled
+    };
+    let fault_specs: &[FaultSpec] = if spec.faults.is_empty() {
+        &FAULT_FREE
+    } else {
+        &spec.faults
+    };
     let actual_n = graph.node_count();
-    // Sources spread evenly over the node range; the first is the family's
-    // natural hard case.
-    let mut source_nodes: Vec<usize> = (0..sources_per_point)
-        .map(|i| i * actual_n / sources_per_point)
-        .collect();
-    source_nodes.dedup();
+    // `sources_for(actual_n)` distinct sources (at least one, even for a
+    // hand-built spec with `sources_per_point: 0`; at most one per node,
+    // so the steps below never repeat a node) spread evenly over the
+    // node range. The first is node 0, which every registry family
+    // builds as its natural hard case: the path end, the grid corner,
+    // the hub of stars and star-of-cliques, a clique node of lollipops
+    // and barbells.
+    let spread = spec.sources_for(actual_n);
+    let source_nodes: Vec<usize> = (0..spread).map(|i| i * actual_n / spread).collect();
     let mut records = Vec::new();
     let mut label_lengths = Vec::new();
-    for &scheme in schemes {
+    for &scheme in &spec.schemes {
         let label_err = |source: rn_labeling::LabelingError| SweepError::Label {
             family: family.name().to_string(),
             scheme: scheme.name(),
@@ -609,10 +643,10 @@ fn run_point(
             let count_labels = preset_index == 0;
             if *fspec == FaultSpec::None {
                 for &session_source in session_sources {
-                    let session = Session::builder(scheme, Arc::clone(&graph))
+                    let session = Session::builder(scheme, Arc::clone(graph))
                         .source(session_source)
                         .trace(trace)
-                        .engine(engine)
+                        .engine(spec.engine)
                         .build()
                         .map_err(label_err)?;
                     if count_labels {
@@ -648,9 +682,8 @@ fn run_point(
                     let in_scope =
                         !matches!(scheme, Scheme::OneBitCycle | Scheme::OneBitGrid { .. });
                     for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let mut record =
-                            SweepRecord::from_report(family, n, seed, &graph, report, fspec);
-                        if verify_static && in_scope {
+                        let mut record = SweepRecord::from_report(instance, report, fspec);
+                        if spec.verify_static && in_scope {
                             let cert = rn_analyze::analyze_and_cross_check(&session, report)
                                 .map_err(|findings| SweepError::Static {
                                     family: family.name().to_string(),
@@ -685,10 +718,10 @@ fn run_point(
                 };
                 for &run_source in &run_sources {
                     let plan = fspec.resolve(actual_n, seed, run_source);
-                    let session = Session::builder(scheme, Arc::clone(&graph))
+                    let session = Session::builder(scheme, Arc::clone(graph))
                         .source(run_source)
                         .trace(trace)
-                        .engine(engine)
+                        .engine(spec.engine)
                         .faults(plan)
                         .build()
                         .map_err(label_err)?;
@@ -712,8 +745,7 @@ fn run_point(
                     )
                     .map_err(label_err)?;
                     for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let record =
-                            SweepRecord::from_report(family, n, seed, &graph, report, fspec);
+                        let record = SweepRecord::from_report(instance, report, fspec);
                         if let Some(t) = telemetry {
                             t.point(&record, metrics.as_ref());
                         }
@@ -1045,6 +1077,37 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_covers_the_cross_product_in_job_order() {
+        let families = [TopologyFamily::Path, TopologyFamily::Cycle];
+        let points = fan_out(&families, &[8, 12], &[1, 2, 3], 1, None, |i| {
+            (i.family.name(), i.n, i.seed, i.graph.node_count())
+        });
+        assert_eq!(points.len(), 2 * 2 * 3);
+        let points: Vec<_> = points.into_iter().map(Result::unwrap).collect();
+        assert_eq!(points[0], ("path", 8, 1, 8));
+        assert_eq!(points[4], ("path", 12, 2, 12));
+        assert_eq!(points[11], ("cycle", 12, 3, 12));
+    }
+
+    #[test]
+    fn fan_out_results_do_not_depend_on_the_thread_count() {
+        let families = [
+            TopologyFamily::RandomTree,
+            TopologyFamily::GnpAvgDegree { avg_degree: 10.0 },
+        ];
+        let run = |threads| {
+            fan_out(&families, &[8, 16, 24], &[1, 2], threads, None, |i| {
+                (
+                    i.graph.node_count(),
+                    i.graph.degree(0),
+                    i.graph.edge_count(),
+                )
+            })
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
     fn reports_are_identical_on_every_engine() {
         // The engine is a throughput knob, not a physics knob: the same
         // sweep on any engine must produce identical records, histograms,
@@ -1137,6 +1200,27 @@ mod tests {
             let report = spec.run().unwrap();
             assert_eq!(report.records.len(), spec.run_count(), "{}", scheme.name());
         }
+    }
+
+    #[test]
+    fn zero_sources_per_point_runs_like_one() {
+        // The fields are public, so a struct literal can bypass the
+        // setter's `max(1)`. Such a spec used to panic on an empty source
+        // list while `run_count` counted one run per instance.
+        let one = tiny_spec()
+            .schemes(&[
+                Scheme::Lambda,
+                Scheme::LambdaArb,
+                Scheme::MultiLambda { k: 2 },
+            ])
+            .faults(&FaultSpec::DEFAULT_PRESETS);
+        let zero = SweepSpec {
+            sources_per_point: 0,
+            ..one.clone()
+        };
+        let report = zero.run().unwrap();
+        assert_eq!(report.records.len(), zero.run_count());
+        assert_eq!(report.records, one.run().unwrap().records);
     }
 
     #[test]

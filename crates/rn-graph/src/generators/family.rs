@@ -3,9 +3,8 @@
 //!
 //! A [`TopologyFamily`] names a graph family together with its shape
 //! parameters (legs per caterpillar spine node, clique size, edge
-//! probability, degree cap, …); [`TopologyFamily::generate`] — or the free
-//! function [`generate`] — turns `(family, n, seed)` into a connected
-//! [`Graph`]. This is the single place the experiment sweeps, the benches
+//! probability, degree cap, …); [`TopologyFamily::generate`] turns
+//! `(family, n, seed)` into a connected [`Graph`]. This is the single place the experiment sweeps, the benches
 //! and the CLI draw their instances from, so every layer of the system
 //! measures on exactly the same topologies.
 //!
@@ -19,7 +18,7 @@
 use super::{adversarial, basic, clustered, geometric, grid, random, structured, trees};
 use crate::algorithms::is_connected;
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use serde::{Deserialize, Serialize};
 
 /// A named, parameterized graph family: the unified topology registry's
@@ -31,9 +30,8 @@ use serde::{Deserialize, Serialize};
 /// star-of-cliques, dense G(n, p)), geometric deployments (unit-disk), and
 /// clustered deployments (planted-partition G(n, p)).
 ///
-/// [`generate`](Self::generate) — or the free function
-/// [`generate`](crate::generators::generate) — turns `(family, n, seed)`
-/// into a connected [`Graph`]; it is the single place the experiment
+/// [`generate`](Self::generate) turns `(family, n, seed)` into a connected
+/// [`Graph`]; it is the single place the experiment
 /// sweeps, the benches and the CLI draw their instances from, so every
 /// layer of the system measures on exactly the same topologies.
 ///
@@ -119,6 +117,11 @@ pub enum TopologyFamily {
         /// Hard maximum degree Δ.
         max_degree: usize,
     },
+    /// Random series-parallel graph with exactly `n` nodes (see
+    /// [`series_parallel`](crate::generators::series_parallel)). Not a
+    /// [`PRESETS`](Self::PRESETS) entry: the paper tables sweep it, the
+    /// named sweeps do not.
+    SeriesParallel,
 }
 
 impl TopologyFamily {
@@ -172,6 +175,7 @@ impl TopologyFamily {
             TopologyFamily::ClusteredGnp { .. } => "clustered_gnp",
             TopologyFamily::UnitDisk { .. } => "unit_disk",
             TopologyFamily::DegreeCapped { .. } => "degree_capped",
+            TopologyFamily::SeriesParallel => "series_parallel",
         }
     }
 
@@ -366,25 +370,13 @@ impl TopologyFamily {
             TopologyFamily::DegreeCapped { max_degree } => {
                 clustered::degree_capped_random(n, max_degree, seed)?
             }
+            TopologyFamily::SeriesParallel => structured::series_parallel(n, seed)?,
         };
         if !is_connected(&g) {
             return Err(GraphError::NotConnected);
         }
         Ok(g)
     }
-
-    /// Deterministic source choice for this family (node 0: the path end,
-    /// the grid corner, the hub of stars and star-of-cliques, a clique node
-    /// of lollipops and barbells — the "natural" hard case in each family).
-    pub fn default_source(&self, _g: &Graph) -> NodeId {
-        0
-    }
-}
-
-/// One generate entry point for the whole registry, equivalent to
-/// [`TopologyFamily::generate`]: `(family, n, seed) -> Graph`.
-pub fn generate(family: TopologyFamily, n: usize, seed: u64) -> Result<Graph, GraphError> {
-    family.generate(n, seed)
 }
 
 /// Rejects a closed-form family instance whose CSR adjacency (2·edges,
@@ -415,9 +407,16 @@ fn near_square(n: usize, min_side: usize) -> (usize, usize) {
 mod tests {
     use super::*;
 
+    /// The presets plus the one family kept out of them.
+    fn registry() -> impl Iterator<Item = TopologyFamily> {
+        TopologyFamily::PRESETS
+            .into_iter()
+            .chain([TopologyFamily::SeriesParallel])
+    }
+
     #[test]
     fn presets_generate_connected_graphs_of_about_the_right_size() {
-        for family in TopologyFamily::PRESETS {
+        for family in registry() {
             for n in [8, 17, 64] {
                 for seed in [1, 7] {
                     let g = family.generate(n, seed).unwrap();
@@ -428,8 +427,6 @@ mod tests {
                         family.name(),
                         g.node_count()
                     );
-                    let source = family.default_source(&g);
-                    assert!(source < g.node_count());
                 }
             }
         }
@@ -437,7 +434,7 @@ mod tests {
 
     #[test]
     fn presets_are_deterministic_per_seed() {
-        for family in TopologyFamily::PRESETS {
+        for family in registry() {
             let a = family.generate(40, 11).unwrap();
             let b = family.generate(40, 11).unwrap();
             assert_eq!(a, b, "{}", family.name());
@@ -446,13 +443,10 @@ mod tests {
 
     #[test]
     fn preset_names_are_unique_and_parse_back() {
-        let mut names: Vec<&str> = TopologyFamily::PRESETS
-            .iter()
-            .map(super::TopologyFamily::name)
-            .collect();
+        let mut names: Vec<&str> = registry().map(|f| f.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), TopologyFamily::PRESETS.len());
+        assert_eq!(names.len(), TopologyFamily::PRESETS.len() + 1);
         for family in TopologyFamily::PRESETS {
             assert_eq!(TopologyFamily::parse(family.name()).unwrap(), family);
         }
@@ -531,12 +525,6 @@ mod tests {
         }
         // The same families still generate fine at normal sizes.
         assert!(TopologyFamily::Complete.generate(64, 1).is_ok());
-    }
-
-    #[test]
-    fn free_function_matches_the_method() {
-        let fam = TopologyFamily::Torus;
-        assert_eq!(generate(fam, 36, 0).unwrap(), fam.generate(36, 0).unwrap());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! Individual generator functions build one shape each; the
 //! [`TopologyFamily`] registry unifies all of them behind a single seeded,
-//! connectivity-checked entry point ([`generate`]) that the experiment
-//! sweeps, benches and CLI share.
+//! connectivity-checked entry point ([`TopologyFamily::generate`]) that the
+//! experiment sweeps, benches and CLI share.
 
 mod adversarial;
 mod basic;
@@ -24,7 +24,7 @@ mod trees;
 pub use adversarial::star_of_cliques;
 pub use basic::{barbell, complete, complete_bipartite, cycle, lollipop, path, star, wheel};
 pub use clustered::{clustered_gnp, degree_capped_random};
-pub use family::{generate, TopologyFamily};
+pub use family::TopologyFamily;
 pub use geometric::{unit_disk, unit_disk_with_degree, UnitDiskInstance};
 pub use grid::{grid, grid_coordinates, grid_index, ladder, torus};
 pub use random::{gnp_connected, random_bipartite_connected, random_regularish};

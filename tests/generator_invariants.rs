@@ -196,15 +196,3 @@ fn smallest_request_rounds_up_only_to_the_minimum_shape() {
         );
     }
 }
-
-#[test]
-fn free_function_and_method_agree() {
-    for family in TopologyFamily::PRESETS {
-        assert_eq!(
-            radio_labeling::graph::generators::generate(family, 24, 3).unwrap(),
-            family.generate(24, 3).unwrap(),
-            "{}",
-            family.name()
-        );
-    }
-}
