@@ -9,8 +9,9 @@
 //! The engine emits and consumes [`TaggedMessage`]s of **its own phase only**;
 //! messages of other phases are ignored (the wrapper routes them to the right
 //! engine). Round tags are relative to the instance's own start — the source
-//! of the instance tags its first transmission 1 — which preserves every
-//! property the paper needs (see DESIGN.md, "round-tag origin").
+//! of the instance tags its first transmission 1. Tags are only derived from
+//! and compared with tags of the same instance, so the shifted origin
+//! preserves every property the paper needs.
 
 use crate::messages::{Phase, TaggedMessage, TaggedPayload};
 use rn_labeling::Label;

@@ -22,7 +22,7 @@
 //!    everyone else has received it too, so the algorithm also solves
 //!    acknowledged broadcast.
 //!
-//! Implementation notes (see DESIGN.md): phases are carried explicitly inside
+//! Implementation notes: phases are carried explicitly inside
 //! messages; round tags are phase-relative; the coordinator advances to the
 //! next phase upon the chain-terminating ack (whose tag is one of its own
 //! transmit rounds), which guarantees no phase-1 ack forwarding is still in

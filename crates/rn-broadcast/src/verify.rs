@@ -157,7 +157,8 @@ pub fn check_theorem_2_9(completion: Option<u64>, n: usize) -> Result<(), String
 /// Corollary 3.8 (from which it is derived) gives `t' ≤ 3ℓ − 4 = t + ℓ − 1`,
 /// and with `ℓ = n` (e.g. a path with the source at an endpoint) the
 /// acknowledgement genuinely arrives at `t + n − 1`. We therefore check the
-/// corollary's bound; EXPERIMENTS.md records the discrepancy.
+/// corollary's bound; experiment E3 (`rn_experiments::experiments::ack_time`)
+/// prints the discrepancy under its table.
 pub fn check_theorem_3_9(
     completion: Option<u64>,
     ack_round: Option<u64>,

@@ -1,4 +1,5 @@
-//! `repro` — regenerate every experiment table from EXPERIMENTS.md.
+//! `repro` — regenerate every paper table of the `rn_experiments::experiments`
+//! index.
 //!
 //! Usage:
 //!

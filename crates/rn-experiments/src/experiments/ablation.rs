@@ -1,4 +1,4 @@
-//! **A1 — ablations** of the implementation choices DESIGN.md calls out:
+//! **A1 — ablations** of two implementation choices the paper leaves open:
 //!
 //! * the order in which the minimal-dominating-set reduction tries to drop
 //!   candidates (forward / reverse / randomised) — every order is valid per

@@ -8,7 +8,7 @@
 //! our own with the same flavour (multiple branching paths that force
 //! collisions and "stay" messages); the trace is additionally checked against
 //! the exact characterisation of Lemma 2.8, which is what the figure
-//! illustrates. See EXPERIMENTS.md for the substitution note.
+//! illustrates. The table prints this substitution as a note.
 
 use crate::report::Table;
 use rn_broadcast::algo_b::BNode;

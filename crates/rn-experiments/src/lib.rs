@@ -2,17 +2,18 @@
 //!
 //! The experiment and scenario harness. Two layers:
 //!
-//! * **Paper experiments** — each experiment in the DESIGN.md index (E1–E10,
-//!   plus the ablations) has its own module under [`experiments`], producing
-//!   plain-text tables through [`report::Table`]; the `repro` binary runs
-//!   them all.
+//! * **Paper experiments** — each experiment of the [`experiments`] index
+//!   (E1–E10, plus the ablations) has its own module, producing plain-text
+//!   tables through [`report::Table`]; the `repro` binary runs them all. The
+//!   sweep-based tables draw their instances through the same registry and
+//!   fan-out as the scenario sweeps.
 //! * **Scenario sweeps** — declarative [`scenario::SweepSpec`]s cross
 //!   topology families × sizes × schemes × seeds through the
 //!   [`Session`](rn_broadcast::session::Session) API and emit
 //!   machine-readable JSON/CSV reports ([`emit`]); the `sweep` binary runs
 //!   the named sweeps.
 //!
-//! Everything is deterministic: workloads are generated from explicit seeds
+//! Everything is deterministic: instances are generated from explicit seeds
 //! and parallel sweeps return results in job order, so two runs of `repro`
 //! or `sweep` produce byte-identical reports.
 

@@ -21,8 +21,8 @@
 //!   §1.1: distinct O(log n)-bit identifiers (round-robin broadcast) and an
 //!   O(log Δ)-bit colouring of the square of the graph;
 //! * [`onebit`] — 1-bit schemes for special graph classes, reproducing the
-//!   flavour of the §5 conclusion claims (see DESIGN.md for the exact scope
-//!   of this substitution);
+//!   flavour of the §5 conclusion claims (the module docs give the exact
+//!   scope of this substitution);
 //! * [`multi`] — the k-source **multi-broadcast** scheme `multi_lambda`: a
 //!   virtual-source reduction (collision-free collection to a coordinator,
 //!   then λ broadcast of the message bundle) composing the λ machinery, in

@@ -18,14 +18,15 @@
 //!
 //! **Grids**: nodes in the source's row are labeled 0 (fast relay) and all
 //! other nodes 1 (slow relay). The wave first races along the source's row
-//! and then proceeds down every column at half speed; a short calculation
-//! (reproduced in DESIGN.md) shows every node hears exactly one transmitter
-//! in the round it is first reached, so no collision ever blocks progress.
+//! and then proceeds down every column at half speed, so every node hears
+//! exactly one transmitter in the round it is first reached and no
+//! collision ever blocks progress (experiment E6 of the
+//! `rn_experiments::experiments` index checks this from every source).
 //!
 //! The schemes reject graphs outside their class with
-//! [`LabelingError::UnsupportedGraphClass`]. See DESIGN.md for how this
-//! relates to the broader (series-parallel, radius-2) claims sketched in the
-//! paper's conclusion.
+//! [`LabelingError::UnsupportedGraphClass`]. The broader (series-parallel,
+//! radius-2) claims sketched in the paper's conclusion are not reproduced:
+//! cycles and grids stand in for them.
 
 use crate::error::LabelingError;
 use crate::label::{Label, Labeling};

@@ -58,7 +58,7 @@
 //!
 //! Workload instances come from the seeded
 //! [`graph::generators::TopologyFamily`] registry — one
-//! `generate(family, n, seed)` entry point, every result
+//! `TopologyFamily::generate(n, seed)` entry point, every result
 //! connectivity-checked and byte-reproducible per seed. The
 //! [`experiments::scenario`] module crosses families × sizes × schemes ×
 //! seeds into machine-readable reports (see `docs/ARCHITECTURE.md` and the
