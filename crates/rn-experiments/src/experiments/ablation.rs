@@ -9,7 +9,7 @@
 //!   it changes χ(G²)'s greedy approximation and hence the baseline's label
 //!   length.
 
-use super::{sweep, CORE, SOURCE};
+use super::{sweep_rows, CORE, SOURCE};
 use crate::report::{fmt_bool, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::algo_b::BNode;
@@ -61,14 +61,6 @@ fn broadcast_rounds_with_order(
 }
 
 fn reduction_order(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let rounds: Vec<_> = ORDERS
-            .iter()
-            .map(|(_, o)| broadcast_rounds_with_order(&i.graph, SOURCE, *o))
-            .collect();
-        (i.graph.node_count(), rounds)
-    });
-
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
     for (name, _) in ORDERS {
         headers.push(format!("rounds ({name})"));
@@ -79,33 +71,22 @@ fn reduction_order(config: &ExperimentConfig) -> Table {
         "A1a: dominating-set reduction order ablation (algorithm B completion round)",
         &header_refs,
     );
-    for (family, (n, rounds)) in &points {
-        let mut row = vec![family.to_string(), n.to_string()];
+    sweep_rows(&mut table, &CORE, config, |i| {
+        let mut row = vec![i.graph.node_count().to_string()];
         let mut all_within = true;
-        for (completion, within) in rounds {
+        for (_, order) in ORDERS {
+            let (completion, within) = broadcast_rounds_with_order(&i.graph, SOURCE, order);
             row.push(completion.map_or("-".into(), |c| c.to_string()));
-            all_within &= *within;
+            all_within &= within;
         }
         row.push(fmt_bool(all_within));
-        table.push_row(row);
-    }
+        row
+    });
     table.push_note("any minimal dominating subset is valid; the order only shifts the schedule");
     table
 }
 
 fn coloring_order(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let colors: Vec<_> = COLOR_ORDERS
-            .iter()
-            .map(|(_, o)| {
-                let (labeling, k) = baselines::square_coloring_with_order(&i.graph, *o)
-                    .expect("connected workload");
-                (k, labeling.length())
-            })
-            .collect();
-        (i.graph.node_count(), colors)
-    });
-
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
     for (name, _) in COLOR_ORDERS {
         headers.push(format!("colors ({name})"));
@@ -116,14 +97,16 @@ fn coloring_order(config: &ExperimentConfig) -> Table {
         "A1b: greedy colouring order ablation for the square-colouring baseline",
         &header_refs,
     );
-    for (family, (n, colors)) in &points {
-        let mut row = vec![family.to_string(), n.to_string()];
-        for (k, bits) in colors {
+    sweep_rows(&mut table, &CORE, config, |i| {
+        let mut row = vec![i.graph.node_count().to_string()];
+        for (_, order) in COLOR_ORDERS {
+            let (labeling, k) =
+                baselines::square_coloring_with_order(&i.graph, order).expect("connected workload");
             row.push(k.to_string());
-            row.push(bits.to_string());
+            row.push(labeling.length().to_string());
         }
-        table.push_row(row);
-    }
+        row
+    });
     table.push_note("fewer colours means shorter baseline labels; the greedy order matters, the paper's schemes are unaffected");
     table
 }

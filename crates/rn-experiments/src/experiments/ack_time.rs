@@ -2,43 +2,14 @@
 //! by some round `t ≤ 2n − 3` and the source receives an "ack" by a round in
 //! `{t + 1, …, t + n − 2}`.
 
-use super::{sweep, FAMILIES, SOURCE};
+use super::{sweep_rows, FAMILIES, SOURCE};
 use crate::report::{fmt_bool, fmt_opt, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Measured completion round t.
-    pub completion: Option<u64>,
-    /// Round in which the source first heard an "ack".
-    pub ack_round: Option<u64>,
-    /// Largest message transmitted, in bits (the O(log n) round tag).
-    pub max_message_bits: usize,
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&FAMILIES, config, |i| {
-        let g = &i.graph;
-        let r = Session::builder(Scheme::LambdaAck, Arc::clone(g))
-            .source(SOURCE)
-            .message(7)
-            .build()
-            .expect("connected workload")
-            .run();
-        Point {
-            n: g.node_count(),
-            completion: r.completion_round,
-            ack_round: r.ack_round,
-            max_message_bits: r.stats.max_message_bits,
-        }
-    });
-
     let mut table = Table::new(
         "E3: acknowledged broadcast with lambda_ack vs the Theorem 3.9 / Corollary 3.8 window",
         &[
@@ -52,27 +23,32 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within window",
         ],
     );
-    for (family, p) in &points {
-        let n = p.n as u64;
-        let ok = match (p.completion, p.ack_round) {
+    sweep_rows(&mut table, &FAMILIES, config, |i| {
+        let r = Session::builder(Scheme::LambdaAck, Arc::clone(&i.graph))
+            .source(SOURCE)
+            .message(7)
+            .build()
+            .expect("connected workload")
+            .run();
+        let n = i.graph.node_count() as u64;
+        let ok = match (r.completion_round, r.ack_round) {
             (Some(t), Some(ta)) => ta > t && ta <= t + (n - 1),
             _ => false,
         };
-        let delay = match (p.completion, p.ack_round) {
+        let delay = match (r.completion_round, r.ack_round) {
             (Some(t), Some(ta)) => Some(ta - t),
             _ => None,
         };
-        table.push_row(vec![
-            family.to_string(),
+        vec![
             n.to_string(),
-            fmt_opt(p.completion),
-            fmt_opt(p.ack_round),
+            fmt_opt(r.completion_round),
+            fmt_opt(r.ack_round),
             fmt_opt(delay),
             (n - 1).to_string(),
-            p.max_message_bits.to_string(),
+            r.stats.max_message_bits.to_string(),
             fmt_bool(ok),
-        ]);
-    }
+        ]
+    });
     table.push_note(
         "the ack arrives strictly after completion and within n-1 rounds (Corollary 3.8's 3l-4; \
          Theorem 3.9 states n-2, which the path with the source at an endpoint exceeds by one — \

@@ -3,34 +3,29 @@
 //! broadcast — and lets every node know it completed — for every possible
 //! source position.
 
-use super::{sweep, CORE};
+use super::{sweep_rows, CORE};
 use crate::report::{fmt_bool, fmt_opt, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::session::{RunSpec, Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point: the worst case over several source
-/// positions.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Number of source positions tried.
-    pub sources_tried: usize,
-    /// Whether broadcast (and the completion guarantee) succeeded for all of
-    /// them.
-    pub all_succeeded: bool,
-    /// Worst completion round over the tried sources.
-    pub worst_completion: Option<u64>,
-    /// Worst common-knowledge round over the tried sources.
-    pub worst_common_knowledge: Option<u64>,
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
+    let mut table = Table::new(
+        "E5: arbitrary-source broadcast (lambda_arb + B_arb), worst case over source positions",
+        &[
+            "family",
+            "n",
+            "sources tried",
+            "worst completion round",
+            "worst common-knowledge round",
+            "rounds per n",
+            "all succeeded",
+        ],
+    );
     // B_arb runs three phases and is the slowest algorithm in the repository,
     // so sweep the compact family set and a handful of source positions.
-    let points = sweep(&CORE, config, |i| {
+    sweep_rows(&mut table, &CORE, config, |i| {
         let n = i.graph.node_count();
         // λ_arb labels are source-independent, so one session serves every
         // source position against the same cached labeling.
@@ -57,41 +52,16 @@ pub fn run(config: &ExperimentConfig) -> Table {
                 _ => None,
             };
         }
-        Point {
-            n,
-            sources_tried: specs.len(),
-            all_succeeded: all_ok,
-            worst_completion,
-            worst_common_knowledge: worst_ck,
-        }
-    });
-
-    let mut table = Table::new(
-        "E5: arbitrary-source broadcast (lambda_arb + B_arb), worst case over source positions",
-        &[
-            "family",
-            "n",
-            "sources tried",
-            "worst completion round",
-            "worst common-knowledge round",
-            "rounds per n",
-            "all succeeded",
-        ],
-    );
-    for (family, p) in &points {
-        let per_n = p
-            .worst_common_knowledge
-            .map_or_else(|| "-".into(), |c| format!("{:.2}", c as f64 / p.n as f64));
-        table.push_row(vec![
-            family.to_string(),
-            p.n.to_string(),
-            p.sources_tried.to_string(),
-            fmt_opt(p.worst_completion),
-            fmt_opt(p.worst_common_knowledge),
+        let per_n = worst_ck.map_or_else(|| "-".into(), |c| format!("{:.2}", c as f64 / n as f64));
+        vec![
+            n.to_string(),
+            specs.len().to_string(),
+            fmt_opt(worst_completion),
+            fmt_opt(worst_ck),
             per_n,
-            fmt_bool(p.all_succeeded),
-        ]);
-    }
+            fmt_bool(all_ok),
+        ]
+    });
     table.push_note(
         "the three phases cost a constant factor over plain broadcast (rounds per n stays bounded)",
     );

@@ -7,52 +7,14 @@
 //! slot sweep is long (identifiers ~ n slots, colouring ~ χ(G²) slots per
 //! progress step), while λ completes within 2n − 3 rounds with 2-bit labels.
 
-use super::{sweep, CORE, SOURCE};
+use super::{sweep_rows, CORE, SOURCE};
 use crate::report::{fmt_f64, fmt_opt, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Algorithm B completion round.
-    pub lambda_rounds: Option<u64>,
-    /// Unique-identifier round-robin completion round.
-    pub id_rounds: Option<u64>,
-    /// Square-colouring slot completion round.
-    pub coloring_rounds: Option<u64>,
-    /// Label lengths (λ, ids, colouring).
-    pub label_lengths: (usize, usize, usize),
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let g = &i.graph;
-        // All three schemes share one graph allocation through the session.
-        let run = |scheme| {
-            Session::builder(scheme, Arc::clone(g))
-                .source(SOURCE)
-                .message(7)
-                .build()
-                .expect("connected workload")
-                .run()
-        };
-        let lambda = run(Scheme::Lambda);
-        let ids = run(Scheme::UniqueIds);
-        let colors = run(Scheme::SquareColoring);
-        Point {
-            n: g.node_count(),
-            lambda_rounds: lambda.completion_round,
-            id_rounds: ids.completion_round,
-            coloring_rounds: colors.completion_round,
-            label_lengths: (lambda.label_length, ids.label_length, colors.label_length),
-        }
-    });
-
     let mut table = Table::new(
         "E9: broadcast time and label length, lambda vs the section 1.1 baselines",
         &[
@@ -66,25 +28,36 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "label bits (lambda/id/color)",
         ],
     );
-    for (family, r) in &points {
+    sweep_rows(&mut table, &CORE, config, |i| {
+        // All three schemes share one graph allocation through the session.
+        let run = |scheme| {
+            Session::builder(scheme, Arc::clone(&i.graph))
+                .source(SOURCE)
+                .message(7)
+                .build()
+                .expect("connected workload")
+                .run()
+        };
+        let lambda = run(Scheme::Lambda);
+        let ids = run(Scheme::UniqueIds);
+        let colors = run(Scheme::SquareColoring);
         let ratio = |a: Option<u64>, b: Option<u64>| match (a, b) {
             (Some(a), Some(b)) if b > 0 => fmt_f64(a as f64 / b as f64),
             _ => "-".into(),
         };
-        table.push_row(vec![
-            family.to_string(),
-            r.n.to_string(),
-            fmt_opt(r.lambda_rounds),
-            fmt_opt(r.id_rounds),
-            fmt_opt(r.coloring_rounds),
-            ratio(r.id_rounds, r.lambda_rounds),
-            ratio(r.coloring_rounds, r.lambda_rounds),
+        vec![
+            i.graph.node_count().to_string(),
+            fmt_opt(lambda.completion_round),
+            fmt_opt(ids.completion_round),
+            fmt_opt(colors.completion_round),
+            ratio(ids.completion_round, lambda.completion_round),
+            ratio(colors.completion_round, lambda.completion_round),
             format!(
                 "{}/{}/{}",
-                r.label_lengths.0, r.label_lengths.1, r.label_lengths.2
+                lambda.label_length, ids.label_length, colors.label_length
             ),
-        ]);
-    }
+        ]
+    });
     table.push_note(
         "lambda keeps 2-bit labels and the 2n-3 guarantee; the identifier baseline's slot sweep \
          grows with n and the colouring baseline's with chi(G^2)",

@@ -5,40 +5,14 @@
 //! the measured completion round next to the bound, and flags any violation
 //! (none are expected; the integration tests additionally assert this).
 
-use super::{sweep, FAMILIES, SOURCE};
+use super::{sweep_rows, FAMILIES, SOURCE};
 use crate::report::{fmt_bool, fmt_f64, fmt_opt, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Measured completion round.
-    pub completion: Option<u64>,
-    /// Total transmissions during the execution.
-    pub transmissions: usize,
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&FAMILIES, config, |i| {
-        let g = &i.graph;
-        let r = Session::builder(Scheme::Lambda, Arc::clone(g))
-            .source(SOURCE)
-            .message(7)
-            .build()
-            .expect("connected workload")
-            .run();
-        Point {
-            n: g.node_count(),
-            completion: r.completion_round,
-            transmissions: r.stats.transmissions,
-        }
-    });
-
     let mut table = Table::new(
         "E2: broadcast completion round of algorithm B vs the 2n-3 bound (Theorem 2.9)",
         &[
@@ -51,20 +25,25 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within bound",
         ],
     );
-    for (family, p) in &points {
-        let n = p.n;
+    sweep_rows(&mut table, &FAMILIES, config, |i| {
+        let r = Session::builder(Scheme::Lambda, Arc::clone(&i.graph))
+            .source(SOURCE)
+            .message(7)
+            .build()
+            .expect("connected workload")
+            .run();
+        let n = i.graph.node_count();
         let bound = 2 * n as u64 - 3;
-        let completion = p.completion;
-        table.push_row(vec![
-            family.to_string(),
+        let completion = r.completion_round;
+        vec![
             n.to_string(),
             fmt_opt(completion),
             bound.to_string(),
             completion.map_or("-".to_string(), |c| fmt_f64(c as f64 / bound as f64)),
-            p.transmissions.to_string(),
+            r.stats.transmissions.to_string(),
             fmt_bool(completion.is_some_and(|c| c <= bound)),
-        ]);
-    }
+        ]
+    });
     table.push_note("every row must read `yes`: Theorem 2.9 guarantees completion within 2n-3");
     table
 }

@@ -3,18 +3,13 @@
 //! `2m` is a common round in which every node knows the original broadcast
 //! completed.
 
-use super::{sweep, CORE, SOURCE};
+use super::{sweep_rows, CORE, SOURCE};
 use crate::report::{fmt_bool, Table};
 use crate::ExperimentConfig;
 use rn_broadcast::common_round::run_common_round;
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let r = run_common_round(&i.graph, SOURCE, 7).expect("connected workload");
-        (i.graph.node_count(), r)
-    });
-
     let mut table = Table::new(
         "E10: common completion round (B_ack followed by a broadcast of m)",
         &[
@@ -26,16 +21,16 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "claim holds",
         ],
     );
-    for (family, (n, r)) in &points {
-        table.push_row(vec![
-            family.to_string(),
-            n.to_string(),
+    sweep_rows(&mut table, &CORE, config, |i| {
+        let r = run_common_round(&i.graph, SOURCE, 7).expect("connected workload");
+        vec![
+            i.graph.node_count().to_string(),
             r.ack_round.to_string(),
             r.second_completion_round.to_string(),
             r.common_round.to_string(),
             fmt_bool(r.claim_holds),
-        ]);
-    }
+        ]
+    });
     table.push_note("claim: every node receives m strictly before round 2m, so 2m is a common known-completion round");
     table
 }

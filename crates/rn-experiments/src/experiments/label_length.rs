@@ -1,47 +1,19 @@
 //! **E4 — label length and message size comparison** (paper §1.1, §3, §5).
 //!
-//! For every workload the table reports, per scheme:
-//! the label length in bits, the number of distinct labels used, the total
-//! advice (sum of label lengths over all nodes), and — when the matching
-//! algorithm is run — the largest message in bits. The paper's headline is
+//! For every instance the table reports the maximum degree and, per scheme,
+//! the label length in bits and the number of distinct labels used (E3
+//! reports the largest message in bits). The paper's headline is
 //! visible directly in the table: λ/λ_ack/λ_arb stay at 2–3 bits and at most
 //! 4/5/6 distinct labels no matter how large the network grows, while both
 //! baselines grow with Θ(log n) or Θ(log Δ).
 
-use super::{sweep, CORE, SOURCE};
+use super::{sweep_rows, CORE, SOURCE};
 use crate::report::Table;
 use crate::ExperimentConfig;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 
-/// Measurement for one sweep point: per-scheme (length, distinct, total bits).
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Maximum degree (drives the colouring baseline).
-    pub max_degree: usize,
-    /// One entry per scheme in [`SchemeKind::ALL`].
-    pub per_scheme: Vec<(usize, usize, usize)>,
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let g = &i.graph;
-        let per_scheme = SchemeKind::ALL
-            .iter()
-            .map(|s| {
-                let l = s.assign(g, SOURCE).expect("connected workload");
-                (l.length(), l.distinct_count(), l.total_bits())
-            })
-            .collect();
-        Point {
-            n: g.node_count(),
-            max_degree: g.max_degree(),
-            per_scheme,
-        }
-    });
-
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "max deg".into()];
     for s in SchemeKind::ALL {
         headers.push(format!("{} len", s.name()));
@@ -52,18 +24,16 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E4: label length (bits) and distinct labels per scheme",
         &header_refs,
     );
-    for (family, p) in &points {
-        let mut row = vec![
-            family.to_string(),
-            p.n.to_string(),
-            p.max_degree.to_string(),
-        ];
-        for (len, distinct, _total) in &p.per_scheme {
-            row.push(len.to_string());
-            row.push(distinct.to_string());
+    sweep_rows(&mut table, &CORE, config, |i| {
+        let g = &i.graph;
+        let mut row = vec![g.node_count().to_string(), g.max_degree().to_string()];
+        for s in SchemeKind::ALL {
+            let l = s.assign(g, SOURCE).expect("connected workload");
+            row.push(l.length().to_string());
+            row.push(l.distinct_count().to_string());
         }
-        table.push_row(row);
-    }
+        row
+    });
     table.push_note(
         "lambda stays at 2 bits / <=4 labels, lambda_ack at 3 bits / <=5 labels, lambda_arb at \
          3 bits / <=6 labels for every n; unique_ids grows like ceil(log2 n) and square_coloring \

@@ -85,34 +85,33 @@ pub fn family(label: &str) -> TopologyFamily {
     f
 }
 
-/// Runs `measure` on every instance of `config`'s grid over `families`,
-/// returning each measurement with its family label, in job order.
+/// Appends one row to `table` per instance of `config`'s grid over
+/// `families`, in job order: the family label, then the cells `row`
+/// measures on the instance.
 ///
 /// # Panics
 /// Panics if an instance fails to generate (a size below 4).
-fn sweep<R: Send>(
+fn sweep_rows(
+    table: &mut Table,
     families: &[(&'static str, TopologyFamily)],
     config: &ExperimentConfig,
-    measure: impl Fn(Instance) -> R + Sync,
-) -> Vec<(&'static str, R)> {
+    row: impl Fn(Instance) -> Vec<String> + Sync,
+) {
     let registry: Vec<TopologyFamily> = families.iter().map(|&(_, f)| f).collect();
     let per_family = config.sizes.len() * config.seeds.len();
-    let results = scenario::fan_out(
+    let rows = scenario::fan_out(
         &registry,
         &config.sizes,
         &config.seeds,
         config.threads,
         None,
-        measure,
+        row,
     );
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(job, result)| {
-            let measured = result.unwrap_or_else(|e| panic!("{e}"));
-            (families[job / per_family].0, measured)
-        })
-        .collect()
+    for (job, cells) in rows.into_iter().enumerate() {
+        let cells = cells.unwrap_or_else(|e| panic!("{e}"));
+        let label = families[job / per_family].0.to_string();
+        table.push_row(std::iter::once(label).chain(cells).collect());
+    }
 }
 
 /// Identifier and human name of each experiment, for the `repro` binary.

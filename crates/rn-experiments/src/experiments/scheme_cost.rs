@@ -6,47 +6,14 @@
 //! sequence of minimal-dominating-set reductions) is cheap enough for the
 //! scenario to be practical.
 
-use super::{sweep, CORE, SOURCE};
+use super::{sweep_rows, CORE, SOURCE};
 use crate::report::{fmt_f64, Table};
 use crate::ExperimentConfig;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 use std::time::Instant;
 
-/// Measurement for one sweep point: per-scheme construction time in
-/// microseconds.
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Edge count (construction cost scales with it).
-    pub m: usize,
-    /// One entry per scheme in [`SchemeKind::ALL`], in microseconds.
-    pub micros: Vec<f64>,
-}
-
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
-    let points = sweep(&CORE, config, |i| {
-        let g = &i.graph;
-        let micros = SchemeKind::ALL
-            .iter()
-            .map(|s| {
-                let start = Instant::now();
-                let labeling = s.assign(g, SOURCE).expect("connected workload");
-                let elapsed = start.elapsed().as_secs_f64() * 1e6;
-                // Keep the labeling alive so the construction is not optimised
-                // away.
-                std::hint::black_box(labeling.length());
-                elapsed
-            })
-            .collect();
-        Point {
-            n: g.node_count(),
-            m: g.edge_count(),
-            micros,
-        }
-    });
-
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "m".into()];
     for s in SchemeKind::ALL {
         headers.push(format!("{} (us)", s.name()));
@@ -56,13 +23,20 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E8: labeling-scheme construction wall time (microseconds)",
         &header_refs,
     );
-    for (family, p) in &points {
-        let mut row = vec![family.to_string(), p.n.to_string(), p.m.to_string()];
-        for us in &p.micros {
-            row.push(fmt_f64(*us));
+    sweep_rows(&mut table, &CORE, config, |i| {
+        let g = &i.graph;
+        let mut row = vec![g.node_count().to_string(), g.edge_count().to_string()];
+        for s in SchemeKind::ALL {
+            let start = Instant::now();
+            let labeling = s.assign(g, SOURCE).expect("connected workload");
+            let elapsed = start.elapsed().as_secs_f64() * 1e6;
+            // Keep the labeling alive so the construction is not optimised
+            // away.
+            std::hint::black_box(labeling.length());
+            row.push(fmt_f64(elapsed));
         }
-        table.push_row(row);
-    }
+        row
+    });
     table.push_note("wall-clock times; exact values vary by machine, the shape (near-linear growth) is what matters");
     table
 }
