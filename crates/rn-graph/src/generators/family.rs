@@ -4,9 +4,10 @@
 //! A [`TopologyFamily`] names a graph family together with its shape
 //! parameters (legs per caterpillar spine node, clique size, edge
 //! probability, degree cap, …); [`TopologyFamily::generate`] turns
-//! `(family, n, seed)` into a connected [`Graph`]. This is the single place the experiment sweeps, the benches
-//! and the CLI draw their instances from, so every layer of the system
-//! measures on exactly the same topologies.
+//! `(family, n, seed)` into a connected [`Graph`]. This is the single place
+//! the experiment sweeps, the benches and the CLI draw their instances
+//! from, so every layer of the system measures on exactly the same
+//! topologies.
 //!
 //! Families with rigid shapes (grids, tori, hypercubes, star-of-cliques)
 //! round the requested size to the nearest achievable one; always read the
@@ -31,9 +32,9 @@ use serde::{Deserialize, Serialize};
 /// clustered deployments (planted-partition G(n, p)).
 ///
 /// [`generate`](Self::generate) turns `(family, n, seed)` into a connected
-/// [`Graph`]; it is the single place the experiment
-/// sweeps, the benches and the CLI draw their instances from, so every
-/// layer of the system measures on exactly the same topologies.
+/// [`Graph`]; it is the single place the experiment sweeps, the benches and
+/// the CLI draw their instances from, so every layer of the system measures
+/// on exactly the same topologies.
 ///
 /// ```
 /// use rn_graph::generators::TopologyFamily;
