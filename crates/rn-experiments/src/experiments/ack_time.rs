@@ -52,7 +52,7 @@ pub fn run(config: &ExperimentConfig) -> Table {
     table.push_note(
         "the ack arrives strictly after completion and within n-1 rounds (Corollary 3.8's 3l-4; \
          Theorem 3.9 states n-2, which the path with the source at an endpoint exceeds by one — \
-         see EXPERIMENTS.md)",
+         see rn_broadcast::verify::check_theorem_3_9)",
     );
     table.push_note("max msg bits grows only logarithmically with n (the appended round number)");
     table

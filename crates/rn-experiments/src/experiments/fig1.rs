@@ -97,7 +97,7 @@ pub fn run() -> Table {
     ));
     table.push_note(
         "the paper's exact Figure 1 edge set is not machine-readable; this is an equivalent \
-         13-node example (see EXPERIMENTS.md)",
+         13-node example (see the rn_experiments::experiments::fig1 docs)",
     );
     table
 }
