@@ -1,5 +1,5 @@
 //! Metrics-overhead benchmark: the price of the telemetry hook in the
-//! simulator's round loop, in rounds/second, on all three engines.
+//! simulator's round loop, in rounds/second, on both engines.
 //!
 //! The zero-cost claim rn-telemetry makes is structural: with no sink
 //! installed the engines never assemble a `RoundMetrics` value — the hook
@@ -108,11 +108,7 @@ fn bench_workload(name: &str, graph: Graph, cfg: &Config) {
         .expect("workload is connected")
         .into_labeling();
     let make_nodes = move || BNode::network(&labeling, 0, 7);
-    for engine in [
-        Engine::TransmitterCentric,
-        Engine::ListenerCentric,
-        Engine::EventDriven,
-    ] {
+    for engine in [Engine::ListenerCentric, Engine::EventDriven] {
         let rates: Vec<f64> = SinkMode::ALL
             .iter()
             .map(|&mode| measure(&graph, &make_nodes, engine, mode, rounds, cfg.samples))

@@ -1,30 +1,28 @@
 //! Round-throughput benchmark for the simulator engines, with a JSON
 //! emitter so the perf trajectory is recorded across PRs.
 //!
-//! Measures rounds/second of Algorithm B (λ labels) on sparse-transmission
-//! workloads, n = 10 000 with tracing off, on all three engines: the default
-//! transmitter-centric engine, the retained listener-centric reference
-//! engine (`Engine::ListenerCentric` — the pre-change delivery algorithm,
-//! verbatim), and the event-driven frontier engine
-//! (`Engine::EventDriven` — wake-hint driven, with silent-round elision).
-//! Results including both speedup ratios go to `BENCH_simulator.json` at
-//! the workspace root.
+//! Measures rounds/second with tracing off on both engines: the retained
+//! listener-centric reference engine (`Engine::ListenerCentric` — the
+//! original delivery algorithm, verbatim) and the fast engine
+//! (`Engine::EventDriven`). Results, including the fast engine's speedup
+//! over the reference, go to `BENCH_simulator.json` at the workspace root.
 //!
-//! Workloads: the original ladder — a path, a uniform random tree, and
-//! G(n, p) graphs of average degree 8 and 32 — plus one case per family the
-//! topology registry added (torus, hypercube, caterpillar, lollipop,
-//! star-of-cliques, clustered G(n, p), unit-disk, degree-capped), drawn
-//! through `TopologyFamily::generate` so the benches measure exactly the
-//! instances the scenario sweeps run on. Every run executes `2n`
-//! rounds — the active broadcast wave plus the quiet tail — because the
-//! paper's protocols spend most of a long execution in rounds with very few
-//! (often zero) transmitters, which is precisely where the two engines
-//! differ: the listener-centric engine scans every listener's whole
-//! neighbourhood even in a silent round (O(Σ deg) per round), while the
-//! transmitter-centric engine walks only the transmitters' CSR rows. On
-//! degree-2 paths that scan is nearly free, so per-node protocol driving
-//! bounds the achievable speedup (Amdahl); on the degree-32 workload the
-//! scan dominates and the speedup exceeds 5×.
+//! Workloads: Algorithm B (λ labels) on the original ladder — a path
+//! (n = 10 000), a uniform random tree, and G(n, p) graphs of average
+//! degree 8 and 32 — plus one case per family the topology registry added
+//! (torus, hypercube, caterpillar, lollipop, star-of-cliques, clustered
+//! G(n, p), unit-disk, degree-capped), drawn through
+//! `TopologyFamily::generate` so the benches measure exactly the instances
+//! the scenario sweeps run on. Algorithm B declares wake hints, so the fast
+//! engine drives it along its frontier and elides the quiet tail. Two
+//! hint-less protocols — the k = 4 multi-broadcast and all-to-all gossip —
+//! cover the fast engine's dense mode, where every node is driven every
+//! round. Every run executes `2n` rounds — the active broadcast wave plus
+//! the quiet tail — because the paper's protocols spend most of a long
+//! execution in rounds with very few (often zero) transmitters: the
+//! listener-centric engine scans every listener's whole neighbourhood even
+//! in a silent round (O(Σ deg) per round), while the fast engine walks only
+//! the transmitters' CSR rows.
 //!
 //! Modes:
 //! * default — full run: n = 10 000, 2n rounds per sample, 3 samples;
@@ -57,17 +55,12 @@ struct Measurement {
     n: usize,
     avg_degree: f64,
     rounds_per_sample: u64,
-    fast_rounds_per_sec: f64,
     reference_rounds_per_sec: f64,
     event_rounds_per_sec: f64,
 }
 
 impl Measurement {
     fn speedup(&self) -> f64 {
-        self.fast_rounds_per_sec / self.reference_rounds_per_sec
-    }
-
-    fn event_speedup(&self) -> f64 {
         self.event_rounds_per_sec / self.reference_rounds_per_sec
     }
 }
@@ -126,13 +119,6 @@ fn bench_case<N: RadioNode>(
     cfg: &Config,
 ) -> Measurement {
     let rounds = 2 * graph.node_count() as u64;
-    let fast = measure(
-        &graph,
-        &make_nodes,
-        Engine::TransmitterCentric,
-        rounds,
-        cfg.samples,
-    );
     let reference = measure(
         &graph,
         &make_nodes,
@@ -153,21 +139,17 @@ fn bench_case<N: RadioNode>(
         n: graph.node_count(),
         avg_degree: graph.average_degree(),
         rounds_per_sample: rounds,
-        fast_rounds_per_sec: fast,
         reference_rounds_per_sec: reference,
         event_rounds_per_sec: event,
     };
     println!(
-        "round_throughput/{name}/n={} ({scheme}, avg deg {:.1}): transmitter-centric \
-         {:.0} rounds/s, listener-centric {:.0} rounds/s, event-driven {:.0} rounds/s, \
-         speedup {:.2}x, event speedup {:.2}x",
+        "round_throughput/{name}/n={} ({scheme}, avg deg {:.1}): listener-centric \
+         {:.0} rounds/s, event-driven {:.0} rounds/s, speedup {:.2}x",
         m.n,
         m.avg_degree,
-        m.fast_rounds_per_sec,
         m.reference_rounds_per_sec,
         m.event_rounds_per_sec,
-        m.speedup(),
-        m.event_speedup()
+        m.speedup()
     );
     m
 }
@@ -235,21 +217,17 @@ fn emit_json(measurements: &[Measurement], cfg: &Config) -> std::io::Result<std:
         entries.push_str(&format!(
             "    {{\"workload\": \"{}\", \"n\": {}, \"avg_degree\": {:.2}, \
              \"scheme\": \"{}\", \"tracing\": false, \"rounds_per_sample\": {}, \
-             \"transmitter_centric_rounds_per_sec\": {:.1}, \
              \"listener_centric_rounds_per_sec\": {:.1}, \
              \"event_driven_rounds_per_sec\": {:.1}, \
-             \"speedup\": {:.3}, \
-             \"event_driven_speedup\": {:.3}}}",
+             \"speedup\": {:.3}}}",
             m.workload,
             m.n,
             m.avg_degree,
             m.scheme,
             m.rounds_per_sample,
-            m.fast_rounds_per_sec,
             m.reference_rounds_per_sec,
             m.event_rounds_per_sec,
-            m.speedup(),
-            m.event_speedup()
+            m.speedup()
         ));
     }
     let json = format!(
@@ -355,12 +333,5 @@ fn main() {
         .iter()
         .map(Measurement::speedup)
         .fold(0.0_f64, f64::max);
-    let best_event = measurements
-        .iter()
-        .map(Measurement::event_speedup)
-        .fold(0.0_f64, f64::max);
-    println!(
-        "best speedup over the listener-centric engine: transmitter-centric \
-         {best:.2}x, event-driven {best_event:.2}x"
-    );
+    println!("best speedup over the listener-centric engine: {best:.2}x");
 }

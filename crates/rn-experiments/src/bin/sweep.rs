@@ -13,7 +13,7 @@
 //! sweep smoke --verify-static        # certify every point statically first
 //! sweep smoke --faults               # add the default fault presets as an axis
 //! sweep smoke --faults crash:20,jam:2  # or a custom preset list
-//! sweep smoke --engine event-driven  # run on an alternative delivery engine
+//! sweep smoke --engine listener-centric  # replay on the reference engine
 //! sweep smoke --metrics sweep.jsonl  # stream per-run telemetry to a JSONL sidecar
 //! ```
 //!
@@ -25,7 +25,7 @@
 use rn_experiments::emit;
 use rn_experiments::faults::FaultSpec;
 use rn_experiments::scenario::{self, SweepSpec};
-use rn_experiments::telemetry::SweepTelemetry;
+use rn_experiments::telemetry::{engine_name, SweepTelemetry};
 use rn_radio::Engine;
 
 struct Args {
@@ -41,15 +41,19 @@ struct Args {
     list: bool,
 }
 
-/// Parses an engine name. The engine changes throughput, never results, so
-/// any report is comparable byte-for-byte across these choices.
+/// Every engine `--engine` accepts, default first.
+const ENGINES: [Engine; 2] = [Engine::EventDriven, Engine::ListenerCentric];
+
+/// Parses an engine by its [`engine_name`], the spelling the sidecar's
+/// `engine` field records. The engine changes throughput, never results,
+/// so any report is comparable byte-for-byte across these choices.
 fn parse_engine(s: &str) -> Option<Engine> {
-    match s {
-        "transmitter-centric" | "transmitter" => Some(Engine::TransmitterCentric),
-        "listener-centric" | "listener" => Some(Engine::ListenerCentric),
-        "event-driven" | "event" => Some(Engine::EventDriven),
-        _ => None,
-    }
+    ENGINES.into_iter().find(|&e| engine_name(e) == s)
+}
+
+/// The accepted engine names, `a | b`, for the help and error text.
+fn engine_names() -> String {
+    ENGINES.map(engine_name).join(" | ")
 }
 
 /// Parses a comma-separated preset list (`crash:20,jam:2`); `None` if any
@@ -110,9 +114,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--engine" => {
                 let v = it.next().ok_or("--engine requires a name")?;
-                args.engine = Some(parse_engine(&v).ok_or(format!(
-                    "unknown engine {v:?} (transmitter-centric | listener-centric | event-driven)"
-                ))?);
+                args.engine = Some(
+                    parse_engine(&v).ok_or(format!("unknown engine {v:?} ({})", engine_names()))?,
+                );
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown option {other:?}"));
@@ -150,9 +154,10 @@ fn print_help() {
          \t--faults [LIST]  add fault presets as a sweep axis; LIST is comma-separated\n\
          \t              (none, crash:P, jam:K, latewake:P — P a percentage, K a node count);\n\
          \t              a bare --faults uses the default set none,crash:15,jam:1,latewake:25\n\
-         \t--engine NAME simulator delivery engine: transmitter-centric (default),\n\
-         \t              listener-centric, or event-driven; results are engine-independent\n\
-         \t--list        list the named sweeps"
+         \t--engine NAME simulator delivery engine, default first: {engines};\n\
+         \t              results are engine-independent\n\
+         \t--list        list the named sweeps",
+        engines = engine_names()
     );
 }
 
@@ -253,5 +258,19 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engine_names_round_trip() {
+        for engine in ENGINES {
+            assert_eq!(parse_engine(engine_name(engine)), Some(engine));
+        }
+        assert_eq!(parse_engine("event"), None, "short aliases are gone");
+        assert_eq!(parse_engine("transmitter-centric"), None);
     }
 }

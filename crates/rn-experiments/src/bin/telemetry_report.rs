@@ -19,7 +19,7 @@
 //!
 //! `--bench-guard` compares two `BENCH_simulator*.json` files workload by
 //! workload: for each workload present in both files at the same `n`, the
-//! three per-engine `*_rounds_per_sec` rates must not regress by more than
+//! two per-engine `*_rounds_per_sec` rates must not regress by more than
 //! the threshold (default 25%). Exit `1` on regression, `2` on unusable
 //! inputs, `0` otherwise.
 
@@ -260,8 +260,7 @@ struct BenchWorkload {
     rates: Vec<(&'static str, f64)>,
 }
 
-const RATE_KEYS: [&str; 3] = [
-    "transmitter_centric_rounds_per_sec",
+const RATE_KEYS: [&str; 2] = [
     "listener_centric_rounds_per_sec",
     "event_driven_rounds_per_sec",
 ];

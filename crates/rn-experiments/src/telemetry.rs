@@ -40,7 +40,6 @@ use std::time::Instant;
 /// binary's `--engine` flag accepts).
 pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
-        Engine::TransmitterCentric => "transmitter-centric",
         Engine::ListenerCentric => "listener-centric",
         Engine::EventDriven => "event-driven",
     }
@@ -256,10 +255,6 @@ mod tests {
 
     #[test]
     fn engine_names_match_the_cli_spellings() {
-        assert_eq!(
-            engine_name(Engine::TransmitterCentric),
-            "transmitter-centric"
-        );
         assert_eq!(engine_name(Engine::ListenerCentric), "listener-centric");
         assert_eq!(engine_name(Engine::EventDriven), "event-driven");
     }

@@ -17,8 +17,8 @@ pub type NodeId = usize;
 /// the contiguous slice `neighbors[offsets[v]..offsets[v + 1]]`.
 ///
 /// Compared to a `Vec<Vec<NodeId>>` adjacency this removes one pointer
-/// indirection and one heap allocation per node; the simulator's
-/// transmitter-centric delivery walks these slices in its hot loop, so the
+/// indirection and one heap allocation per node; the simulator's fast
+/// engine walks transmitters' slices in its hot loop, so the
 /// whole adjacency structure being two contiguous allocations matters.
 ///
 /// Invariants maintained by construction:

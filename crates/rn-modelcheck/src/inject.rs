@@ -126,6 +126,7 @@ impl BadHintNode {
 
 impl RadioNode for BadHintNode {
     type Msg = u64;
+    const WAKE_HINTS: bool = true;
 
     fn step(&mut self) -> Action<u64> {
         if let Some(c) = self.countdown {

@@ -7,7 +7,7 @@
 //! paper's hard instances and enumerate far more cheaply), runs **every**
 //! general-graph scheme on each, and demands on every point:
 //!
-//! * all three engines agree, traced and untraced (the untraced leg
+//! * both engines agree, traced and untraced (the untraced leg
 //!   exercises the event-driven engine's silent-round elision);
 //! * the recorded trace obeys radio physics (a reception has exactly one
 //!   transmitting neighbour; a collision at least two; silence none);

@@ -206,6 +206,7 @@ mod tests {
 
     impl RadioNode for DelayedTalker {
         type Msg = u64;
+        const WAKE_HINTS: bool = true;
         fn step(&mut self) -> Action<u64> {
             if let Some(c) = self.countdown {
                 if c == 0 {
@@ -252,11 +253,7 @@ mod tests {
 
     #[test]
     fn honest_protocol_passes_on_all_engines() {
-        for engine in [
-            Engine::TransmitterCentric,
-            Engine::ListenerCentric,
-            Engine::EventDriven,
-        ] {
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
             let mut sim =
                 Simulator::new(path3(), DelayedTalker::network(3, true)).with_engine(engine);
             let audit = audit_wake_hints(&mut sim, 20).expect("honest hints certify");

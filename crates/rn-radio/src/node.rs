@@ -60,9 +60,22 @@ pub trait RadioNode {
     /// Observe the outcome of a listening round.
     fn receive(&mut self, heard: Option<&Self::Msg>);
 
+    /// Whether this protocol type gives wake hints, i.e. overrides
+    /// [`wake_hint`](RadioNode::wake_hint) to return positive values.
+    ///
+    /// It selects how the fast engine ([`Engine::EventDriven`](crate::Engine))
+    /// drives the protocol: `false` (the default) drives every node every
+    /// round, with no wake queue and nothing elided; `true` drives only the
+    /// wake-hint frontier and lets a trace-free run elide provably quiet
+    /// spans. It is a property of the type, not a tuning knob: set it
+    /// exactly when `wake_hint` is overridden. Debug builds panic if a type
+    /// that leaves it `false` returns a positive hint, since that hint would
+    /// never be honoured.
+    const WAKE_HINTS: bool = false;
+
     /// How many upcoming rounds this node is guaranteed to be *dormant*,
-    /// as a hint to the event-driven engine
-    /// ([`Engine::EventDriven`](crate::Engine)).
+    /// as a hint to the fast engine's frontier mode (read only when the
+    /// type declares [`WAKE_HINTS`](RadioNode::WAKE_HINTS)).
     ///
     /// Returning `h` promises that — unless a decodable message is
     /// delivered to the node first — each of its next `h` [`step`] calls
@@ -76,10 +89,11 @@ pub trait RadioNode {
     /// something".
     ///
     /// The default of `0` makes no promise at all — the node is driven
-    /// every round, exactly like the per-round engines drive it — so any
+    /// every round, exactly like the reference engine drives it — so any
     /// protocol is correct without implementing this. Override it only
-    /// where the frozen-state contract genuinely holds; the three-engine
-    /// equivalence suite will catch a hint that overpromises.
+    /// where the frozen-state contract genuinely holds; the two-engine
+    /// equivalence suite and the `rn-modelcheck` wake-hint audit catch a
+    /// hint that overpromises.
     ///
     /// [`step`]: RadioNode::step
     fn wake_hint(&self) -> u64 {

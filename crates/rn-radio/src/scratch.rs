@@ -1,4 +1,4 @@
-//! Reusable per-round scratch buffers for the transmitter-centric simulator.
+//! Reusable per-round scratch buffers for the simulator's fast engine.
 //!
 //! Every round of a simulation needs a handful of working arrays: the list of
 //! this round's transmitters and, per listener, how many neighbours
@@ -35,7 +35,8 @@ use rn_graph::NodeId;
 /// simulations on different graphs.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
-    /// Nodes that transmitted this round, in increasing node order.
+    /// Nodes that transmitted this round, in the order the decide pass drove
+    /// them (node order for a dense protocol, due order on a frontier).
     pub(crate) transmitters: Vec<NodeId>,
     /// Generation stamp per node; `hit_count`/`last_sender` entries are valid
     /// only where `stamp[v] == generation`.

@@ -14,29 +14,36 @@
 //! flexible stop conditions so experiments can run "until all nodes are
 //! informed", "for exactly k rounds", or "until the trace goes quiet".
 //!
-//! # Engine design: transmitter-centric delivery over CSR rows
+//! # Two engines: the specification and the fast engine
+//!
+//! [`Engine::ListenerCentric`] is the original delivery algorithm, kept
+//! verbatim as [`Simulator::step_round_reference`]: every listener scans its
+//! own neighbour list. It is the executable specification the equivalence
+//! suites check the fast engine against, round for round and event for
+//! event. [`Engine::EventDriven`] is the fast engine and the default.
+//!
+//! # The fast engine: delivery over CSR rows
 //!
 //! The paper's protocols produce long executions in which most rounds have
 //! very few transmitters (often one, frequently zero in quiet tails), so the
-//! default engine resolves delivery from the transmitters outward rather
-//! than by scanning every listener's neighbourhood:
+//! fast engine resolves delivery from the transmitters outward rather than
+//! by scanning every listener's neighbourhood:
 //!
-//! 1. **Decide** — every node takes its [`RadioNode::step`]; transmitters
-//!    are collected in the same pass (no separate counting sweep), each
-//!    recorded sparsely as a generation mark plus its message moved into a
-//!    reused buffer. Listening nodes write **nothing**, so the pass's memory
-//!    traffic is proportional to the number of transmitters, not to `n`.
+//! 1. **Decide** — every *driven* node takes its [`RadioNode::step`];
+//!    transmitters are collected in the same pass, each recorded sparsely as
+//!    a generation mark plus its message moved into a reused buffer.
+//!    Listening nodes write **nothing**, so the pass's memory traffic is
+//!    proportional to the number of transmitters, not to `n`.
 //! 2. **Mark** — for each transmitter `t`, walk its contiguous CSR neighbour
 //!    slice ([`Graph::neighbors`]) and bump the neighbour's
 //!    `(hit_count, last_sender)` entry in the [`RoundScratch`]. This is the
 //!    only part of the round that touches the adjacency structure, and it
 //!    costs O(Σ deg(t) over transmitters) — not O(Σ deg(v) over listeners).
-//! 3. **Observe** — one linear pass over the nodes delivers observations:
-//!    a listener with `hit_count == 1` receives the unique sender's message
-//!    *by reference* (no clone; the trace, if recording, makes the only
-//!    copy), any other listener observes `None`, and the collision trace
-//!    event reads its neighbour count straight out of `hit_count` — the
-//!    delivery pass already computed it.
+//! 3. **Observe** — a listener with `hit_count == 1` receives the unique
+//!    sender's message *by reference* (no clone; the trace, if recording,
+//!    makes the only copy), any other listener observes `None`, and the
+//!    collision trace event reads its neighbour count straight out of
+//!    `hit_count` — the mark pass already computed it.
 //!
 //! Steady-state rounds perform **zero heap allocations** with tracing off:
 //! the transmitted-message buffer, the transmitter list and the per-listener
@@ -52,43 +59,40 @@
 //!   `hit_count`/`last_sender` entry can never alias a current one;
 //! * the scratch's per-node arrays cover at least `graph.node_count()`
 //!   entries (enforced whenever a scratch is installed);
-//! * `last_sender[v]` is the unique transmitting neighbour whenever
-//!   `hit_count[v] == 1`, because each marking pass writes it on the first
-//!   hit of the round — and neighbour slices are sorted, so it equals the
-//!   first transmitting neighbour in node order, matching the reference
-//!   engine's `Heard::from` exactly.
+//! * `last_sender[v]` is read only when `hit_count[v] == 1`, and then it is
+//!   the unique transmitting neighbour — the reference engine's
+//!   `Heard::from` — whatever order the transmitters were marked in. Every
+//!   other use of the transmitter order (message sums and maxima, per-node
+//!   `tx_index` lookups, the per-node receive-fault search) is order-free,
+//!   so the driven set needs no sorting.
 //!
-//! The original listener-centric delivery is retained, verbatim, as
-//! [`Simulator::step_round_reference`] behind [`Engine::ListenerCentric`]:
-//! it is the executable specification the equivalence suite checks the fast
-//! engine against, round for round and event for event.
+//! # Dense or frontier driving
 //!
-//! # Event-driven frontier engine
+//! Which nodes the decide pass drives is a property of the protocol type,
+//! [`RadioNode::WAKE_HINTS`], fixed at compile time so each monomorphisation
+//! is a single loop with no per-node branch:
 //!
-//! The paper's protocols spend most of a long execution dormant: on a path,
-//! Algorithm B's wave involves a handful of nodes per round and the quiet
-//! tail involves none, yet both per-round engines still pay O(n) `step`/
-//! `receive` driving every round. [`Engine::EventDriven`] removes that
-//! floor. Nodes advertise dormancy through [`RadioNode::wake_hint`] — a
-//! *frozen-state* promise that their next `h` rounds would be silent
-//! listening with no state change — and the engine keeps a wake queue
-//! (`next_wake` array + lazily-deleted min-heap, with a swap buffer that
-//! bypasses the heap for next-round wakes so hint-less protocols stay at
-//! O(active) per round). Each round only the **active frontier** is driven:
-//! due nodes (hints expired, jam-interval starts, late-wake rounds) are
-//! stepped, delivery runs over the same generation-stamped scratch, and a
-//! dormant listener is touched only when a transmitter marks it — woken
-//! exactly when it decodes a message. With tracing off,
-//! [`Simulator::run_until`] additionally **elides provably quiet spans**:
-//! when the earliest pending wake is `k > 1` rounds away, no node can act
-//! in between (dormant nodes are frozen, jammers are forced awake), so the
-//! clock jumps while the quiet-streak arithmetic advances exactly as if the
-//! rounds had run. Traces (tracing on disables elision and materialises
-//! every round), observations, `rounds_executed`, quiet detection and
-//! fault application are bit-identical to the per-round engines — the
-//! default hint of 0 degenerates to exact per-round driving, and the
-//! three-engine equivalence matrix in `tests/engine_equivalence.rs` pins
-//! the rest.
+//! * **Dense** (`WAKE_HINTS = false`, the default): every node is driven
+//!   every round. No wake queue exists, nothing is elided, and the observe
+//!   pass is one linear sweep.
+//! * **Frontier** (`WAKE_HINTS = true`): nodes advertise dormancy through
+//!   [`RadioNode::wake_hint`] — a *frozen-state* promise that their next `h`
+//!   rounds would be silent listening with no state change — and the engine
+//!   keeps a wake queue (`next_wake` array + lazily-deleted min-heap, with a
+//!   swap buffer that bypasses the heap for next-round wakes). Each round
+//!   only the **active frontier** is driven: due nodes (hints expired,
+//!   jam-interval starts, late-wake rounds) are stepped, and a dormant
+//!   listener is touched only when a transmitter marks it — woken exactly
+//!   when it decodes a message. With tracing off, [`Simulator::run_until`]
+//!   additionally **elides provably quiet spans**: when the earliest pending
+//!   wake is `k > 1` rounds away, no node can act in between (dormant nodes
+//!   are frozen, jammers are forced awake), so the clock jumps while the
+//!   quiet-streak arithmetic advances exactly as if the rounds had run.
+//!
+//! Either way, traces (tracing on materialises every round), observations,
+//! `rounds_executed`, quiet detection and fault application are
+//! bit-identical to the reference engine; the equivalence matrix in
+//! `tests/engine_equivalence.rs` pins them.
 
 use crate::fault::{CompiledFaults, FaultKind, FaultPlan, RxFault};
 use crate::message::RadioMessage;
@@ -111,28 +115,28 @@ const JAMMER: u32 = u32::MAX;
 /// Which delivery engine [`Simulator::step_round`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The transmitter-centric, allocation-free engine (the default): only
-    /// transmitters' CSR neighbour slices are walked each round.
-    #[default]
-    TransmitterCentric,
     /// The original listener-centric engine, retained as an executable
     /// reference implementation: every listener scans its neighbour list.
     /// Slower by design; exists so equivalence tests (and sceptical users)
-    /// can replay any workload on every engine and compare traces.
+    /// can replay any workload on both engines and compare traces.
     ListenerCentric,
-    /// The event-driven frontier engine: nodes advertise dormancy via
-    /// [`RadioNode::wake_hint`], only the active frontier is driven each
-    /// round, and — with tracing off — [`Simulator::run_until`]
-    /// batch-advances the clock over provably quiet stretches. Traces,
-    /// observations, outcomes and fault application are bit-identical to
-    /// the other two engines (see the module docs for the contract).
+    /// The fast engine (the default): only transmitters' CSR neighbour
+    /// slices are walked each round, and a protocol that declares
+    /// [`RadioNode::WAKE_HINTS`] is driven along its wake-hint frontier,
+    /// with [`Simulator::run_until`] batch-advancing the clock over
+    /// provably quiet stretches when tracing is off. Traces, observations,
+    /// outcomes and fault application are bit-identical to the reference
+    /// engine (see the module docs for the contract).
+    #[default]
     EventDriven,
 }
 
-/// Wake-queue bookkeeping of [`Engine::EventDriven`]. Message-agnostic, but
-/// deliberately kept on the [`Simulator`] rather than inside the pooled
-/// [`RoundScratch`]: scratch instances migrate across simulations, while a
-/// wake queue is meaningful only for the run that seeded it.
+/// Wake-queue bookkeeping of [`Engine::EventDriven`]'s frontier mode; stays
+/// empty for a dense protocol. Message-agnostic, but deliberately kept on
+/// the [`Simulator`] rather than inside the pooled [`RoundScratch`]: scratch
+/// instances migrate across simulations, while a wake queue is meaningful
+/// only for the run that seeded it.
+#[derive(Default)]
 struct EventState {
     /// Authoritative next round each node must be driven in; `u64::MAX`
     /// means dormant until a decodable reception wakes it.
@@ -154,8 +158,8 @@ struct EventState {
     /// The current round's due list (reused across rounds).
     due: Vec<NodeId>,
     /// Nodes scheduled for the immediately following round. Bypasses the
-    /// heap so a hint-less protocol (every node due every round) costs
-    /// O(n) per round, not O(n log n).
+    /// heap so a node active in consecutive rounds costs O(1) per round,
+    /// not O(log n).
     due_next: Vec<NodeId>,
     /// Which round `due_next` currently collects for.
     due_next_round: u64,
@@ -186,21 +190,35 @@ impl EventState {
             self.heap.push(Reverse((wake, v)));
         }
     }
-}
 
-/// The round a node driven in `round` with dormancy hint `hint` must next
-/// be driven in (`u64::MAX` = parked until a reception wakes it).
-#[inline]
-fn wake_after(round: u64, hint: u64) -> u64 {
-    round.saturating_add(1).saturating_add(hint)
+    /// Queues node `v`, just driven in `round`, for the round its
+    /// post-step or post-receive [`RadioNode::wake_hint`] names (frontier
+    /// mode; `u64::MAX` parks it until a reception wakes it). A dense
+    /// protocol keeps no queue and its hint must stay 0, which debug builds
+    /// check: a positive hint from a type that does not declare
+    /// [`RadioNode::WAKE_HINTS`] would silently never be honoured.
+    #[inline]
+    fn reschedule<N: RadioNode>(&mut self, node: &N, v: NodeId, round: u64) {
+        if N::WAKE_HINTS {
+            let wake = round.saturating_add(1).saturating_add(node.wake_hint());
+            self.schedule(v, round, wake);
+        } else {
+            debug_assert!(
+                node.wake_hint() == 0,
+                "node {v} returned wake hint {} but its protocol type does not declare \
+                 RadioNode::WAKE_HINTS",
+                node.wake_hint()
+            );
+        }
+    }
 }
 
 /// Delivers one successful reception through the receive-side fault filter —
-/// the single copy of the Drop/Corrupt/clean logic all three engines share.
+/// the single copy of the Drop/Corrupt/clean logic both engines share.
 ///
 /// Returns `(decoded, rx_faulted, event)`: whether the node was actually
-/// handed a message (`receive(Some(_))` — the event-driven engine wakes
-/// dormant listeners exactly on this), whether a receive-side fault was
+/// handed a message (`receive(Some(_))` — the fast engine's frontier mode
+/// wakes dormant listeners exactly on this), whether a receive-side fault was
 /// consumed (drop or corruption, decodable or not — the engines' `rx_faults`
 /// counter), and the trace event describing the outcome (`None` when
 /// `record` is off; the message is cloned only for the trace).
@@ -333,8 +351,9 @@ pub struct Simulator<N: RadioNode> {
     /// every fault check below starts with this cheap `Option` test, and an
     /// empty [`FaultPlan`] never compiles to `Some`).
     faults: Option<CompiledFaults>,
-    /// Wake-queue state of [`Engine::EventDriven`], seeded lazily on the
-    /// first event-driven round; `None` under the per-round engines.
+    /// Wake-queue state of [`Engine::EventDriven`], created on its first
+    /// round (empty for a dense protocol); `None` under the reference
+    /// engine.
     event: Option<EventState>,
     /// Installed metrics sink, `None` in the common uninstrumented case:
     /// every per-round reporting block sits behind this one `Option` test,
@@ -378,7 +397,7 @@ impl<N: RadioNode> Simulator<N> {
     }
 
     /// Installs a [`FaultPlan`] (see [`crate::fault`]): the scheduled events
-    /// are applied by the engine — identically in all three [`Engine`]s —
+    /// are applied by the engine — identically in both [`Engine`]s —
     /// while the nodes keep running their unmodified protocol.
     ///
     /// An empty plan installs nothing at all, so a simulator given
@@ -402,7 +421,7 @@ impl<N: RadioNode> Simulator<N> {
         self
     }
 
-    /// Selects the delivery engine (default [`Engine::TransmitterCentric`]).
+    /// Selects the delivery engine (default [`Engine::EventDriven`]).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -480,167 +499,9 @@ impl<N: RadioNode> Simulator<N> {
     /// Executes a single round and returns the number of transmitters.
     pub fn step_round(&mut self) -> usize {
         match self.engine {
-            Engine::TransmitterCentric => self.step_round_transmitter_centric(),
             Engine::ListenerCentric => self.step_round_reference(),
             Engine::EventDriven => self.step_round_event_driven(),
         }
-    }
-
-    /// One round of the default transmitter-centric engine (see the module
-    /// docs for the three-phase design and its invariants).
-    fn step_round_transmitter_centric(&mut self) -> usize {
-        self.round += 1;
-        let round = self.round;
-        let n = self.graph.node_count();
-        let scratch = &mut self.scratch;
-        scratch.ensure_nodes(n);
-        scratch.generation += 1;
-        let generation = scratch.generation;
-        let faults = self.faults.as_ref();
-
-        // Phase 1: every node decides. Transmitters are recorded sparsely —
-        // node id, generation mark, and the message moved into the reused
-        // message buffer; a listening node writes nothing at all. An inert
-        // (crashed/asleep) node is never stepped; a jamming node's protocol
-        // is suspended and it occupies a transmitter slot with the JAMMER
-        // sentinel instead of a message.
-        self.tx_messages.clear();
-        scratch.transmitters.clear();
-        for (v, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(f) = faults {
-                if f.inert_kind(v, round).is_some() {
-                    continue;
-                }
-                if f.is_jamming(v, round) {
-                    scratch.tx_stamp[v] = generation;
-                    scratch.tx_index[v] = JAMMER;
-                    scratch.transmitters.push(v);
-                    continue;
-                }
-            }
-            match node.step() {
-                Action::Transmit(m) => {
-                    scratch.tx_stamp[v] = generation;
-                    scratch.tx_index[v] = self.tx_messages.len() as u32;
-                    scratch.transmitters.push(v);
-                    self.tx_messages.push(m);
-                }
-                Action::Listen => {}
-            }
-        }
-
-        // Phase 2: mark. Only the transmitters' CSR neighbour slices are
-        // walked; each neighbour's (hit_count, last_sender) entry is claimed
-        // for this round by stamping it with the current generation.
-        for &t in &scratch.transmitters {
-            for &w in self.graph.neighbors(t) {
-                if scratch.stamp[w] == generation {
-                    scratch.hit_count[w] += 1;
-                } else {
-                    scratch.stamp[w] = generation;
-                    scratch.hit_count[w] = 1;
-                    scratch.last_sender[w] = t;
-                }
-            }
-        }
-
-        // Phase 3: observe. A listener hears a message iff exactly one
-        // neighbour transmitted; the message travels by reference, and the
-        // trace (when recording) makes the only clone. Fault handling, all
-        // behind the `Option` test: an inert node is deaf (no `receive`), a
-        // jammer observes nothing and leaves only a trace marker, a sole
-        // jamming "sender" is an undecodable collision, and receive-side
-        // Drop/Corrupt faults rewrite a successful reception.
-        let mut events: Vec<NodeEvent<N::Msg>> =
-            Vec::with_capacity(if self.record_trace { n } else { 0 });
-        let tx_stamp = &scratch.tx_stamp[..n];
-        let stamp = &scratch.stamp[..n];
-        let rx_window = faults.map_or(&[][..], |f| f.rx_window(round));
-        // Deterministic round counters for an installed metrics sink; plain
-        // register increments, negligible without one.
-        let (mut deliveries, mut collisions, mut rx_faults) = (0u64, 0u64, 0u64);
-        for (v, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(f) = faults {
-                if let Some(kind) = f.inert_kind(v, round) {
-                    if self.record_trace {
-                        events.push(NodeEvent::Faulted(kind));
-                    }
-                    continue;
-                }
-            }
-            if tx_stamp[v] == generation {
-                if scratch.tx_index[v] == JAMMER {
-                    if self.record_trace {
-                        events.push(NodeEvent::Faulted(FaultKind::Jamming));
-                    }
-                } else if self.record_trace {
-                    let m = &self.tx_messages[scratch.tx_index[v] as usize];
-                    events.push(NodeEvent::Transmitted(m.clone()));
-                }
-            } else if stamp[v] == generation {
-                if scratch.hit_count[v] == 1 {
-                    let w = scratch.last_sender[v];
-                    if scratch.tx_index[w] == JAMMER {
-                        // The only transmitting neighbour is a jammer: the
-                        // channel is busy but carries nothing decodable.
-                        node.receive(None);
-                        collisions += 1;
-                        if self.record_trace {
-                            events.push(NodeEvent::Collision {
-                                transmitting_neighbors: 1,
-                            });
-                        }
-                    } else {
-                        let msg = &self.tx_messages[scratch.tx_index[w] as usize];
-                        let (decoded, rx_faulted, event) =
-                            deliver_with_rx_faults(node, v, w, msg, rx_window, self.record_trace);
-                        deliveries += u64::from(decoded);
-                        rx_faults += u64::from(rx_faulted);
-                        if let Some(e) = event {
-                            events.push(e);
-                        }
-                    }
-                } else {
-                    // Collision: indistinguishable from silence for the
-                    // node; the count is already in the scratch.
-                    node.receive(None);
-                    collisions += 1;
-                    if self.record_trace {
-                        events.push(NodeEvent::Collision {
-                            transmitting_neighbors: scratch.hit_count[v] as usize,
-                        });
-                    }
-                }
-            } else {
-                node.receive(None);
-                if self.record_trace {
-                    events.push(NodeEvent::Silence);
-                }
-            }
-        }
-
-        if self.record_trace {
-            self.trace.rounds.push(RoundRecord {
-                round: self.round,
-                events,
-            });
-        }
-        let transmitter_count = self.scratch.transmitters.len();
-        if let Some(sink) = self.metrics.as_deref_mut() {
-            let (bits, max_message_bits) = message_bits(&self.tx_messages);
-            sink.on_round(&RoundMetrics {
-                round,
-                transmitters: transmitter_count as u64,
-                protocol_transmissions: self.tx_messages.len() as u64,
-                deliveries,
-                collisions,
-                rx_faults,
-                bits,
-                max_message_bits,
-                frontier: n as u64,
-            });
-        }
-        transmitter_count
     }
 
     /// Executes a single round with the retained listener-centric reference
@@ -811,51 +672,48 @@ impl<N: RadioNode> Simulator<N> {
         transmitter_count
     }
 
-    /// Seeds the wake queue for [`Engine::EventDriven`] on its first round:
-    /// every node is due in the next round (or at its late-wake round, if it
-    /// starts asleep), and every jam interval registers a forced wake at its
-    /// first in-range round so elision can never skip a channel-occupying
-    /// jammer.
+    /// Creates the fast engine's wake-queue state on its first round. A
+    /// dense protocol gets an empty state and no queue at all. A frontier
+    /// protocol has every node due in the next round (or at its late-wake
+    /// round, if it starts asleep), and every jam interval registers a
+    /// forced wake at its first in-range round so elision can never skip a
+    /// channel-occupying jammer.
     fn init_event_state(&mut self) {
-        let n = self.graph.node_count();
-        let base = self.round;
-        let faults = self.faults.as_ref();
-        let mut st = EventState {
-            next_wake: vec![0; n],
-            enqueued_for: vec![0; n],
-            due_stamp: vec![0; n],
-            heap: BinaryHeap::with_capacity(n),
-            fault_wakes: BinaryHeap::new(),
-            due: Vec::with_capacity(n),
-            due_next: Vec::new(),
-            due_next_round: 0,
-            touched: Vec::new(),
-        };
-        for v in 0..n {
-            let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
-            st.next_wake[v] = wake;
-            st.enqueued_for[v] = wake;
-            st.heap.push(Reverse((wake, v)));
-        }
-        if let Some(f) = faults {
-            for &(v, first, last) in f.jam_intervals() {
-                let w = first.max(base + 1);
-                if w <= last {
-                    st.fault_wakes.push(Reverse((w, v)));
+        let mut st = EventState::default();
+        if N::WAKE_HINTS {
+            let n = self.graph.node_count();
+            let base = self.round;
+            let faults = self.faults.as_ref();
+            st.next_wake = vec![0; n];
+            st.enqueued_for = vec![0; n];
+            st.due_stamp = vec![0; n];
+            st.heap = BinaryHeap::with_capacity(n);
+            st.due = Vec::with_capacity(n);
+            for v in 0..n {
+                let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
+                st.next_wake[v] = wake;
+                st.enqueued_for[v] = wake;
+                st.heap.push(Reverse((wake, v)));
+            }
+            if let Some(f) = faults {
+                for &(v, first, last) in f.jam_intervals() {
+                    let w = first.max(base + 1);
+                    if w <= last {
+                        st.fault_wakes.push(Reverse((w, v)));
+                    }
                 }
             }
         }
         self.event = Some(st);
     }
 
-    /// One round of the event-driven frontier engine: assemble the due list
-    /// from the wake queues, drive only those nodes through the decide pass,
-    /// mark the transmitters' neighbourhoods over the same generation-stamped
-    /// scratch, and deliver observations — waking a dormant listener exactly
-    /// when it decodes a message. With a trace recording, the observe pass
-    /// falls back to one linear sweep so the per-node events come out
-    /// byte-identical to the per-round engines (node driving is still
-    /// frontier-only).
+    /// One round of the fast engine (see the module docs for the three
+    /// passes and the two driving modes). A dense protocol drives `0..n`;
+    /// a frontier protocol assembles the due list from the wake queues,
+    /// drives only those nodes, and wakes a dormant listener exactly when
+    /// it decodes a message. With a trace recording, the observe pass is
+    /// one linear sweep so the per-node events come out byte-identical to
+    /// the reference engine (node driving is still frontier-only).
     fn step_round_event_driven(&mut self) -> usize {
         if self.event.is_none() {
             self.init_event_state();
@@ -869,98 +727,100 @@ impl<N: RadioNode> Simulator<N> {
         scratch.generation += 1;
         let generation = scratch.generation;
         let faults = self.faults.as_ref();
-        let st = self.event.as_mut().expect("seeded above");
+        let st = self.event.as_mut().expect("created above");
+        let nodes = &mut self.nodes[..n];
 
-        // Due assembly: the next-round swap buffer, then the wake heap, then
-        // forced jam wake-ups — deduplicated through `due_stamp` and
-        // validated against `next_wake` (a heap entry whose round no longer
-        // matches is stale and drops here).
-        st.due.clear();
-        st.touched.clear();
-        if st.due_next_round == round {
-            for i in 0..st.due_next.len() {
-                let v = st.due_next[i];
-                if st.next_wake[v] == round && st.due_stamp[v] != round {
+        // Due assembly (frontier mode): the next-round swap buffer, then
+        // the wake heap, then forced jam wake-ups — deduplicated through
+        // `due_stamp` and validated against `next_wake` (a heap entry whose
+        // round no longer matches is stale and drops here).
+        if N::WAKE_HINTS {
+            st.due.clear();
+            st.touched.clear();
+            if st.due_next_round == round {
+                for i in 0..st.due_next.len() {
+                    let v = st.due_next[i];
+                    if st.next_wake[v] == round && st.due_stamp[v] != round {
+                        st.due_stamp[v] = round;
+                        st.due.push(v);
+                    }
+                }
+            }
+            st.due_next.clear();
+            while let Some(&Reverse((w, v))) = st.heap.peek() {
+                if w > round {
+                    break;
+                }
+                st.heap.pop();
+                if st.next_wake[v] == w && st.due_stamp[v] != round {
+                    st.due_stamp[v] = round;
+                    st.due.push(v);
+                }
+            }
+            while let Some(&Reverse((w, v))) = st.fault_wakes.peek() {
+                if w > round {
+                    break;
+                }
+                st.fault_wakes.pop();
+                if st.due_stamp[v] != round {
                     st.due_stamp[v] = round;
                     st.due.push(v);
                 }
             }
         }
-        st.due_next.clear();
-        while let Some(&Reverse((w, v))) = st.heap.peek() {
-            if w > round {
-                break;
-            }
-            st.heap.pop();
-            if st.next_wake[v] == w && st.due_stamp[v] != round {
-                st.due_stamp[v] = round;
-                st.due.push(v);
-            }
-        }
-        while let Some(&Reverse((w, v))) = st.fault_wakes.peek() {
-            if w > round {
-                break;
-            }
-            st.fault_wakes.pop();
-            if st.due_stamp[v] != round {
-                st.due_stamp[v] = round;
-                st.due.push(v);
-            }
-        }
-        // The mark pass's first-hit rule assumes transmitters are visited in
-        // ascending node order, exactly like the per-round engines' decide
-        // sweeps produce them.
-        st.due.sort_unstable();
-        // Frontier size for the metrics sink: the nodes this engine actually
-        // drives this round (engine-specific by design — the per-round
-        // engines report n here).
-        let frontier = st.due.len() as u64;
+        // The driven set: `st.due[..driven]` in frontier mode, `0..n` in
+        // dense mode. Its size is the frontier the metrics sink reports.
+        let driven = if N::WAKE_HINTS { st.due.len() } else { n };
 
-        // Decide: only the due nodes act. A crashed node parks forever, an
-        // asleep node sleeps until its wake round, a jammer occupies the
-        // channel (and stays due while its interval lasts); everyone else
-        // steps, and transmitters reschedule by their post-step hint.
+        // Decide: only the driven nodes act. An inert (crashed/asleep) node
+        // is never stepped; a jamming node's protocol is suspended and it
+        // occupies a transmitter slot with the JAMMER sentinel instead of a
+        // message. In frontier mode a crashed node parks forever, an asleep
+        // one sleeps until its wake round, a jammer stays due while its
+        // interval lasts, and a transmitter reschedules by its post-step
+        // hint.
         self.tx_messages.clear();
         scratch.transmitters.clear();
-        for i in 0..st.due.len() {
-            let v = st.due[i];
+        for i in 0..driven {
+            let v = if N::WAKE_HINTS { st.due[i] } else { i };
             if let Some(f) = faults {
-                match f.inert_kind(v, round) {
-                    Some(FaultKind::Crashed) => {
-                        st.next_wake[v] = u64::MAX;
-                        continue;
-                    }
-                    Some(_) => {
-                        // Asleep: dormant (and deaf) until its wake round.
-                        let wake = f.wake_round(v).max(round + 1);
+                if let Some(kind) = f.inert_kind(v, round) {
+                    if N::WAKE_HINTS {
+                        let wake = match kind {
+                            FaultKind::Crashed => u64::MAX,
+                            _ => f.wake_round(v).max(round + 1),
+                        };
                         st.schedule(v, round, wake);
-                        continue;
                     }
-                    None => {}
+                    continue;
                 }
                 if f.is_jamming(v, round) {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = JAMMER;
                     scratch.transmitters.push(v);
-                    st.schedule(v, round, round + 1);
+                    if N::WAKE_HINTS {
+                        st.schedule(v, round, round + 1);
+                    }
                     continue;
                 }
             }
-            match self.nodes[v].step() {
+            match nodes[v].step() {
                 Action::Transmit(m) => {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = self.tx_messages.len() as u32;
                     scratch.transmitters.push(v);
                     self.tx_messages.push(m);
-                    st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                    st.reschedule(&nodes[v], v, round);
                 }
                 Action::Listen => {} // rescheduled in observe, after receive
             }
         }
 
-        // Mark: identical to the fast engine, except that with tracing off
-        // the first hit on a node outside the due list records it as a
-        // wake-by-reception candidate.
+        // Mark: only the transmitters' CSR neighbour slices are walked; each
+        // neighbour's (hit_count, last_sender) entry is claimed for this
+        // round by stamping it with the current generation. In frontier
+        // mode with tracing off, the first hit on a node outside the due
+        // list records it as a wake-by-reception candidate.
         for ti in 0..scratch.transmitters.len() {
             let t = scratch.transmitters[ti];
             for &w in self.graph.neighbors(t) {
@@ -970,23 +830,26 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.stamp[w] = generation;
                     scratch.hit_count[w] = 1;
                     scratch.last_sender[w] = t;
-                    if !record_trace && st.due_stamp[w] != round {
+                    if N::WAKE_HINTS && !record_trace && st.due_stamp[w] != round {
                         st.touched.push(w);
                     }
                 }
             }
         }
 
-        // Observe.
+        // Observe. Fault handling: an inert node is deaf (no `receive`), a
+        // jammer observes nothing and leaves only a trace marker, a sole
+        // jamming "sender" is an undecodable collision, and receive-side
+        // Drop/Corrupt faults rewrite a successful reception.
         let rx_window = faults.map_or(&[][..], |f| f.rx_window(round));
         let (mut deliveries, mut collisions, mut rx_faults) = (0u64, 0u64, 0u64);
         if record_trace {
-            // One linear sweep, byte-identical events to the per-round
-            // engines. A dormant listener's `receive(None)` is elided — a
+            // One linear sweep, byte-identical events to the reference
+            // engine. A dormant listener's `receive(None)` is elided — a
             // no-op under the wake-hint contract — but its Silence/Collision
             // events are still materialised.
             let mut events: Vec<NodeEvent<N::Msg>> = Vec::with_capacity(n);
-            for v in 0..n {
+            for (v, node) in nodes.iter_mut().enumerate() {
                 if let Some(f) = faults {
                     if let Some(kind) = f.inert_kind(v, round) {
                         events.push(NodeEvent::Faulted(kind));
@@ -1002,14 +865,17 @@ impl<N: RadioNode> Simulator<N> {
                     }
                     continue;
                 }
-                let is_due = st.due_stamp[v] == round;
+                let is_due = !N::WAKE_HINTS || st.due_stamp[v] == round;
                 if scratch.stamp[v] == generation {
                     if scratch.hit_count[v] == 1 {
                         let w = scratch.last_sender[v];
                         if scratch.tx_index[w] == JAMMER {
+                            // The only transmitting neighbour is a jammer:
+                            // the channel is busy but carries nothing
+                            // decodable.
                             if is_due {
-                                self.nodes[v].receive(None);
-                                st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                                node.receive(None);
+                                st.reschedule(node, v, round);
                             }
                             collisions += 1;
                             events.push(NodeEvent::Collision {
@@ -1023,30 +889,26 @@ impl<N: RadioNode> Simulator<N> {
                             // overpromised and elision suppressed a real
                             // transmission.
                             debug_assert!(
-                                is_due || !self.nodes[v].step().is_transmit(),
+                                is_due || !node.step().is_transmit(),
                                 "wake-hint overpromise: node {v} would transmit in round {round} \
                                  inside its elided span"
                             );
                             let msg = &self.tx_messages[scratch.tx_index[w] as usize];
-                            let (decoded, rx_faulted, event) = deliver_with_rx_faults(
-                                &mut self.nodes[v],
-                                v,
-                                w,
-                                msg,
-                                rx_window,
-                                true,
-                            );
+                            let (decoded, rx_faulted, event) =
+                                deliver_with_rx_faults(node, v, w, msg, rx_window, true);
                             deliveries += u64::from(decoded);
                             rx_faults += u64::from(rx_faulted);
                             events.push(event.expect("recording"));
                             if decoded || is_due {
-                                st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                                st.reschedule(node, v, round);
                             }
                         }
                     } else {
+                        // Collision: indistinguishable from silence for the
+                        // node; the count is already in the scratch.
                         if is_due {
-                            self.nodes[v].receive(None);
-                            st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                            node.receive(None);
+                            st.reschedule(node, v, round);
                         }
                         collisions += 1;
                         events.push(NodeEvent::Collision {
@@ -1055,21 +917,21 @@ impl<N: RadioNode> Simulator<N> {
                     }
                 } else {
                     if is_due {
-                        self.nodes[v].receive(None);
-                        st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                        node.receive(None);
+                        st.reschedule(node, v, round);
                     }
                     events.push(NodeEvent::Silence);
                 }
             }
             self.trace.rounds.push(RoundRecord { round, events });
         } else {
-            // Tracing off: the due listeners plus the touched set cover
-            // every node whose state can change this round. Due listeners
-            // observe their outcome and reschedule by their post-receive
-            // hint; a touched (dormant) node is woken only by an actual
-            // decoded delivery.
-            for i in 0..st.due.len() {
-                let v = st.due[i];
+            // Tracing off: the driven listeners plus (in frontier mode) the
+            // touched set cover every node whose state can change this
+            // round. Driven listeners observe their outcome and reschedule
+            // by their post-receive hint; a touched (dormant) node is woken
+            // only by an actual decoded delivery.
+            for i in 0..driven {
+                let v = if N::WAKE_HINTS { st.due[i] } else { i };
                 if let Some(f) = faults {
                     if f.inert_kind(v, round).is_some() {
                         continue;
@@ -1085,7 +947,7 @@ impl<N: RadioNode> Simulator<N> {
                     let w = scratch.last_sender[v];
                     let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                     let (decoded, rx_faulted, _) =
-                        deliver_with_rx_faults(&mut self.nodes[v], v, w, msg, rx_window, false);
+                        deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, false);
                     deliveries += u64::from(decoded);
                     rx_faults += u64::from(rx_faulted);
                 } else {
@@ -1093,9 +955,9 @@ impl<N: RadioNode> Simulator<N> {
                     // collision (several transmitters, or a sole jammer) —
                     // the same condition the recorded path traces.
                     collisions += u64::from(scratch.stamp[v] == generation);
-                    self.nodes[v].receive(None);
+                    nodes[v].receive(None);
                 }
-                st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                st.reschedule(&nodes[v], v, round);
             }
             for i in 0..st.touched.len() {
                 let v = st.touched[i];
@@ -1120,17 +982,17 @@ impl<N: RadioNode> Simulator<N> {
                 // construction, so the elided `step` must be a Listen
                 // no-op (see the recorded path's twin assertion).
                 debug_assert!(
-                    !self.nodes[v].step().is_transmit(),
+                    !nodes[v].step().is_transmit(),
                     "wake-hint overpromise: node {v} would transmit in round {round} \
                      inside its elided span"
                 );
                 let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                 let (decoded, rx_faulted, _) =
-                    deliver_with_rx_faults(&mut self.nodes[v], v, w, msg, rx_window, false);
+                    deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, false);
                 deliveries += u64::from(decoded);
                 rx_faults += u64::from(rx_faulted);
                 if decoded {
-                    st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
+                    st.reschedule(&nodes[v], v, round);
                 }
             }
         }
@@ -1146,20 +1008,21 @@ impl<N: RadioNode> Simulator<N> {
                 rx_faults,
                 bits,
                 max_message_bits,
-                frontier,
+                frontier: driven as u64,
             });
         }
         transmitter_count
     }
 
-    /// With tracing off under [`Engine::EventDriven`], the number of
-    /// upcoming rounds that are provably silent: no protocol wake, pending
-    /// next-round entry, or forced jam wake falls inside them, so no node
-    /// can transmit and no node state can change (dormant nodes are frozen
-    /// by the wake-hint contract). Returns 0 under the other engines and
-    /// whenever a trace is recording, which needs every round materialised.
+    /// With tracing off under [`Engine::EventDriven`]'s frontier mode, the
+    /// number of upcoming rounds that are provably silent: no protocol
+    /// wake, pending next-round entry, or forced jam wake falls inside
+    /// them, so no node can transmit and no node state can change (dormant
+    /// nodes are frozen by the wake-hint contract). Returns 0 under the
+    /// reference engine, for a dense protocol, and whenever a trace is
+    /// recording, which needs every round materialised.
     fn provably_quiet_rounds(&mut self) -> u64 {
-        if self.engine != Engine::EventDriven || self.record_trace {
+        if !N::WAKE_HINTS || self.engine != Engine::EventDriven || self.record_trace {
             return 0;
         }
         let round = self.round;
@@ -1192,15 +1055,16 @@ impl<N: RadioNode> Simulator<N> {
     /// Runs until the stop condition is met or `predicate` (evaluated after
     /// each round, with harness-level omniscience) returns true.
     ///
-    /// Under [`Engine::EventDriven`] with tracing off, provably quiet spans
-    /// are elided: the round counter and the quiet-streak arithmetic advance
+    /// Under [`Engine::EventDriven`] with tracing off, a protocol that
+    /// declares [`RadioNode::WAKE_HINTS`] has its provably quiet spans
+    /// elided: the round counter and the quiet-streak arithmetic advance
     /// exactly as if the silent rounds had run, but the predicate is not
     /// re-evaluated inside a span — it already returned false after the last
     /// executed round and no node state changes during the span, so any
     /// predicate that is a function of node states (as harness predicates
     /// are) cannot flip. A predicate that reads the round counter itself
-    /// would observe the jump; pair such predicates with the per-round
-    /// engines or a recorded trace.
+    /// would observe the jump; pair such predicates with the reference
+    /// engine or a recorded trace.
     pub fn run_until<P>(&mut self, stop: StopCondition, mut predicate: P) -> RunOutcome
     where
         P: FnMut(&Self) -> bool,
@@ -1235,7 +1099,7 @@ impl<N: RadioNode> Simulator<N> {
                     };
                 }
             }
-            // Silent-span elision (event-driven engine, tracing off): jump
+            // Silent-span elision (frontier mode, tracing off): jump
             // the clock over rounds in which provably nothing happens,
             // clamped so the quiet threshold and the cap trigger at exactly
             // the same round they would if every round ran.
@@ -1725,20 +1589,13 @@ mod tests {
                 .with_engine(engine)
                 .with_faults(&plan)
         };
-        let mut fast = make(Engine::TransmitterCentric);
         let mut reference = make(Engine::ListenerCentric);
         let mut event = make(Engine::EventDriven);
         for _ in 0..6 {
-            let tx = fast.step_round();
-            assert_eq!(tx, reference.step_round());
-            assert_eq!(tx, event.step_round());
+            assert_eq!(reference.step_round(), event.step_round());
         }
-        assert_eq!(fast.trace().rounds, reference.trace().rounds);
-        assert_eq!(fast.trace().rounds, event.trace().rounds);
-        for (a, b) in fast.nodes().iter().zip(reference.nodes()) {
-            assert_eq!(a.listen_outcomes, b.listen_outcomes);
-        }
-        for (a, b) in fast.nodes().iter().zip(event.nodes()) {
+        assert_eq!(reference.trace().rounds, event.trace().rounds);
+        for (a, b) in reference.nodes().iter().zip(event.nodes()) {
             assert_eq!(a.listen_outcomes, b.listen_outcomes);
         }
     }
@@ -1765,6 +1622,7 @@ mod tests {
 
     impl RadioNode for Pulse {
         type Msg = u64;
+        const WAKE_HINTS: bool = true;
         fn step(&mut self) -> Action<u64> {
             if self.is_source && !self.sent {
                 self.sent = true;
@@ -1797,11 +1655,7 @@ mod tests {
         // Round 1: source transmits, then everyone parks. QuietFor{5,100}
         // must end at round 6 (five silent rounds after the transmission) on
         // every engine, elided or not.
-        for engine in [
-            Engine::TransmitterCentric,
-            Engine::ListenerCentric,
-            Engine::EventDriven,
-        ] {
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
             let mut sim = pulse_sim(generators::path(6), engine);
             let outcome = sim.run_until(StopCondition::QuietFor { quiet: 5, cap: 100 }, |_| false);
             assert!(outcome.went_quiet, "{engine:?}");
@@ -1812,11 +1666,7 @@ mod tests {
 
     #[test]
     fn elision_respects_the_cap_exactly() {
-        for engine in [
-            Engine::TransmitterCentric,
-            Engine::ListenerCentric,
-            Engine::EventDriven,
-        ] {
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
             let mut sim = pulse_sim(generators::path(6), engine);
             let outcome = sim.run_until(StopCondition::QuietFor { quiet: 10, cap: 4 }, |_| false);
             assert!(!outcome.went_quiet, "{engine:?}");
@@ -1827,11 +1677,7 @@ mod tests {
 
     #[test]
     fn elision_counts_after_rounds_exactly() {
-        for engine in [
-            Engine::TransmitterCentric,
-            Engine::ListenerCentric,
-            Engine::EventDriven,
-        ] {
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
             let mut sim = pulse_sim(generators::path(6), engine);
             let outcome = sim.run_rounds(50);
             assert_eq!(outcome.rounds_executed, 50, "{engine:?}");
@@ -1845,11 +1691,12 @@ mod tests {
         let nodes: Vec<Pulse> = (0..4).map(|v| Pulse::new(v == 0)).collect();
         let mut event = Simulator::new(generators::path(4), nodes).with_engine(Engine::EventDriven);
         let nodes: Vec<Pulse> = (0..4).map(|v| Pulse::new(v == 0)).collect();
-        let mut fast = Simulator::new(generators::path(4), nodes);
+        let mut reference =
+            Simulator::new(generators::path(4), nodes).with_engine(Engine::ListenerCentric);
         let a = event.run_until(StopCondition::QuietFor { quiet: 3, cap: 40 }, |_| false);
-        let b = fast.run_until(StopCondition::QuietFor { quiet: 3, cap: 40 }, |_| false);
+        let b = reference.run_until(StopCondition::QuietFor { quiet: 3, cap: 40 }, |_| false);
         assert_eq!(a, b);
-        assert_eq!(event.trace().rounds, fast.trace().rounds);
+        assert_eq!(event.trace().rounds, reference.trace().rounds);
         assert_eq!(event.trace().len() as u64, a.rounds_executed);
     }
 
@@ -1881,11 +1728,7 @@ mod tests {
                 .with_faults(&plan)
                 .without_trace()
         };
-        for engine in [
-            Engine::TransmitterCentric,
-            Engine::ListenerCentric,
-            Engine::EventDriven,
-        ] {
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
             let mut sim = make(engine);
             let outcome = sim.run_until(
                 StopCondition::QuietFor {
@@ -1898,6 +1741,34 @@ mod tests {
             // Rounds 10 and 11 jam; 30 quiet rounds after that ends at 41.
             assert_eq!(outcome.rounds_executed, 41, "{engine:?}");
         }
+    }
+
+    /// [`Pulse`] without the [`RadioNode::WAKE_HINTS`] declaration: its
+    /// hints would never be honoured, and debug builds must say so.
+    struct UndeclaredPulse(Pulse);
+
+    impl RadioNode for UndeclaredPulse {
+        type Msg = u64;
+        fn step(&mut self) -> Action<u64> {
+            self.0.step()
+        }
+        fn receive(&mut self, heard: Option<&u64>) {
+            self.0.receive(heard);
+        }
+        fn wake_hint(&self) -> u64 {
+            self.0.wake_hint()
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not declare RadioNode::WAKE_HINTS")]
+    fn dense_mode_rejects_an_undeclared_wake_hint() {
+        let nodes = (0..3)
+            .map(|v| UndeclaredPulse(Pulse::new(v == 0)))
+            .collect();
+        let mut sim = Simulator::new(generators::path(3), nodes).without_trace();
+        sim.run_rounds(2);
     }
 
     #[test]

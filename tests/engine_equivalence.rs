@@ -1,15 +1,14 @@
 //! Equivalence suite for the simulator engines.
 //!
-//! The fast engine rewrote delivery from "every listener scans its
-//! neighbourhood" to "every transmitter pushes along its CSR row", and the
-//! event-driven engine (`Engine::EventDriven`) further replaces per-round
-//! polling with a wake-hint frontier plus silent-round elision; the original
-//! algorithm is retained verbatim as `Simulator::step_round_reference`
-//! (selected with `Engine::ListenerCentric`). These tests replay seeded
-//! topologies under every `Scheme` — and under an adversarial
-//! pseudo-random protocol at the raw simulator level — and assert all
-//! three engines produce **identical** traces, node observations and
-//! `RunReport`s, field for field.
+//! The fast engine (`Engine::EventDriven`) rewrote delivery from "every
+//! listener scans its neighbourhood" to "every transmitter pushes along its
+//! CSR row", and drives a protocol that declares wake hints along its
+//! wake-hint frontier with silent-round elision; the original algorithm is
+//! retained verbatim as `Simulator::step_round_reference` (selected with
+//! `Engine::ListenerCentric`). These tests replay seeded topologies under
+//! every `Scheme` — and under an adversarial pseudo-random protocol at the
+//! raw simulator level — and assert both engines produce **identical**
+//! traces, node observations and `RunReport`s, field for field.
 
 use radio_labeling::broadcast::session::{RunReport, RunSpec, Scheme, Session, TracePolicy};
 use radio_labeling::graph::{generators, Graph};
@@ -17,13 +16,9 @@ use radio_labeling::radio::testing::ChaosNode;
 use radio_labeling::radio::{Engine, FaultPlan, Simulator, StopCondition};
 use std::sync::Arc;
 
-/// Every engine the simulator offers, reference first: each alternative
-/// engine is compared against `ListenerCentric`, the executable spec.
-const ENGINES: [Engine; 3] = [
-    Engine::ListenerCentric,
-    Engine::TransmitterCentric,
-    Engine::EventDriven,
-];
+/// Every engine the simulator offers, reference first: every engine after
+/// it is compared against `ListenerCentric`, the executable spec.
+const ENGINES: [Engine; 2] = [Engine::ListenerCentric, Engine::EventDriven];
 
 /// Seeded workload families: name, graph, and the sources to broadcast from.
 fn workloads() -> Vec<(String, Graph, Vec<usize>)> {
@@ -53,7 +48,7 @@ fn workloads() -> Vec<(String, Graph, Vec<usize>)> {
     w
 }
 
-/// Runs one spec on all three engines and asserts the reports are identical.
+/// Runs one spec on every engine and asserts the reports are identical.
 fn assert_engines_agree(scheme: Scheme, graph: &Arc<Graph>, source: usize, label: &str) {
     let build = |engine: Engine| {
         Session::builder(scheme, Arc::clone(graph))
@@ -71,7 +66,7 @@ fn assert_engines_agree(scheme: Scheme, graph: &Arc<Graph>, source: usize, label
         scheme.name()
     );
     let b2 = reference.run_with_message(99).unwrap();
-    for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+    for &engine in &ENGINES[1..] {
         let session = build(engine);
         let a: RunReport = session.run();
         assert_eq!(
@@ -131,7 +126,7 @@ fn engines_agree_with_tracing_disabled() {
                 .unwrap()
         };
         let reference = build(Engine::ListenerCentric).run();
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             assert_eq!(
                 build(engine).run(),
                 reference,
@@ -155,7 +150,7 @@ fn batch_runs_agree_across_engines() {
             .unwrap()
     };
     let reference = build(Engine::ListenerCentric).run_batch(&specs, 4).unwrap();
-    for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+    for &engine in &ENGINES[1..] {
         let batch = build(engine).run_batch(&specs, 4).unwrap();
         assert_eq!(batch, reference, "[{engine:?}]");
     }
@@ -183,7 +178,7 @@ fn multi_broadcast_reports_agree_across_engines() {
                 k.min(graph.node_count()),
                 "{label} k={k}"
             );
-            for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+            for &engine in &ENGINES[1..] {
                 assert_eq!(build(engine).run(), reference, "{label} k={k} [{engine:?}]");
             }
         }
@@ -211,7 +206,7 @@ fn multi_broadcast_raw_traces_identical_across_engines() {
             Simulator::new(Arc::clone(&graph), MultiNode::network(&scheme, &payloads))
                 .with_engine(Engine::ListenerCentric);
         let b = reference.run_until(stop, |_| false);
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             let mut sim =
                 Simulator::new(Arc::clone(&graph), MultiNode::network(&scheme, &payloads))
                     .with_engine(engine);
@@ -265,7 +260,7 @@ fn gossip_reports_agree_across_engines() {
             n,
             "{label}"
         );
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             assert_eq!(build(engine).run(), reference, "{label} [{engine:?}]");
         }
     }
@@ -290,7 +285,7 @@ fn gossip_raw_traces_identical_across_engines() {
             Simulator::new(Arc::clone(&graph), GossipNode::network(&scheme, &payloads))
                 .with_engine(Engine::ListenerCentric);
         let b = reference.run_until(stop, |_| false);
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             let mut sim =
                 Simulator::new(Arc::clone(&graph), GossipNode::network(&scheme, &payloads))
                     .with_engine(engine);
@@ -318,8 +313,8 @@ fn gossip_raw_traces_identical_across_engines() {
 
 // The adversarial pseudo-random protocol lives in `rn_radio::testing`
 // (shared with the in-crate fault suites); this file used to carry its own
-// copy. ChaosNode keeps the default wake hint of 0, so it also pins the
-// event-driven engine's exact per-round degeneration.
+// copy. ChaosNode declares no wake hints, so it also pins the fast engine's
+// dense mode.
 
 #[test]
 fn raw_traces_and_observations_identical_under_chaos() {
@@ -332,7 +327,7 @@ fn raw_traces_and_observations_identical_under_chaos() {
             let mut reference = Simulator::new(Arc::clone(&graph), ChaosNode::network(n, density))
                 .with_engine(Engine::ListenerCentric);
             let b = reference.run_until(StopCondition::AfterRounds(60), |_| false);
-            for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+            for &engine in &ENGINES[1..] {
                 let mut sim = Simulator::new(Arc::clone(&graph), ChaosNode::network(n, density))
                     .with_engine(engine);
                 let a = sim.run_until(StopCondition::AfterRounds(60), |_| false);
@@ -409,7 +404,7 @@ fn all_general_schemes_agree_under_seeded_fault_plans() {
                     b.delivery_rate >= 0.0 && b.delivery_rate <= 1.0,
                     "{label}: delivery_rate out of range"
                 );
-                for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+                for &engine in &ENGINES[1..] {
                     let session = build(engine);
                     let a: RunReport = session.run();
                     assert_eq!(
@@ -443,7 +438,7 @@ fn chaos_traces_and_observations_identical_under_faults() {
             .with_engine(Engine::ListenerCentric)
             .with_faults(&plan);
         let b = reference.run_until(StopCondition::AfterRounds(60), |_| false);
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             let mut sim = Simulator::new(Arc::clone(&graph), ChaosNode::network(n, 3))
                 .with_engine(engine)
                 .with_faults(&plan);
@@ -466,9 +461,9 @@ fn chaos_traces_and_observations_identical_under_faults() {
 
 #[test]
 fn chaos_without_trace_agrees_across_engines() {
-    // Tracing off turns on silent-span elision in the event-driven engine;
-    // the chaos protocol (default hint 0) must force exact per-round
-    // execution anyway, with identical outcomes and observation logs.
+    // Tracing off is where the fast engine elides quiet spans for a
+    // hinting protocol; the chaos protocol declares no hints, so it runs
+    // densely, every round, with identical outcomes and observation logs.
     for (label, graph, _) in workloads() {
         let graph = Arc::new(graph);
         let n = graph.node_count();
@@ -476,7 +471,7 @@ fn chaos_without_trace_agrees_across_engines() {
             .with_engine(Engine::ListenerCentric)
             .without_trace();
         let b = reference.run_until(StopCondition::QuietFor { quiet: 2, cap: 80 }, |_| false);
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
+        for &engine in &ENGINES[1..] {
             let mut sim = Simulator::new(Arc::clone(&graph), ChaosNode::network(n, 4))
                 .with_engine(engine)
                 .without_trace();
@@ -635,8 +630,8 @@ fn engines_list_is_exhaustive() {
     // until it is added both here and to `ENGINES` above.
     for engine in ENGINES {
         match engine {
-            Engine::TransmitterCentric | Engine::ListenerCentric | Engine::EventDriven => {}
+            Engine::ListenerCentric | Engine::EventDriven => {}
         }
     }
-    assert_eq!(ENGINES.len(), 3);
+    assert_eq!(ENGINES.len(), 2);
 }

@@ -183,7 +183,7 @@ fn session_builder_rejects_invalid_inputs() {
 /// Builds a session for `scheme` on `g` under `plan` with `engine` and
 /// returns its report plus its recorded trace shape. Used by the fault-plan
 /// edge-case tests below, which pin degenerate plans to identical behaviour
-/// across all three engines.
+/// across both engines.
 fn faulted_run(
     scheme: Scheme,
     g: &std::sync::Arc<radio_labeling::graph::Graph>,
@@ -201,8 +201,8 @@ fn faulted_run(
         .run_shaped()
 }
 
-const ALL_ENGINES: [radio_labeling::radio::Engine; 3] = [
-    radio_labeling::radio::Engine::TransmitterCentric,
+/// Both engines, reference first.
+const ALL_ENGINES: [radio_labeling::radio::Engine; 2] = [
     radio_labeling::radio::Engine::ListenerCentric,
     radio_labeling::radio::Engine::EventDriven,
 ];
@@ -229,7 +229,7 @@ fn zero_length_jam_is_a_complete_noop_on_every_engine() {
 fn duplicate_crash_events_behave_like_the_earliest_crash() {
     // Two crash events for the same node collapse to the earliest round.
     // The duplicate changes the injection *count* (the plan really carries
-    // two events) but must not change the executed timeline, and all three
+    // two events) but must not change the executed timeline, and both
     // engines must agree event-for-event.
     let g = std::sync::Arc::new(generators::path(10));
     let dup = FaultPlan::none().crash(5, 6).crash(5, 3);
@@ -250,7 +250,7 @@ fn duplicate_crash_events_behave_like_the_earliest_crash() {
 fn crash_and_late_wake_on_the_same_node_pin_across_engines() {
     // A node that wakes late *and* crashes: asleep through round 4, alive
     // for round 5, dead from round 6. The interleaving exercises both the
-    // inert-node and forced-wake paths in every engine; all three must
+    // inert-node and forced-wake paths in every engine; both must
     // produce the identical report and trace shape, deterministically.
     let g = std::sync::Arc::new(generators::path(8));
     let plan = FaultPlan::none().late_wake(3, 5).crash(3, 6);

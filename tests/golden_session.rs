@@ -41,11 +41,7 @@ const MESSAGE: u64 = 42;
 
 const TRACES: [TracePolicy; 2] = [TracePolicy::Recorded, TracePolicy::Disabled];
 
-const ENGINES: [Engine; 3] = [
-    Engine::ListenerCentric,
-    Engine::TransmitterCentric,
-    Engine::EventDriven,
-];
+const ENGINES: [Engine; 2] = [Engine::ListenerCentric, Engine::EventDriven];
 
 /// The schemes defined on every connected graph: `Scheme::GENERAL` plus a
 /// larger multi-broadcast.

@@ -1,14 +1,14 @@
 //! Trace fidelity across the simulator engines, on every topology preset.
 //!
-//! The event-driven engine skips quiet nodes in its decide pass and — with
-//! tracing off — elides whole silent spans; with tracing **on** it must
-//! still materialise every round exactly as the per-round engines do. These
+//! For a protocol that declares wake hints, the fast engine skips quiet
+//! nodes in its decide pass and — with tracing off — elides whole silent
+//! spans; with tracing **on** it must still materialise every round exactly
+//! as the listener-centric reference engine does. These
 //! tests replay a hint-heavy relay protocol and a faulted chaos workload on
 //! all 18 [`TopologyFamily::PRESETS`] and pin the parts of the [`Trace`]
 //! downstream analyses consume: contiguous round numbering, the
 //! `first_receive_rounds_bucketed` completion matrices, and the placement
-//! of `NodeEvent::Faulted` markers — byte-identical across all three
-//! engines.
+//! of `NodeEvent::Faulted` markers — byte-identical across both engines.
 
 use radio_labeling::graph::generators::TopologyFamily;
 use radio_labeling::graph::Graph;
@@ -53,6 +53,7 @@ impl Flood {
 
 impl RadioNode for Flood {
     type Msg = u64;
+    const WAKE_HINTS: bool = true;
     fn step(&mut self) -> Action<u64> {
         match self.holding.take() {
             Some(hop) if !self.relayed => {
@@ -104,21 +105,20 @@ fn round_numbering_is_contiguous_and_identical_on_all_presets() {
             rounds > 0,
             "{label}: flood should execute at least one round"
         );
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
-            let sim = flood_run(&graph, engine);
-            for (i, record) in sim.trace().rounds.iter().enumerate() {
-                assert_eq!(
-                    record.round,
-                    i as u64 + 1,
-                    "{label} [{engine:?}]: round numbering has a gap"
-                );
-            }
+        let engine = Engine::EventDriven;
+        let sim = flood_run(&graph, engine);
+        for (i, record) in sim.trace().rounds.iter().enumerate() {
             assert_eq!(
-                sim.trace().rounds,
-                reference.trace().rounds,
-                "{label} [{engine:?}]: traces differ"
+                record.round,
+                i as u64 + 1,
+                "{label} [{engine:?}]: round numbering has a gap"
             );
         }
+        assert_eq!(
+            sim.trace().rounds,
+            reference.trace().rounds,
+            "{label} [{engine:?}]: traces differ"
+        );
     }
 }
 
@@ -140,24 +140,23 @@ fn first_receive_buckets_identical_on_all_presets() {
         let expected = reference
             .trace()
             .first_receive_rounds_bucketed(n, BUCKETS, bucket);
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
-            let sim = flood_run(&graph, engine);
-            let got = sim
-                .trace()
-                .first_receive_rounds_bucketed(n, BUCKETS, bucket);
+        let engine = Engine::EventDriven;
+        let sim = flood_run(&graph, engine);
+        let got = sim
+            .trace()
+            .first_receive_rounds_bucketed(n, BUCKETS, bucket);
+        assert_eq!(
+            got, expected,
+            "{label} [{engine:?}]: bucket matrices differ"
+        );
+        for v in 0..n {
+            let min_over_buckets = got.iter().filter_map(|row| row[v]).min();
             assert_eq!(
-                got, expected,
-                "{label} [{engine:?}]: bucket matrices differ"
+                min_over_buckets,
+                sim.trace().first_receive_round(v),
+                "{label} [{engine:?}]: node {v} bucket min disagrees with \
+                 first_receive_round"
             );
-            for v in 0..n {
-                let min_over_buckets = got.iter().filter_map(|row| row[v]).min();
-                assert_eq!(
-                    min_over_buckets,
-                    sim.trace().first_receive_round(v),
-                    "{label} [{engine:?}]: node {v} bucket min disagrees with \
-                     first_receive_round"
-                );
-            }
         }
     }
 }
@@ -192,21 +191,20 @@ fn faulted_marker_placement_identical_on_all_presets() {
                 "{label}: victim {v} carries no Faulted marker"
             );
         }
-        for engine in [Engine::TransmitterCentric, Engine::EventDriven] {
-            let sim = run(engine);
-            for v in 0..n {
-                assert_eq!(
-                    sim.trace().fault_rounds(v),
-                    reference.trace().fault_rounds(v),
-                    "{label} [{engine:?}]: node {v} Faulted placement differs"
-                );
-            }
+        let engine = Engine::EventDriven;
+        let sim = run(engine);
+        for v in 0..n {
             assert_eq!(
-                sim.trace().rounds,
-                reference.trace().rounds,
-                "{label} [{engine:?}]: faulted traces differ"
+                sim.trace().fault_rounds(v),
+                reference.trace().fault_rounds(v),
+                "{label} [{engine:?}]: node {v} Faulted placement differs"
             );
         }
+        assert_eq!(
+            sim.trace().rounds,
+            reference.trace().rounds,
+            "{label} [{engine:?}]: faulted traces differ"
+        );
     }
 }
 
