@@ -85,9 +85,8 @@ pub struct SweepSpec {
     /// the physics, only how fast rounds are driven, so reports produced
     /// under the two engines must be identical — the CI equivalence gate
     /// runs the same sweep on the reference and the fast engine and `cmp`s
-    /// the reports byte for byte
-    /// (the engine is deliberately left out of the serialised spec metadata
-    /// for exactly that comparison).
+    /// the reports byte for byte (the engine is deliberately left out of
+    /// the serialised spec metadata for exactly that comparison).
     pub engine: Engine,
 }
 
