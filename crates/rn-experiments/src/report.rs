@@ -2,14 +2,15 @@
 //!
 //! Every experiment produces one or more [`Table`]s: a title, a header row
 //! and data rows, rendered as aligned monospace text (the same style as the
-//! rows a paper's evaluation section would print). Tables serialise with
-//! serde so they can also be dumped as structured data.
+//! rows a paper's evaluation section would print). Tables are for people;
+//! the machine-readable reports ([`crate::emit`] and the gate binaries'
+//! `--json` files) are written with the dependency-free encoders in
+//! `rn_telemetry::json`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectangular report table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table title, e.g. `"E2: broadcast completion round vs 2n-3"`.
     pub title: String,

@@ -20,7 +20,6 @@ use super::{adversarial, basic, clustered, geometric, grid, random, structured, 
 use crate::algorithms::is_connected;
 use crate::error::GraphError;
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// A named, parameterized graph family: the unified topology registry's
 /// unit of currency.
@@ -47,7 +46,7 @@ use serde::{Deserialize, Serialize};
 /// // Same (family, n, seed) -> identical graph, on every machine.
 /// assert_eq!(g, fam.generate(65, 1).unwrap());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyFamily {
     /// Path P_n: the diameter worst case (broadcast needs ~n rounds).
     Path,

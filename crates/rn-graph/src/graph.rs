@@ -6,7 +6,6 @@
 //! [`GraphBuilder`], and the basic accessors every other crate relies on.
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node inside a [`Graph`]. Nodes are always `0..n`.
 pub type NodeId = usize;
@@ -45,7 +44,7 @@ pub type NodeId = usize;
 /// assert_eq!(g.max_degree(), 2);
 /// # Ok::<(), rn_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// All adjacency rows, concatenated in node order (each row sorted).
     neighbors: Vec<NodeId>,
@@ -524,23 +523,6 @@ mod tests {
     fn from_edges_error_propagates() {
         assert!(Graph::from_edges(2, &[(0, 1), (0, 1)]).is_err());
         assert!(Graph::from_edges(2, &[(0, 2)]).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = triangle();
-        let s = serde_json_like(&g);
-        assert!(s.contains("offsets"));
-    }
-
-    // serde_json is not a dependency; just check that the Serialize impl is
-    // usable through a trivial serializer (serde's derive is exercised by the
-    // experiments crate too).
-    fn serde_json_like(g: &Graph) -> String {
-        format!(
-            "neighbors={:?} offsets={:?} m={}",
-            g.neighbors, g.offsets, g.edge_count
-        )
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! bit 2 is `x3`, ...), which supports the constant-length schemes as well as
 //! the O(log n)-bit baselines for any realistic `n`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum supported label length in bits.
@@ -20,7 +19,7 @@ pub const MAX_LABEL_BITS: usize = 64;
 ///
 /// The paper writes labels as strings `x1 x2 x3 …`; accessors [`Label::x1`],
 /// [`Label::x2`], [`Label::x3`] follow that naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label {
     bits: u64,
     len: u8,
@@ -127,7 +126,7 @@ impl fmt::Display for Label {
 }
 
 /// A labeling of a whole graph: one [`Label`] per node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Labeling {
     labels: Vec<Label>,
     scheme: &'static str,
