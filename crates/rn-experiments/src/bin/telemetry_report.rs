@@ -12,10 +12,12 @@
 //! telemetry-report --bench-guard old.json new.json --threshold 30
 //! ```
 //!
-//! The sidecar parser is hand-rolled (the build pins serde to an inert
-//! shim) and tolerant: unknown events and malformed lines are counted and
-//! skipped, so a sidecar truncated by a crash still reports everything it
-//! captured.
+//! The sidecar parser is hand-rolled (the workspace stays dependency-free
+//! by choice; the writer's encoders live in `rn_telemetry::json`) and
+//! tolerant: unknown events and malformed lines are counted and skipped, so
+//! a sidecar truncated by a crash still reports everything it captured.
+//! Counters are read, folded and printed by walking
+//! [`RunCounters::TABLE`], the same table the sidecar writer uses.
 //!
 //! `--bench-guard` compares two `BENCH_simulator*.json` files workload by
 //! workload: for each workload present in both files at the same `n`, the
@@ -69,8 +71,8 @@ struct Accumulated {
     skipped_lines: u64,
     /// Total wall nanos per (engine, phase), in first-seen order.
     phase_nanos: Vec<(String, String, u64)>,
-    /// Deterministic counters aggregated over every instrumented point:
-    /// totals are summed, high-water marks keep the maximum.
+    /// Deterministic counters aggregated over every instrumented point,
+    /// each folded as its table entry says.
     counters: RunCounters,
     saw_counters: bool,
     peak_rss_kb: u64,
@@ -92,38 +94,11 @@ impl Accumulated {
     }
 
     fn add_counters(&mut self, obj: &str) {
-        let take = |key: &str, maximum: bool, slot: &mut u64| {
-            if let Some(v) = extract_u64(obj, key) {
-                if maximum {
-                    *slot = (*slot).max(v);
-                } else {
-                    *slot += v;
-                }
+        for counter in &RunCounters::TABLE {
+            if let Some(v) = extract_u64(obj, counter.key) {
+                counter.fold_into(&mut self.counters, v);
             }
-        };
-        take("rounds", false, &mut self.counters.rounds);
-        take("transmitters", false, &mut self.counters.transmitters);
-        take("transmissions", false, &mut self.counters.transmissions);
-        take("deliveries", false, &mut self.counters.deliveries);
-        take("collisions", false, &mut self.counters.collisions);
-        take("rx_faults", false, &mut self.counters.rx_faults);
-        take("silent_rounds", false, &mut self.counters.silent_rounds);
-        take(
-            "max_transmitters_per_round",
-            true,
-            &mut self.counters.max_transmitters_per_round,
-        );
-        take("total_bits", false, &mut self.counters.total_bits);
-        take(
-            "max_message_bits",
-            true,
-            &mut self.counters.max_message_bits,
-        );
-        take("frontier_peak", true, &mut self.counters.frontier_peak);
-        take("elided_rounds", false, &mut self.counters.elided_rounds);
-        take("elided_spans", false, &mut self.counters.elided_spans);
-        take("scratch_reused", false, &mut self.counters.scratch_reused);
-        take("scratch_fresh", false, &mut self.counters.scratch_fresh);
+        }
         self.saw_counters = true;
     }
 }
@@ -222,22 +197,8 @@ fn render_report(acc: &Accumulated, prometheus: bool) {
             "aggregated run counters (deterministic)",
             &["metric", "value"],
         );
-        for (name, value) in [
-            ("rounds", c.rounds),
-            ("transmissions", c.transmissions),
-            ("deliveries", c.deliveries),
-            ("collisions", c.collisions),
-            ("rx_faults", c.rx_faults),
-            ("silent_rounds", c.silent_rounds),
-            ("total_bits", c.total_bits),
-            ("max_transmitters_per_round", c.max_transmitters_per_round),
-            ("frontier_peak", c.frontier_peak),
-            ("elided_rounds", c.elided_rounds),
-            ("elided_spans", c.elided_spans),
-            ("scratch_reused", c.scratch_reused),
-            ("scratch_fresh", c.scratch_fresh),
-        ] {
-            t.push_row(vec![name.to_string(), value.to_string()]);
+        for counter in &RunCounters::TABLE {
+            t.push_row(vec![counter.key.to_string(), counter.get(c).to_string()]);
         }
         println!("{}", t.render());
         if prometheus {
@@ -419,6 +380,64 @@ fn main() {
         Err(e) => {
             eprintln!("error: reading {path}: {e}");
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rn_telemetry::{Fold, JsonlEvent};
+
+    /// Every counter set, each to a distinct value.
+    fn distinct_counters() -> RunCounters {
+        RunCounters {
+            rounds: 1,
+            transmitters: 2,
+            transmissions: 3,
+            deliveries: 4,
+            collisions: 5,
+            rx_faults: 6,
+            silent_rounds: 7,
+            max_transmitters_per_round: 8,
+            total_bits: 9,
+            max_message_bits: 10,
+            frontier_peak: 11,
+            elided_rounds: 12,
+            elided_spans: 13,
+            scratch_reused: 14,
+            scratch_fresh: 15,
+        }
+    }
+
+    #[test]
+    fn sidecar_counters_round_trip_through_the_table() {
+        let run = distinct_counters();
+        let line = JsonlEvent::new("point").counters("counters", &run).finish();
+        let acc = accumulate(&format!("{line}{line}"));
+        assert_eq!(acc.points, 2);
+        assert!(acc.saw_counters);
+        for counter in &RunCounters::TABLE {
+            let once = counter.get(&run);
+            let expected = match counter.fold {
+                Fold::Sum => 2 * once,
+                Fold::Max => once,
+            };
+            assert_eq!(counter.get(&acc.counters), expected, "{}", counter.key);
+        }
+
+        let text = render_prometheus(&acc.counters, &[]);
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(samples.len(), RunCounters::TABLE.len(), "{text}");
+        for (sample, counter) in samples.iter().zip(&RunCounters::TABLE) {
+            assert!(
+                sample.starts_with(&format!("rn_{}", counter.key)),
+                "{sample}"
+            );
+            assert!(
+                sample.ends_with(&format!(" {}", counter.get(&acc.counters))),
+                "{sample}"
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Machine-readable report emission: JSON and CSV renderings of a
 //! [`SweepReport`].
 //!
-//! The build environment pins `serde` to an inert offline shim (see
-//! `crates/shims/serde`), so these emitters format the JSON by hand. The
+//! The workspace stays dependency-free by choice, so these emitters lay out
+//! the JSON by hand and encode every value with [`rn_telemetry::json`]. The
 //! shape is stable and self-describing: a `spec` block that fully reproduces
 //! the sweep (families with parameters, sizes, schemes, seeds), the flat
 //! `records` array, the per-scheme `label_length_histograms`, and a
@@ -10,33 +10,12 @@
 //! records only — one row per executed run, ready for a dataframe.
 
 use crate::scenario::{SweepReport, SweepSpec};
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `Option<u64>` as a JSON number or `null`.
-fn json_opt(x: Option<u64>) -> String {
-    x.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
+use rn_telemetry::json;
 
 /// Formats the per-message completion rounds as a JSON array of numbers
 /// and `null`s (empty for single-source runs).
 fn json_rounds(rounds: &[Option<u64>]) -> String {
-    let entries: Vec<String> = rounds.iter().map(|&r| json_opt(r)).collect();
+    let entries: Vec<String> = rounds.iter().map(|&r| json::opt_u64(r)).collect();
     format!("[{}]", entries.join(", "))
 }
 
@@ -52,16 +31,6 @@ fn csv_rounds(rounds: &[Option<u64>]) -> String {
         .join(";")
 }
 
-/// Formats a float as JSON (finite values only; the report never produces
-/// NaN/infinity, but guard anyway since JSON cannot carry them).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn spec_json(spec: &SweepSpec) -> String {
     // The faults axis is always emitted — a default spec renders as
     // ["none"], so a plain sweep and an explicit `--faults none` sweep
@@ -69,7 +38,7 @@ fn spec_json(spec: &SweepSpec) -> String {
     let faults: Vec<String> = spec
         .faults
         .iter()
-        .map(|f| format!("\"{}\"", json_escape(&f.to_string())))
+        .map(|f| format!("\"{}\"", json::escape(&f.to_string())))
         .collect();
     let families: Vec<String> = spec
         .families
@@ -77,15 +46,15 @@ fn spec_json(spec: &SweepSpec) -> String {
         .map(|f| {
             format!(
                 "{{\"name\": \"{}\", \"params\": \"{}\"}}",
-                json_escape(f.name()),
-                json_escape(&f.params())
+                json::escape(f.name()),
+                json::escape(&f.params())
             )
         })
         .collect();
     let schemes: Vec<String> = spec
         .schemes
         .iter()
-        .map(|s| format!("\"{}\"", json_escape(s.name())))
+        .map(|s| format!("\"{}\"", json::escape(s.name())))
         .collect();
     let sizes: Vec<String> = spec
         .sizes
@@ -129,29 +98,29 @@ pub fn to_json(report: &SweepReport) -> String {
              \"transmissions\": {}, \"collisions\": {}, \"silent_rounds\": {}, \
              \"fault_spec\": \"{}\", \"delivery_rate\": {}, \"stalled_at\": {}, \
              \"faults_injected\": {}}}",
-            json_escape(r.family),
-            json_escape(&r.family_params),
+            json::escape(r.family),
+            json::escape(&r.family_params),
             r.n_requested,
             r.n,
             r.edges,
             r.max_degree,
-            json_f64(r.avg_degree),
+            json::f64(r.avg_degree),
             r.seed,
-            json_escape(r.scheme),
+            json::escape(r.scheme),
             r.source,
             r.k_sources,
             r.label_length,
             r.distinct_labels,
-            json_opt(r.completion_round),
-            json_opt(r.predicted_completion_round),
+            json::opt_u64(r.completion_round),
+            json::opt_u64(r.predicted_completion_round),
             json_rounds(&r.message_completion_rounds),
             r.rounds_executed,
             r.transmissions,
             r.collisions,
             r.silent_rounds,
-            json_escape(&r.fault_spec),
-            json_f64(r.delivery_rate),
-            json_opt(r.stalled_at),
+            json::escape(&r.fault_spec),
+            json::f64(r.delivery_rate),
+            json::opt_u64(r.stalled_at),
             r.faults_injected,
         ));
     }
@@ -166,7 +135,7 @@ pub fn to_json(report: &SweepReport) -> String {
             .collect();
         histograms.push_str(&format!(
             "    \"{}\": {{{}}}",
-            json_escape(scheme),
+            json::escape(scheme),
             entries.join(", ")
         ));
     }
@@ -178,17 +147,17 @@ pub fn to_json(report: &SweepReport) -> String {
         let (mean, max) = s
             .completion_rounds
             .map_or(("null".to_string(), "null".to_string()), |c| {
-                (json_f64(c.mean), json_f64(c.max))
+                (json::f64(c.mean), json::f64(c.max))
             });
         let coll = s
             .collisions
-            .map_or("null".to_string(), |c| json_f64(c.mean));
+            .map_or("null".to_string(), |c| json::f64(c.mean));
         summaries.push_str(&format!(
             "    {{\"family\": \"{}\", \"scheme\": \"{}\", \"runs\": {}, \"completed\": {}, \
              \"mean_completion_round\": {}, \"max_completion_round\": {}, \
              \"mean_collisions\": {}, \"max_label_length\": {}}}",
-            json_escape(s.family),
-            json_escape(s.scheme),
+            json::escape(s.family),
+            json::escape(s.scheme),
             s.runs,
             s.completed,
             mean,
@@ -200,7 +169,7 @@ pub fn to_json(report: &SweepReport) -> String {
     format!(
         "{{\n  \"sweep\": \"{}\",\n  \"spec\": {},\n  \"records\": [\n{}\n  ],\n  \
          \"label_length_histograms\": {{\n{}\n  }},\n  \"summary\": [\n{}\n  ]\n}}\n",
-        json_escape(&report.name),
+        json::escape(&report.name),
         spec_json(&report.spec),
         records,
         histograms,
@@ -320,21 +289,19 @@ mod tests {
     }
 
     #[test]
-    fn string_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn csv_field_escaping() {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
-    fn escaping_handles_family_param_shaped_strings() {
+    fn csv_escaping_handles_family_param_shaped_strings() {
         // Family parameter strings contain commas and equals signs
         // (clustered_gnp: "clusters=6,p_in=0.6,p_out=0.01"); adversarial
-        // inputs could carry quotes, newlines, tabs and control characters.
+        // inputs could carry quotes and newlines.
         let params = "clusters=6,p_in=0.6,p_out=0.01";
         assert_eq!(csv_field(params), format!("\"{params}\""));
-        assert_eq!(json_escape(params), params, "JSON needs no comma escape");
 
         assert_eq!(csv_field("a\nb"), "\"a\nb\"", "newline forces quoting");
         assert_eq!(
@@ -342,8 +309,6 @@ mod tests {
             "\"p=\"\"x\"\",q=2\"",
             "quotes double inside a quoted field"
         );
-        assert_eq!(json_escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-        assert_eq!(json_escape("nul\u{1}"), "nul\\u0001");
     }
 
     #[test]
@@ -389,7 +354,7 @@ mod tests {
         assert!(json.contains("\"completion_round\": null"));
         // Sanity on the document as a whole: balanced delimiters and no raw
         // control characters outside escapes (a cheap stand-in for a full
-        // parser round-trip; the shim environment has no serde_json).
+        // parser round-trip; the workspace has no JSON parser).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.chars().all(|c| c == '\n' || !c.is_control()));

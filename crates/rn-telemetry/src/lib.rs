@@ -12,7 +12,9 @@
 //!   functions of the executed protocol — transmitters, collisions,
 //!   deliveries, bits — and therefore must agree bit-for-bit across
 //!   engines, thread counts, and reruns. They are allowed to join reports
-//!   and test assertions.
+//!   and test assertions. [`RunCounters::TABLE`] is their one vocabulary:
+//!   the sidecar, Prometheus and `telemetry-report` all walk it, in its
+//!   order, under its keys.
 //! * **Nondeterministic samples** ([`SpanRecord`] wall-clock times,
 //!   [`peak_rss_kb`]) vary run to run and are only ever written to
 //!   *sidecar* streams (`metrics.jsonl`), never to the main report files —
@@ -25,6 +27,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::fmt;
 use std::time::Instant;
@@ -143,6 +147,83 @@ pub struct RunCounters {
     pub scratch_reused: u64,
     /// Scratch buffers freshly allocated.
     pub scratch_fresh: u64,
+}
+
+/// How a counter combines across runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// A running total: runs add up.
+    Sum,
+    /// A high-water mark: the larger value wins.
+    Max,
+}
+
+/// One entry of [`RunCounters::TABLE`]: a counter's key and how it folds
+/// across runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter {
+    /// The counter's key in every exposition (its [`RunCounters`] field
+    /// name).
+    pub key: &'static str,
+    /// How the counter combines across runs.
+    pub fold: Fold,
+    field: fn(&mut RunCounters) -> &mut u64,
+}
+
+impl Counter {
+    const fn sum(key: &'static str, field: fn(&mut RunCounters) -> &mut u64) -> Self {
+        Counter {
+            key,
+            fold: Fold::Sum,
+            field,
+        }
+    }
+
+    const fn max(key: &'static str, field: fn(&mut RunCounters) -> &mut u64) -> Self {
+        Counter {
+            key,
+            fold: Fold::Max,
+            field,
+        }
+    }
+
+    /// The counter's value in `counters`.
+    pub fn get(&self, counters: &RunCounters) -> u64 {
+        let mut copy = *counters;
+        *(self.field)(&mut copy)
+    }
+
+    /// Folds one run's `value` into the aggregate `counters`.
+    pub fn fold_into(&self, counters: &mut RunCounters, value: u64) {
+        let slot = (self.field)(counters);
+        *slot = match self.fold {
+            Fold::Sum => *slot + value,
+            Fold::Max => (*slot).max(value),
+        };
+    }
+}
+
+impl RunCounters {
+    /// Every counter, in exposition order.
+    pub const TABLE: [Counter; 15] = [
+        Counter::sum("rounds", |c| &mut c.rounds),
+        Counter::sum("transmitters", |c| &mut c.transmitters),
+        Counter::sum("transmissions", |c| &mut c.transmissions),
+        Counter::sum("deliveries", |c| &mut c.deliveries),
+        Counter::sum("collisions", |c| &mut c.collisions),
+        Counter::sum("rx_faults", |c| &mut c.rx_faults),
+        Counter::sum("silent_rounds", |c| &mut c.silent_rounds),
+        Counter::max("max_transmitters_per_round", |c| {
+            &mut c.max_transmitters_per_round
+        }),
+        Counter::sum("total_bits", |c| &mut c.total_bits),
+        Counter::max("max_message_bits", |c| &mut c.max_message_bits),
+        Counter::max("frontier_peak", |c| &mut c.frontier_peak),
+        Counter::sum("elided_rounds", |c| &mut c.elided_rounds),
+        Counter::sum("elided_spans", |c| &mut c.elided_spans),
+        Counter::sum("scratch_reused", |c| &mut c.scratch_reused),
+        Counter::sum("scratch_fresh", |c| &mut c.scratch_fresh),
+    ];
 }
 
 /// The standard aggregating sink: folds every round into a [`RunCounters`].
@@ -302,9 +383,11 @@ pub fn peak_rss_kb() -> u64 {
 }
 
 /// Renders the aggregate counters in the Prometheus text exposition format
-/// (one `# TYPE` header per metric, `rn_` prefix), with the given label
-/// pairs attached to every sample — ready for a `/metrics` endpoint when
-/// the networked runtime lands.
+/// (one `# TYPE` header per metric), with the given label pairs attached to
+/// every sample — ready for a `/metrics` endpoint when the networked
+/// runtime lands. Each [`RunCounters::TABLE`] entry becomes one metric:
+/// `rn_<key>_total` (a counter) for a sum, `rn_<key>` (a gauge) for a
+/// maximum.
 pub fn render_prometheus(counters: &RunCounters, labels: &[(&str, &str)]) -> String {
     let label_str = if labels.is_empty() {
         String::new()
@@ -315,52 +398,16 @@ pub fn render_prometheus(counters: &RunCounters, labels: &[(&str, &str)]) -> Str
             .collect();
         format!("{{{}}}", pairs.join(","))
     };
-    let metrics: [(&str, &str, u64); 12] = [
-        ("rn_rounds_total", "counter", counters.rounds),
-        ("rn_transmitters_total", "counter", counters.transmitters),
-        ("rn_transmissions_total", "counter", counters.transmissions),
-        ("rn_deliveries_total", "counter", counters.deliveries),
-        ("rn_collisions_total", "counter", counters.collisions),
-        ("rn_rx_faults_total", "counter", counters.rx_faults),
-        ("rn_silent_rounds_total", "counter", counters.silent_rounds),
-        ("rn_bits_total", "counter", counters.total_bits),
-        (
-            "rn_max_transmitters_per_round",
-            "gauge",
-            counters.max_transmitters_per_round,
-        ),
-        ("rn_frontier_peak", "gauge", counters.frontier_peak),
-        ("rn_elided_rounds_total", "counter", counters.elided_rounds),
-        (
-            "rn_scratch_reused_total",
-            "counter",
-            counters.scratch_reused,
-        ),
-    ];
     let mut out = String::new();
-    for (name, kind, value) in metrics {
+    for counter in &RunCounters::TABLE {
+        let (name, kind) = match counter.fold {
+            Fold::Sum => (format!("rn_{}_total", counter.key), "counter"),
+            Fold::Max => (format!("rn_{}", counter.key), "gauge"),
+        };
+        let value = counter.get(counters);
         out.push_str(&format!(
             "# TYPE {name} {kind}\n{name}{label_str} {value}\n"
         ));
-    }
-    out
-}
-
-/// Escapes a string for inclusion in a JSON string literal (the sidecar
-/// streams are hand-formatted: the build environment pins serde to an
-/// inert shim).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -377,7 +424,7 @@ impl JsonlEvent {
     pub fn new(event: &str) -> Self {
         let mut e = JsonlEvent { fields: Vec::new() };
         e.fields
-            .push(format!("\"event\":\"{}\"", json_escape(event)));
+            .push(format!("\"event\":\"{}\"", json::escape(event)));
         e
     }
 
@@ -385,8 +432,8 @@ impl JsonlEvent {
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.fields.push(format!(
             "\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
+            json::escape(key),
+            json::escape(value)
         ));
         self
     }
@@ -394,47 +441,28 @@ impl JsonlEvent {
     /// Adds an integer field.
     pub fn num(mut self, key: &str, value: u64) -> Self {
         self.fields
-            .push(format!("\"{}\":{value}", json_escape(key)));
+            .push(format!("\"{}\":{value}", json::escape(key)));
         self
     }
 
-    /// Adds a float field (rendered with 4 decimal places; non-finite
-    /// values render as `null` since JSON cannot carry them).
+    /// Adds a float field, encoded by [`json::f64`].
     pub fn f64(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value:.4}")
-        } else {
-            "null".to_string()
-        };
         self.fields
-            .push(format!("\"{}\":{rendered}", json_escape(key)));
+            .push(format!("\"{}\":{}", json::escape(key), json::f64(value)));
         self
     }
 
-    /// Adds the aggregate counters as a nested object under `key`.
+    /// Adds the aggregate counters as a nested object under `key`, one
+    /// field per [`RunCounters::TABLE`] entry.
     pub fn counters(mut self, key: &str, c: &RunCounters) -> Self {
+        let entries: Vec<String> = RunCounters::TABLE
+            .iter()
+            .map(|counter| format!("\"{}\":{}", counter.key, counter.get(c)))
+            .collect();
         self.fields.push(format!(
-            "\"{}\":{{\"rounds\":{},\"transmitters\":{},\"transmissions\":{},\
-             \"deliveries\":{},\"collisions\":{},\"rx_faults\":{},\"silent_rounds\":{},\
-             \"max_transmitters_per_round\":{},\"total_bits\":{},\"max_message_bits\":{},\
-             \"frontier_peak\":{},\"elided_rounds\":{},\"elided_spans\":{},\
-             \"scratch_reused\":{},\"scratch_fresh\":{}}}",
-            json_escape(key),
-            c.rounds,
-            c.transmitters,
-            c.transmissions,
-            c.deliveries,
-            c.collisions,
-            c.rx_faults,
-            c.silent_rounds,
-            c.max_transmitters_per_round,
-            c.total_bits,
-            c.max_message_bits,
-            c.frontier_peak,
-            c.elided_rounds,
-            c.elided_spans,
-            c.scratch_reused,
-            c.scratch_fresh,
+            "\"{}\":{{{}}}",
+            json::escape(key),
+            entries.join(",")
         ));
         self
     }
@@ -443,11 +471,11 @@ impl JsonlEvent {
     pub fn spans(mut self, key: &str, spans: &[SpanRecord]) -> Self {
         let entries: Vec<String> = spans
             .iter()
-            .map(|s| format!("\"{}\":{}", json_escape(s.name), s.wall_nanos))
+            .map(|s| format!("\"{}\":{}", json::escape(s.name), s.wall_nanos))
             .collect();
         self.fields.push(format!(
             "\"{}\":{{{}}}",
-            json_escape(key),
+            json::escape(key),
             entries.join(",")
         ));
         self
@@ -584,6 +612,34 @@ mod tests {
     }
 
     #[test]
+    fn counter_table_addresses_every_field_once() {
+        let mut c = RunCounters::default();
+        for (i, counter) in (1..).zip(&RunCounters::TABLE) {
+            counter.fold_into(&mut c, i);
+        }
+        for (i, counter) in (1..).zip(&RunCounters::TABLE) {
+            assert_eq!(counter.get(&c), i, "{} shares a field", counter.key);
+        }
+        // Distinct entries, one per u64 field: a counter added to the
+        // struct but not to the table fails here.
+        assert_eq!(
+            std::mem::size_of::<RunCounters>(),
+            RunCounters::TABLE.len() * std::mem::size_of::<u64>()
+        );
+    }
+
+    #[test]
+    fn prometheus_names_follow_the_fold() {
+        let text = render_prometheus(&RunCounters::default(), &[]);
+        assert!(text.contains("# TYPE rn_total_bits_total counter\n"));
+        assert!(text.contains("# TYPE rn_frontier_peak gauge\n"));
+        assert_eq!(
+            text.lines().filter(|l| l.starts_with("# TYPE")).count(),
+            RunCounters::TABLE.len()
+        );
+    }
+
+    #[test]
     fn prometheus_without_labels_renders_bare_names() {
         let text = render_prometheus(&RunCounters::default(), &[]);
         assert!(text.contains("\nrn_rounds_total 0\n"));
@@ -611,11 +667,5 @@ mod tests {
         assert!(line.contains("\"eta_seconds\":1.5000"));
         assert!(line.contains("\"round_loop\":99"));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
-    }
-
-    #[test]
-    fn json_escaping_covers_quotes_and_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("nul\u{1}"), "nul\\u0001");
     }
 }
