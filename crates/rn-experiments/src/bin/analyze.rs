@@ -25,11 +25,13 @@
 
 use rn_analyze::{analyze_and_cross_check, analyze_session, certify_labeled, Certificate, Finding};
 use rn_broadcast::session::{Scheme, Session};
+use rn_experiments::scenario::{fan_out, Instance};
 use rn_experiments::Table;
 use rn_graph::generators::TopologyFamily;
 use rn_graph::Graph;
 use rn_labeling::label::{Label, Labeling};
 use rn_radio::FaultPlan;
+use rn_telemetry::json;
 use std::sync::Arc;
 
 struct Args {
@@ -106,10 +108,17 @@ fn print_help() {
     );
 }
 
-/// One analyzed (family, size, scheme) point, flattened for the report.
-struct PointOutcome {
+/// Every general scheme analyzed on one generated instance: one row of the
+/// summary table.
+struct InstanceOutcome {
     family: &'static str,
+    /// Actual node count of the instance.
     n: usize,
+    points: Vec<PointOutcome>,
+}
+
+/// One analyzed scheme on an instance, flattened for the report.
+struct PointOutcome {
     scheme: &'static str,
     /// Certification mode: the point certified (and cross-checked, when
     /// simulation is on). Corruption mode: the seeded corruption was caught
@@ -171,21 +180,24 @@ fn corrupt_labeling(session: &Session, graph: &Graph) -> (Labeling, String) {
     }
 }
 
+/// Analyzes every general scheme on one instance, sharing its graph.
+fn analyze_instance(instance: &Instance, args: &Args) -> Result<InstanceOutcome, String> {
+    Ok(InstanceOutcome {
+        family: instance.family.name(),
+        n: instance.graph.node_count(),
+        points: Scheme::GENERAL
+            .into_iter()
+            .map(|scheme| analyze_point(instance, scheme, args))
+            .collect::<Result<_, _>>()?,
+    })
+}
+
 #[allow(clippy::too_many_lines)]
-fn analyze_point(
-    family: TopologyFamily,
-    n: usize,
-    seed: u64,
-    scheme: Scheme,
-    simulate: bool,
-    corrupt: bool,
-    faults: bool,
-) -> Result<PointOutcome, String> {
-    let graph = family
-        .generate(n, seed)
-        .map_err(|e| format!("generating {} (n = {n}): {e}", family.name()))?;
-    let graph = Arc::new(graph);
-    let session = Session::builder(scheme, Arc::clone(&graph))
+fn analyze_point(instance: &Instance, scheme: Scheme, args: &Args) -> Result<PointOutcome, String> {
+    let Instance {
+        family, n, graph, ..
+    } = instance;
+    let session = Session::builder(scheme, Arc::clone(graph))
         .build()
         .map_err(|e| {
             format!(
@@ -195,11 +207,11 @@ fn analyze_point(
             )
         })?;
 
-    if corrupt {
-        let (corrupted, what) = corrupt_labeling(&session, &graph);
+    if args.corrupt {
+        let (corrupted, what) = corrupt_labeling(&session, graph);
         let result = certify_labeled(
             scheme,
-            &graph,
+            graph,
             &corrupted,
             session.source(),
             session.sources(),
@@ -223,8 +235,6 @@ fn analyze_point(
             );
         }
         return Ok(PointOutcome {
-            family: family.name(),
-            n: graph.node_count(),
             scheme: scheme.name(),
             ok,
             predicted: None,
@@ -234,7 +244,7 @@ fn analyze_point(
         });
     }
 
-    if faults {
+    if args.faults {
         // Run-time fault injection: crash the node the fault-free run
         // informs last, at round 1. The baseline informed it, so the crash
         // is guaranteed to perturb the timeline — and the static
@@ -255,7 +265,7 @@ fn analyze_point(
                     graph.node_count()
                 )
             })?;
-        let faulted_session = Session::builder(scheme, Arc::clone(&graph))
+        let faulted_session = Session::builder(scheme, Arc::clone(graph))
             .faults(FaultPlan::none().crash(victim, 1))
             .build()
             .map_err(|e| {
@@ -296,8 +306,6 @@ fn analyze_point(
             );
         }
         return Ok(PointOutcome {
-            family: family.name(),
-            n: graph.node_count(),
             scheme: scheme.name(),
             ok,
             predicted: None,
@@ -314,7 +322,7 @@ fn analyze_point(
     };
     let mut simulated = None;
     if let Some(cert) = &cert {
-        if simulate {
+        if args.simulate {
             let report = session.run();
             simulated = report.completion_round;
             findings.extend(cert.cross_check(&report));
@@ -332,8 +340,6 @@ fn analyze_point(
         }
     }
     Ok(PointOutcome {
-        family: family.name(),
-        n: graph.node_count(),
         scheme: scheme.name(),
         ok,
         predicted: cert.as_ref().and_then(|c| c.completion_round),
@@ -343,59 +349,39 @@ fn analyze_point(
     })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_opt(x: Option<u64>) -> String {
-    x.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 fn finding_json(f: &Finding) -> String {
     format!(
         "{{\"rule\": \"{}\", \"node\": {}, \"round\": {}, \"detail\": \"{}\"}}",
         f.rule.name(),
-        f.node.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        json_opt(f.round),
-        json_escape(&f.detail)
+        json::opt_u64(f.node.map(|v| v as u64)),
+        json::opt_u64(f.round),
+        json::escape(&f.detail)
     )
 }
 
-fn report_json(args: &Args, points: &[PointOutcome]) -> String {
+fn report_json(args: &Args, instances: &[InstanceOutcome]) -> String {
     let sizes: Vec<String> = args.sizes.iter().map(ToString::to_string).collect();
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
+    let mut rows = Vec::new();
+    for instance in instances {
+        for p in &instance.points {
+            let findings: Vec<String> = p.findings.iter().map(finding_json).collect();
+            rows.push(format!(
+                "    {{\"family\": \"{}\", \"n\": {}, \"scheme\": \"{}\", \"ok\": {}, \
+                 \"predicted_completion_round\": {}, \"simulated_completion_round\": {}, \
+                 \"round_bound\": {}, \"findings\": [{}]}}",
+                json::escape(instance.family),
+                instance.n,
+                json::escape(p.scheme),
+                p.ok,
+                json::opt_u64(p.predicted),
+                json::opt_u64(p.simulated),
+                json::opt_u64(p.bound),
+                findings.join(", "),
+            ));
         }
-        let findings: Vec<String> = p.findings.iter().map(finding_json).collect();
-        rows.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"scheme\": \"{}\", \"ok\": {}, \
-             \"predicted_completion_round\": {}, \"simulated_completion_round\": {}, \
-             \"round_bound\": {}, \"findings\": [{}]}}",
-            json_escape(p.family),
-            p.n,
-            json_escape(p.scheme),
-            p.ok,
-            json_opt(p.predicted),
-            json_opt(p.simulated),
-            json_opt(p.bound),
-            findings.join(", "),
-        ));
     }
-    let ok = points.iter().filter(|p| p.ok).count();
+    let points = instances.iter().flat_map(|i| &i.points);
+    let ok = points.clone().filter(|p| p.ok).count();
     format!(
         "{{\n  \"mode\": \"{}\",\n  \"sizes\": [{}],\n  \"seed\": {},\n  \
          \"simulate\": {},\n  \"points\": [\n{}\n  ],\n  \
@@ -410,10 +396,10 @@ fn report_json(args: &Args, points: &[PointOutcome]) -> String {
         sizes.join(", "),
         args.seed,
         (args.simulate && !args.corrupt) || args.faults,
-        rows,
-        points.len(),
+        rows.join(",\n"),
+        rows.len(),
         ok,
-        points.len() - ok,
+        rows.len() - ok,
     )
 }
 
@@ -441,37 +427,34 @@ fn main() {
         args.seed
     );
     let started = std::time::Instant::now();
-    let mut points = Vec::new();
-    for family in TopologyFamily::PRESETS {
-        for &n in &args.sizes {
-            for scheme in schemes {
-                match analyze_point(
-                    family,
-                    n,
-                    args.seed,
-                    scheme,
-                    args.simulate,
-                    args.corrupt,
-                    args.faults,
-                ) {
-                    Ok(p) => points.push(p),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
+    let results = fan_out(
+        &TopologyFamily::PRESETS,
+        &args.sizes,
+        &[args.seed],
+        0,
+        None,
+        |instance| analyze_instance(&instance, &args),
+    );
+    let mut instances = Vec::with_capacity(results.len());
+    for result in results {
+        match result.map_err(|e| e.to_string()).and_then(|r| r) {
+            Ok(instance) => instances.push(instance),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
             }
         }
     }
+    let points = instances.iter().map(|i| i.points.len()).sum::<usize>();
 
-    // Per-family summary table: one row per (family, size).
+    // Summary table: one row per instance.
     let mut table = Table::new(
         if args.corrupt {
-            format!("analyze --corrupt: {} corrupted points", points.len())
+            format!("analyze --corrupt: {points} corrupted points")
         } else if args.faults {
-            format!("analyze --faults: {} fault-injected points", points.len())
+            format!("analyze --faults: {points} fault-injected points")
         } else {
-            format!("analyze: {} certified points", points.len())
+            format!("analyze: {points} certified points")
         },
         &[
             "family",
@@ -484,30 +467,20 @@ fn main() {
             "findings",
         ],
     );
-    let mut keys: Vec<(&str, usize)> = Vec::new();
-    for p in &points {
-        if !keys.contains(&(p.family, p.n)) {
-            keys.push((p.family, p.n));
-        }
-    }
-    for (family, n) in keys {
-        let group: Vec<&PointOutcome> = points
-            .iter()
-            .filter(|p| p.family == family && p.n == n)
-            .collect();
-        let ok = group.iter().filter(|p| p.ok).count();
-        let findings: usize = group.iter().map(|p| p.findings.len()).sum();
+    for instance in &instances {
+        let ok = instance.points.iter().filter(|p| p.ok).count();
+        let findings: usize = instance.points.iter().map(|p| p.findings.len()).sum();
         table.push_row(vec![
-            family.to_string(),
-            n.to_string(),
-            format!("{ok}/{}", group.len()),
+            instance.family.to_string(),
+            instance.n.to_string(),
+            format!("{ok}/{}", instance.points.len()),
             findings.to_string(),
         ]);
     }
     println!("{table}");
 
     if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, report_json(&args, &points)) {
+        if let Err(e) = std::fs::write(path, report_json(&args, &instances)) {
             eprintln!("error: writing {path}: {e}");
             std::process::exit(1);
         }
@@ -519,17 +492,20 @@ fn main() {
     let elapsed = started.elapsed();
     eprintln!(
         "analyzed {} points in {:.2}s ({:.1} points/s, peak RSS {} kB)",
-        points.len(),
+        points,
         elapsed.as_secs_f64(),
-        points.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+        points as f64 / elapsed.as_secs_f64().max(1e-9),
         rn_telemetry::peak_rss_kb()
     );
 
-    let failed = points.iter().filter(|p| !p.ok).count();
+    let failed = instances
+        .iter()
+        .flat_map(|i| &i.points)
+        .filter(|p| !p.ok)
+        .count();
     if failed > 0 {
         eprintln!(
-            "{failed}/{} points {}",
-            points.len(),
+            "{failed}/{points} points {}",
             if args.corrupt || args.faults {
                 "escaped fault injection"
             } else {
@@ -539,8 +515,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "all {} points {}",
-        points.len(),
+        "all {points} points {}",
         if args.corrupt || args.faults {
             "caught with located findings"
         } else {
