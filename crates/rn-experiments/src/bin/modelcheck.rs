@@ -29,6 +29,7 @@ use rn_modelcheck::{
     parse_repro, replay, run_check, run_corrupt_injection, run_overpromise_injection,
     MinimalWitness, ModelCheckConfig, ModelCheckReport,
 };
+use rn_telemetry::json;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -50,14 +51,18 @@ fn parse_schemes(list: &str) -> Result<Vec<Scheme>, String> {
         .collect()
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        config: ModelCheckConfig::default(),
-        mode: Mode::Check,
-        json: None,
-        repro: None,
-    };
-    let mut it = std::env::args().skip(1);
+/// Parses the arguments after the program name. `--quick` picks the base
+/// profile; an explicit `--max-n`, `--trees-max-n` or `--schemes` wins over
+/// it in any position.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut quick = false;
+    let mut max_n = None;
+    let mut trees_max_n = None;
+    let mut schemes = None;
+    let mut mode = Mode::Check;
+    let mut json = None;
+    let mut repro = None;
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => {
@@ -66,46 +71,54 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-n" => {
                 let v = it.next().ok_or("--max-n requires a value")?;
-                args.config.max_n = v.parse().map_err(|_| format!("bad bound {v:?}"))?;
+                max_n = Some(v.parse().map_err(|_| format!("bad bound {v:?}"))?);
             }
             "--trees-max-n" => {
                 let v = it.next().ok_or("--trees-max-n requires a value")?;
-                args.config.trees_max_n = v.parse().map_err(|_| format!("bad bound {v:?}"))?;
+                trees_max_n = Some(v.parse().map_err(|_| format!("bad bound {v:?}"))?);
             }
             "--schemes" => {
                 let v = it
                     .next()
                     .ok_or("--schemes requires a comma-separated list")?;
-                args.config.schemes = parse_schemes(&v)?;
-                if args.config.schemes.is_empty() {
+                let list = parse_schemes(&v)?;
+                if list.is_empty() {
                     return Err("--schemes requires at least one scheme".into());
                 }
+                schemes = Some(list);
             }
-            "--quick" => {
-                let schemes = args.config.schemes.clone();
-                args.config = ModelCheckConfig {
-                    schemes,
-                    ..ModelCheckConfig::quick()
-                };
-            }
+            "--quick" => quick = true,
             "--json" => {
-                args.json = Some(it.next().ok_or("--json requires a path")?);
+                json = Some(it.next().ok_or("--json requires a path")?);
             }
             "--inject" => {
                 let v = it.next().ok_or("--inject requires corrupt|overpromise")?;
-                args.mode = match v.as_str() {
+                mode = match v.as_str() {
                     "corrupt" => Mode::InjectCorrupt,
                     "overpromise" => Mode::InjectOverpromise,
                     other => return Err(format!("unknown injection {other:?}")),
                 };
             }
             "--repro" => {
-                args.repro = Some(it.next().ok_or("--repro requires a spec string")?);
+                repro = Some(it.next().ok_or("--repro requires a spec string")?);
             }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    Ok(args)
+    let mut config = if quick {
+        ModelCheckConfig::quick()
+    } else {
+        ModelCheckConfig::default()
+    };
+    config.max_n = max_n.unwrap_or(config.max_n);
+    config.trees_max_n = trees_max_n.unwrap_or(config.trees_max_n);
+    config.schemes = schemes.unwrap_or(config.schemes);
+    Ok(Args {
+        config,
+        mode,
+        json,
+        repro,
+    })
 }
 
 fn print_help() {
@@ -135,22 +148,6 @@ fn print_witness(witness: &MinimalWitness) {
     print!("{}", witness.dot());
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn witness_json(w: &MinimalWitness) -> String {
     format!(
         "{{\"scheme\":{},\"code\":\"{}\",\"n\":{},\"edges\":{},\"shrink_steps\":{},\
@@ -163,8 +160,8 @@ fn witness_json(w: &MinimalWitness) -> String {
         w.graph.node_count(),
         w.graph.edge_count(),
         w.shrink_steps,
-        json_escape(&w.violation.to_string()),
-        json_escape(&w.repro_spec())
+        json::escape(&w.violation.to_string()),
+        json::escape(&w.repro_spec())
     )
 }
 
@@ -213,7 +210,7 @@ fn run_repro(spec: &str) -> i32 {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e} (try --help)");
@@ -298,4 +295,38 @@ fn main() {
     }
 
     std::process::exit(i32::from(!report.ok()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> ModelCheckConfig {
+        parse_args(argv.iter().map(ToString::to_string))
+            .expect("valid arguments")
+            .config
+    }
+
+    #[test]
+    fn explicit_bounds_win_over_quick_in_any_position() {
+        for argv in [
+            ["--max-n", "5", "--trees-max-n", "8", "--quick"],
+            ["--quick", "--max-n", "5", "--trees-max-n", "8"],
+        ] {
+            let config = parse(&argv);
+            assert_eq!((config.max_n, config.trees_max_n), (5, 8), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn quick_sets_the_bounds_it_is_not_given() {
+        let config = parse(&["--schemes", "lambda", "--quick"]);
+        let quick = ModelCheckConfig::quick();
+        assert_eq!(
+            (config.max_n, config.trees_max_n),
+            (quick.max_n, quick.trees_max_n)
+        );
+        assert_eq!(config.schemes, vec![Scheme::Lambda]);
+        assert_eq!(parse(&[]).max_n, ModelCheckConfig::default().max_n);
+    }
 }
