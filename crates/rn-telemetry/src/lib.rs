@@ -454,25 +454,25 @@ impl JsonlEvent {
 
     /// Adds the aggregate counters as a nested object under `key`, one
     /// field per [`RunCounters::TABLE`] entry.
-    pub fn counters(mut self, key: &str, c: &RunCounters) -> Self {
-        let entries: Vec<String> = RunCounters::TABLE
+    pub fn counters(self, key: &str, c: &RunCounters) -> Self {
+        let entries = RunCounters::TABLE
             .iter()
-            .map(|counter| format!("\"{}\":{}", counter.key, counter.get(c)))
-            .collect();
-        self.fields.push(format!(
-            "\"{}\":{{{}}}",
-            json::escape(key),
-            entries.join(",")
-        ));
-        self
+            .map(|counter| format!("\"{}\":{}", counter.key, counter.get(c)));
+        self.object(key, entries)
     }
 
     /// Adds the spans as a nested `{name: nanos}` object under `key`.
-    pub fn spans(mut self, key: &str, spans: &[SpanRecord]) -> Self {
-        let entries: Vec<String> = spans
+    pub fn spans(self, key: &str, spans: &[SpanRecord]) -> Self {
+        let entries = spans
             .iter()
-            .map(|s| format!("\"{}\":{}", json::escape(s.name), s.wall_nanos))
-            .collect();
+            .map(|s| format!("\"{}\":{}", json::escape(s.name), s.wall_nanos));
+        self.object(key, entries)
+    }
+
+    /// Adds a nested object under `key` from already-encoded `"k":v`
+    /// entries.
+    fn object(mut self, key: &str, entries: impl Iterator<Item = String>) -> Self {
+        let entries: Vec<String> = entries.collect();
         self.fields.push(format!(
             "\"{}\":{{{}}}",
             json::escape(key),
