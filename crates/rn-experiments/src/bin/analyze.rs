@@ -15,6 +15,12 @@
 //!                                    # must make the cross-check fail, located
 //! ```
 //!
+//! The instances fan out over worker threads through
+//! `scenario::fan_out` (`RN_THREADS` sets the count); each instance's
+//! graph is generated once and shared by every scheme, and results come
+//! back in grid order, so stdout and the JSON report never depend on the
+//! thread count.
+//!
 //! Exit status: in certification mode, `0` iff every point certifies (and,
 //! unless `--no-simulate`, every prediction matches its simulation); in
 //! `--corrupt` mode, `0` iff every seeded corruption is caught with a
@@ -380,8 +386,11 @@ fn report_json(args: &Args, instances: &[InstanceOutcome]) -> String {
             ));
         }
     }
-    let points = instances.iter().flat_map(|i| &i.points);
-    let ok = points.clone().filter(|p| p.ok).count();
+    let ok = instances
+        .iter()
+        .flat_map(|i| &i.points)
+        .filter(|p| p.ok)
+        .count();
     format!(
         "{{\n  \"mode\": \"{}\",\n  \"sizes\": [{}],\n  \"seed\": {},\n  \
          \"simulate\": {},\n  \"points\": [\n{}\n  ],\n  \

@@ -134,7 +134,8 @@ fn print_help() {
          \t--trees-max-n N  additionally check every free tree with <= N nodes\n\
          \t                 (default 10)\n\
          \t--schemes LIST   comma-separated scheme names (default: all general)\n\
-         \t--quick          CI-lane profile: n <= 4, trees n <= 6\n\
+         \t--quick          CI-lane profile: n <= 4, trees n <= 6 (an explicit\n\
+         \t                 --max-n or --trees-max-n still wins)\n\
          \t--json PATH      write the machine-readable report\n\
          \t--inject MODE    seeded-defect mode: 'corrupt' damages one label per\n\
          \t                 point, 'overpromise' runs a dishonest wake-hint\n\
