@@ -309,17 +309,19 @@ pub enum StopPolicy {
     QuietFor(u64),
 }
 
-/// Whether a run records a full [`rn_radio::Trace`].
+/// Whether a run records an [`rn_radio::Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TracePolicy {
     /// Record the trace and derive [`RunReport::informed_rounds`] and the
     /// full [`ExecutionStats`] from it (the default).
     #[default]
     Recorded,
-    /// Skip trace recording (saves memory and time on large batch runs).
-    /// Informed rounds are then tracked from node state after each round —
-    /// identical for every scheme in this crate — and the statistics carry
-    /// only the round count.
+    /// Skip trace recording. A recorded trace costs memory in proportion
+    /// to the channel's activity (one event per transmission, reception,
+    /// collision and fault), and skipping it also lets the fast engine
+    /// elide provably quiet spans. Informed rounds are then tracked from
+    /// node state after each round — identical for every scheme in this
+    /// crate — and the statistics carry only the round count.
     Disabled,
 }
 
@@ -1180,12 +1182,7 @@ impl Session {
                 report.source,
                 is_payload,
             ),
-            // A copy, not `online` itself: allocated after the run, the
-            // vector the caller keeps sits above the trace in the heap, so
-            // the freed trace is not left on top for the allocator to hand
-            // back to the OS and the next traced run to fault back in
-            // (about 10% of a traced batch's throughput).
-            _ => online.clone(),
+            _ => online,
         };
         report.stats = if record {
             ExecutionStats::from_trace(sim.trace())
@@ -1220,7 +1217,10 @@ impl Session {
             };
             m.spans.push(verify_timer.stop());
         }
-        (report, want_shape.then(|| sim.trace().shape()))
+        (
+            report,
+            want_shape.then(|| sim.trace().shape(sim.graph().node_count())),
+        )
     }
 
     /// Fills the robustness columns from the informed rounds and the fault

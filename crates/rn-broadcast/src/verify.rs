@@ -32,7 +32,7 @@ fn replay_holdings(
         acquired[s][j] = Some(0);
     }
     for round in &trace.rounds {
-        for (v, event) in round.events.iter().enumerate() {
+        for &(v, ref event) in &round.events {
             let NodeEvent::Heard { message, .. } = event else {
                 continue;
             };
@@ -113,7 +113,7 @@ where
     let mut first = vec![None; node_count];
     first[source] = Some(0);
     for round in &trace.rounds {
-        for (v, event) in round.events.iter().enumerate() {
+        for &(v, ref event) in &round.events {
             if first[v].is_none() {
                 if let NodeEvent::Heard { message, .. } = event {
                     if is_payload(message) {
@@ -182,7 +182,7 @@ pub fn check_theorem_3_9(
 /// First round in which node `v` heard a µ-carrying message in an Algorithm B
 /// trace ("stay" messages do not count).
 pub fn first_data_round(trace: &Trace<BMessage>, v: usize) -> Option<u64> {
-    trace.rounds.iter().find_map(|r| match r.events.get(v) {
+    trace.rounds.iter().find_map(|r| match r.event(v) {
         Some(NodeEvent::Heard {
             message: BMessage::Data(_),
             ..
@@ -211,14 +211,12 @@ pub fn check_lemma_2_8(
             .iter()
             .find(|r| r.round == odd_round)
             .ok_or_else(|| format!("trace too short: missing round {odd_round}"))?;
-        let mut data_transmitters: Vec<usize> = record
+        let data_transmitters: Vec<usize> = record
             .events
             .iter()
-            .enumerate()
             .filter(|(_, e)| matches!(e, NodeEvent::Transmitted(BMessage::Data(_))))
-            .map(|(v, _)| v)
+            .map(|&(v, _)| v)
             .collect();
-        data_transmitters.sort_unstable();
         if data_transmitters != stage.dom {
             return Err(format!(
                 "round {odd_round}: transmitters {data_transmitters:?} != DOM_{i} {:?}",
@@ -244,14 +242,12 @@ pub fn check_lemma_2_8(
         // Round 2i: exactly the x2-labeled nodes of NEW_i transmit "stay".
         let even_round = 2 * i as u64;
         if let Some(record) = trace.rounds.iter().find(|r| r.round == even_round) {
-            let mut stay_transmitters: Vec<usize> = record
+            let stay_transmitters: Vec<usize> = record
                 .events
                 .iter()
-                .enumerate()
                 .filter(|(_, e)| matches!(e, NodeEvent::Transmitted(BMessage::Stay)))
-                .map(|(v, _)| v)
+                .map(|&(v, _)| v)
                 .collect();
-            stay_transmitters.sort_unstable();
             let mut expected: Vec<usize> = stage
                 .new
                 .iter()

@@ -403,10 +403,11 @@ mod tests {
             total_bits: 9,
             max_message_bits: 10,
             frontier_peak: 11,
-            elided_rounds: 12,
-            elided_spans: 13,
-            scratch_reused: 14,
-            scratch_fresh: 15,
+            node_steps: 12,
+            elided_rounds: 13,
+            elided_spans: 14,
+            scratch_reused: 15,
+            scratch_fresh: 16,
         }
     }
 

@@ -275,6 +275,9 @@ pub(crate) struct CompiledFaults {
     crash_round: Vec<u64>,
     /// Per node: first awake round (1 = awake from the start).
     wake_round: Vec<u64>,
+    /// The nodes the plan ever makes inert (they crash or wake late), in
+    /// increasing order.
+    inert_nodes: Vec<NodeId>,
     /// Jam intervals as `(node, first_round, last_round)`, inclusive.
     jams: Vec<(NodeId, u64, u64)>,
     /// Receive-side faults sorted by `(round, node)`; at most one per
@@ -329,9 +332,13 @@ impl CompiledFaults {
         // deduping below keeps the first scheduled event, as documented.
         rx.sort_by_key(|&(round, node, _)| (round, node));
         rx.dedup_by_key(|&mut (round, node, _)| (round, node));
+        let inert_nodes = (0..n)
+            .filter(|&v| crash_round[v] != u64::MAX || wake_round[v] > 1)
+            .collect();
         CompiledFaults {
             crash_round,
             wake_round,
+            inert_nodes,
             jams,
             rx,
         }
@@ -348,6 +355,15 @@ impl CompiledFaults {
         } else {
             None
         }
+    }
+
+    /// The nodes that are inert in some round, in increasing order: the
+    /// only nodes [`inert_kind`](Self::inert_kind) can answer `Some` for.
+    /// The fast engine records their fault markers from this list rather
+    /// than scanning all `n` nodes.
+    #[inline]
+    pub(crate) fn inert_nodes(&self) -> &[NodeId] {
+        &self.inert_nodes
     }
 
     /// The first round in which node `v` participates (its late-wake round;
@@ -440,6 +456,7 @@ mod tests {
             .drop_message(3, 6)
             .corrupt(3, 6); // same (round, node): first scheduled wins
         let c = CompiledFaults::compile(&plan, 5);
+        assert_eq!(c.inert_nodes(), &[0, 1]);
         assert_eq!(c.inert_kind(0, 3), None);
         assert_eq!(c.inert_kind(0, 4), Some(FaultKind::Crashed));
         assert_eq!(c.inert_kind(0, 400), Some(FaultKind::Crashed));

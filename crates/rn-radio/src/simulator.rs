@@ -10,14 +10,16 @@
 //!   silence from collision);
 //! * transmitting nodes observe nothing.
 //!
-//! The simulator records a full [`Trace`] for the harness and supports
-//! flexible stop conditions so experiments can run "until all nodes are
-//! informed", "for exactly k rounds", or "until the trace goes quiet".
+//! The simulator records a [`Trace`] for the harness — one event per
+//! transmission, reception, collision and fault, with silence recorded by
+//! omission — and supports flexible stop conditions so experiments can run
+//! "until all nodes are informed", "for exactly k rounds", or "until the
+//! trace goes quiet".
 //!
 //! # Two engines: the specification and the fast engine
 //!
-//! [`Engine::ListenerCentric`] is the original delivery algorithm, kept
-//! verbatim as [`Simulator::step_round_reference`]: every listener scans its
+//! [`Engine::ListenerCentric`] is the original delivery algorithm,
+//! retained as [`Simulator::step_round_reference`]: every listener scans its
 //! own neighbour list. It is the executable specification the equivalence
 //! suites check the fast engine against, round for round and event for
 //! event. [`Engine::EventDriven`] is the fast engine and the default.
@@ -39,11 +41,12 @@
 //!    `(hit_count, last_sender)` entry in the [`RoundScratch`]. This is the
 //!    only part of the round that touches the adjacency structure, and it
 //!    costs O(Σ deg(t) over transmitters) — not O(Σ deg(v) over listeners).
-//! 3. **Observe** — a listener with `hit_count == 1` receives the unique
-//!    sender's message *by reference* (no clone; the trace, if recording,
-//!    makes the only copy), any other listener observes `None`, and the
-//!    collision trace event reads its neighbour count straight out of
-//!    `hit_count` — the mark pass already computed it.
+//! 3. **Observe** — the driven listeners, plus any dormant node a
+//!    transmitter marked, learn their outcome: a listener with
+//!    `hit_count == 1` receives the unique sender's message *by reference*
+//!    (no clone; the trace, if recording, makes the only copy), any other
+//!    listener observes `None`, and a collision's neighbour count is read
+//!    straight out of `hit_count` — the mark pass already computed it.
 //!
 //! Steady-state rounds perform **zero heap allocations** with tracing off:
 //! the transmitted-message buffer, the transmitter list and the per-listener
@@ -73,8 +76,7 @@
 //! is a single loop with no per-node branch:
 //!
 //! * **Dense** (`WAKE_HINTS = false`, the default): every node is driven
-//!   every round. No wake queue exists, nothing is elided, and the observe
-//!   pass is one linear sweep.
+//!   every round. No wake queue exists and nothing is elided.
 //! * **Frontier** (`WAKE_HINTS = true`): nodes advertise dormancy through
 //!   [`RadioNode::wake_hint`] — a *frozen-state* promise that their next `h`
 //!   rounds would be silent listening with no state change — and the engine
@@ -89,10 +91,16 @@
 //!   are frozen, jammers are forced awake), so the clock jumps while the
 //!   quiet-streak arithmetic advances exactly as if the rounds had run.
 //!
-//! Either way, traces (tracing on materialises every round), observations,
-//! `rounds_executed`, quiet detection and fault application are
-//! bit-identical to the reference engine; the equivalence matrix in
-//! `tests/engine_equivalence.rs` pins them.
+//! Either way the observe pass is the same whether or not a trace is
+//! recording. Recording only appends an event at each outcome the passes
+//! already reach — a transmission or jam in decide, a delivery, drop or
+//! collision in observe, plus a marker for each node the fault plan holds
+//! inert — and sorts the round's events by node. It costs memory in
+//! proportion to the channel's activity, not to `n`, and it turns elision
+//! off, because the trace needs a record (and its inert markers) for every
+//! round. Traces, observations, `rounds_executed`, quiet detection and fault
+//! application are bit-identical to the reference engine; the equivalence
+//! matrix in `tests/engine_equivalence.rs` pins them.
 
 use crate::fault::{CompiledFaults, FaultKind, FaultPlan, RxFault};
 use crate::message::RadioMessage;
@@ -163,8 +171,8 @@ struct EventState {
     due_next: Vec<NodeId>,
     /// Which round `due_next` currently collects for.
     due_next_round: u64,
-    /// Dormant nodes marked by this round's transmitters (tracing off
-    /// only): the complete set of wake-by-reception candidates.
+    /// Dormant nodes marked by this round's transmitters: the complete
+    /// set of wake-by-reception candidates (and of dormant collisions).
     touched: Vec<NodeId>,
 }
 
@@ -415,7 +423,10 @@ impl<N: RadioNode> Simulator<N> {
         self
     }
 
-    /// Disables trace recording (saves memory for very long benchmark runs).
+    /// Disables trace recording. A recorded trace holds one event per
+    /// transmission, reception, collision and fault, so its memory grows
+    /// with the channel's activity; turning it off also lets the fast
+    /// engine elide provably quiet spans.
     pub fn without_trace(mut self) -> Self {
         self.record_trace = false;
         self
@@ -507,9 +518,10 @@ impl<N: RadioNode> Simulator<N> {
     /// Executes a single round with the retained listener-centric reference
     /// engine, regardless of the configured [`Engine`].
     ///
-    /// This is the original delivery algorithm, kept verbatim: it allocates
-    /// fresh action and transmit-flag vectors every round and resolves each
-    /// listener by scanning its own neighbour list. It exists as the
+    /// This is the original delivery algorithm: it allocates fresh action
+    /// and transmit-flag vectors every round and resolves each listener by
+    /// scanning its own neighbour list, recording the same sparse rounds as
+    /// the fast engine (a silent listener gets no event). It exists as the
     /// executable specification that `tests/engine_equivalence.rs` replays
     /// workloads against; production paths never call it.
     pub fn step_round_reference(&mut self) -> usize {
@@ -551,26 +563,25 @@ impl<N: RadioNode> Simulator<N> {
         // Phase 2: delivery. A listener hears a message iff exactly one
         // neighbour transmitted.
         let rx_window = faults.map_or(&[][..], |f| f.rx_window(round));
-        let mut events: Vec<NodeEvent<N::Msg>> =
-            Vec::with_capacity(if self.record_trace { n } else { 0 });
+        let mut events: Vec<(NodeId, NodeEvent<N::Msg>)> = Vec::new();
         let (mut deliveries, mut collisions, mut rx_faults) = (0u64, 0u64, 0u64);
         for v in 0..n {
             if let Some(kind) = inert[v] {
                 if self.record_trace {
-                    events.push(NodeEvent::Faulted(kind));
+                    events.push((v, NodeEvent::Faulted(kind)));
                 }
                 continue;
             }
             if jamming[v] {
                 if self.record_trace {
-                    events.push(NodeEvent::Faulted(FaultKind::Jamming));
+                    events.push((v, NodeEvent::Faulted(FaultKind::Jamming)));
                 }
                 continue;
             }
             match &actions[v] {
                 Action::Transmit(m) => {
                     if self.record_trace {
-                        events.push(NodeEvent::Transmitted(m.clone()));
+                        events.push((v, NodeEvent::Transmitted(m.clone())));
                     }
                 }
                 Action::Listen => {
@@ -589,9 +600,12 @@ impl<N: RadioNode> Simulator<N> {
                             self.nodes[v].receive(None);
                             collisions += 1;
                             if self.record_trace {
-                                events.push(NodeEvent::Collision {
-                                    transmitting_neighbors: 1,
-                                });
+                                events.push((
+                                    v,
+                                    NodeEvent::Collision {
+                                        transmitting_neighbors: 1,
+                                    },
+                                ));
                             }
                         }
                         (Some(w), None) => {
@@ -606,9 +620,7 @@ impl<N: RadioNode> Simulator<N> {
                             );
                             deliveries += u64::from(decoded);
                             rx_faults += u64::from(rx_faulted);
-                            if let Some(e) = event {
-                                events.push(e);
-                            }
+                            events.extend(event.map(|e| (v, e)));
                         }
                         (Some(_), Some(_)) => {
                             // Collision: indistinguishable from silence for
@@ -622,17 +634,15 @@ impl<N: RadioNode> Simulator<N> {
                                     .iter()
                                     .filter(|&&w| transmitting[w])
                                     .count();
-                                events.push(NodeEvent::Collision {
-                                    transmitting_neighbors: count,
-                                });
+                                events.push((
+                                    v,
+                                    NodeEvent::Collision {
+                                        transmitting_neighbors: count,
+                                    },
+                                ));
                             }
                         }
-                        (None, _) => {
-                            self.nodes[v].receive(None);
-                            if self.record_trace {
-                                events.push(NodeEvent::Silence);
-                            }
-                        }
+                        (None, _) => self.nodes[v].receive(None),
                     }
                 }
             }
@@ -711,9 +721,9 @@ impl<N: RadioNode> Simulator<N> {
     /// passes and the two driving modes). A dense protocol drives `0..n`;
     /// a frontier protocol assembles the due list from the wake queues,
     /// drives only those nodes, and wakes a dormant listener exactly when
-    /// it decodes a message. With a trace recording, the observe pass is
-    /// one linear sweep so the per-node events come out byte-identical to
-    /// the reference engine (node driving is still frontier-only).
+    /// it decodes a message. A recording trace appends an event at each
+    /// outcome of the same passes, so the per-node events come out
+    /// byte-identical to the reference engine's.
     fn step_round_event_driven(&mut self) -> usize {
         if self.event.is_none() {
             self.init_event_state();
@@ -781,6 +791,10 @@ impl<N: RadioNode> Simulator<N> {
         // hint.
         self.tx_messages.clear();
         scratch.transmitters.clear();
+        // The round's trace events, appended at each outcome below and
+        // sorted by node once the round is resolved. Never touched (so
+        // never allocated) with tracing off.
+        let mut events: Vec<(NodeId, NodeEvent<N::Msg>)> = Vec::new();
         for i in 0..driven {
             let v = if N::WAKE_HINTS { st.due[i] } else { i };
             if let Some(f) = faults {
@@ -798,6 +812,9 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = JAMMER;
                     scratch.transmitters.push(v);
+                    if record_trace {
+                        events.push((v, NodeEvent::Faulted(FaultKind::Jamming)));
+                    }
                     if N::WAKE_HINTS {
                         st.schedule(v, round, round + 1);
                     }
@@ -809,6 +826,9 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = self.tx_messages.len() as u32;
                     scratch.transmitters.push(v);
+                    if record_trace {
+                        events.push((v, NodeEvent::Transmitted(m.clone())));
+                    }
                     self.tx_messages.push(m);
                     st.reschedule(&nodes[v], v, round);
                 }
@@ -819,8 +839,8 @@ impl<N: RadioNode> Simulator<N> {
         // Mark: only the transmitters' CSR neighbour slices are walked; each
         // neighbour's (hit_count, last_sender) entry is claimed for this
         // round by stamping it with the current generation. In frontier
-        // mode with tracing off, the first hit on a node outside the due
-        // list records it as a wake-by-reception candidate.
+        // mode, the first hit on a node outside the due list records it as
+        // a wake-by-reception candidate.
         for ti in 0..scratch.transmitters.len() {
             let t = scratch.transmitters[ti];
             for &w in self.graph.neighbors(t) {
@@ -830,171 +850,113 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.stamp[w] = generation;
                     scratch.hit_count[w] = 1;
                     scratch.last_sender[w] = t;
-                    if N::WAKE_HINTS && !record_trace && st.due_stamp[w] != round {
+                    if N::WAKE_HINTS && st.due_stamp[w] != round {
                         st.touched.push(w);
                     }
                 }
             }
         }
 
-        // Observe. Fault handling: an inert node is deaf (no `receive`), a
-        // jammer observes nothing and leaves only a trace marker, a sole
+        // Observe: the driven listeners plus (in frontier mode) the touched
+        // set cover every node whose state can change or whose channel was
+        // busy this round. Driven listeners observe their outcome and
+        // reschedule by their post-receive hint; a touched (dormant) node's
+        // `receive(None)` is a no-op under the wake-hint contract, so it is
+        // woken only by an actual decoded delivery. Fault handling: an inert
+        // node is deaf (no `receive`), a jammer observes nothing, a sole
         // jamming "sender" is an undecodable collision, and receive-side
-        // Drop/Corrupt faults rewrite a successful reception.
+        // Drop/Corrupt faults rewrite a successful reception. A marked
+        // listener that decodes nothing observed a collision of
+        // `hit_count` transmitters (jammers included).
         let rx_window = faults.map_or(&[][..], |f| f.rx_window(round));
         let (mut deliveries, mut collisions, mut rx_faults) = (0u64, 0u64, 0u64);
-        if record_trace {
-            // One linear sweep, byte-identical events to the reference
-            // engine. A dormant listener's `receive(None)` is elided — a
-            // no-op under the wake-hint contract — but its Silence/Collision
-            // events are still materialised.
-            let mut events: Vec<NodeEvent<N::Msg>> = Vec::with_capacity(n);
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if let Some(f) = faults {
-                    if let Some(kind) = f.inert_kind(v, round) {
-                        events.push(NodeEvent::Faulted(kind));
-                        continue;
-                    }
-                }
-                if scratch.tx_stamp[v] == generation {
-                    if scratch.tx_index[v] == JAMMER {
-                        events.push(NodeEvent::Faulted(FaultKind::Jamming));
-                    } else {
-                        let m = &self.tx_messages[scratch.tx_index[v] as usize];
-                        events.push(NodeEvent::Transmitted(m.clone()));
-                    }
+        for i in 0..driven {
+            let v = if N::WAKE_HINTS { st.due[i] } else { i };
+            if let Some(f) = faults {
+                if f.inert_kind(v, round).is_some() {
                     continue;
                 }
-                let is_due = !N::WAKE_HINTS || st.due_stamp[v] == round;
-                if scratch.stamp[v] == generation {
-                    if scratch.hit_count[v] == 1 {
-                        let w = scratch.last_sender[v];
-                        if scratch.tx_index[w] == JAMMER {
-                            // The only transmitting neighbour is a jammer:
-                            // the channel is busy but carries nothing
-                            // decodable.
-                            if is_due {
-                                node.receive(None);
-                                st.reschedule(node, v, round);
-                            }
-                            collisions += 1;
-                            events.push(NodeEvent::Collision {
-                                transmitting_neighbors: 1,
-                            });
-                        } else {
-                            // Tripwire (debug builds): a non-due listener is
-                            // inside a promised Listen-only span, so the
-                            // `step` the engine elided this round must be a
-                            // Listen no-op — a Transmit means `wake_hint`
-                            // overpromised and elision suppressed a real
-                            // transmission.
-                            debug_assert!(
-                                is_due || !node.step().is_transmit(),
-                                "wake-hint overpromise: node {v} would transmit in round {round} \
-                                 inside its elided span"
-                            );
-                            let msg = &self.tx_messages[scratch.tx_index[w] as usize];
-                            let (decoded, rx_faulted, event) =
-                                deliver_with_rx_faults(node, v, w, msg, rx_window, true);
-                            deliveries += u64::from(decoded);
-                            rx_faults += u64::from(rx_faulted);
-                            events.push(event.expect("recording"));
-                            if decoded || is_due {
-                                st.reschedule(node, v, round);
-                            }
-                        }
-                    } else {
-                        // Collision: indistinguishable from silence for the
-                        // node; the count is already in the scratch.
-                        if is_due {
-                            node.receive(None);
-                            st.reschedule(node, v, round);
-                        }
-                        collisions += 1;
-                        events.push(NodeEvent::Collision {
-                            transmitting_neighbors: scratch.hit_count[v] as usize,
-                        });
-                    }
-                } else {
-                    if is_due {
-                        node.receive(None);
-                        st.reschedule(node, v, round);
-                    }
-                    events.push(NodeEvent::Silence);
-                }
             }
-            self.trace.rounds.push(RoundRecord { round, events });
-        } else {
-            // Tracing off: the driven listeners plus (in frontier mode) the
-            // touched set cover every node whose state can change this
-            // round. Driven listeners observe their outcome and reschedule
-            // by their post-receive hint; a touched (dormant) node is woken
-            // only by an actual decoded delivery.
-            for i in 0..driven {
-                let v = if N::WAKE_HINTS { st.due[i] } else { i };
-                if let Some(f) = faults {
-                    if f.inert_kind(v, round).is_some() {
-                        continue;
-                    }
-                }
-                if scratch.tx_stamp[v] == generation {
-                    continue; // transmitters and jammers observe nothing
-                }
-                if scratch.stamp[v] == generation
-                    && scratch.hit_count[v] == 1
-                    && scratch.tx_index[scratch.last_sender[v]] != JAMMER
-                {
-                    let w = scratch.last_sender[v];
-                    let msg = &self.tx_messages[scratch.tx_index[w] as usize];
-                    let (decoded, rx_faulted, _) =
-                        deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, false);
-                    deliveries += u64::from(decoded);
-                    rx_faults += u64::from(rx_faulted);
-                } else {
-                    // A marked listener that decoded nothing observed a
-                    // collision (several transmitters, or a sole jammer) —
-                    // the same condition the recorded path traces.
-                    collisions += u64::from(scratch.stamp[v] == generation);
-                    nodes[v].receive(None);
-                }
-                st.reschedule(&nodes[v], v, round);
+            if scratch.tx_stamp[v] == generation {
+                continue; // transmitters and jammers observe nothing
             }
-            for i in 0..st.touched.len() {
-                let v = st.touched[i];
-                if let Some(f) = faults {
-                    if f.inert_kind(v, round).is_some() {
-                        continue;
-                    }
-                }
-                if scratch.tx_stamp[v] == generation {
-                    continue;
-                }
-                if scratch.hit_count[v] != 1 {
-                    collisions += 1;
-                    continue; // collisions deliver None: a no-op while dormant
-                }
+            if scratch.stamp[v] == generation
+                && scratch.hit_count[v] == 1
+                && scratch.tx_index[scratch.last_sender[v]] != JAMMER
+            {
                 let w = scratch.last_sender[v];
-                if scratch.tx_index[w] == JAMMER {
-                    collisions += 1;
-                    continue;
-                }
-                // Tripwire (debug builds): touched nodes are dormant by
-                // construction, so the elided `step` must be a Listen
-                // no-op (see the recorded path's twin assertion).
-                debug_assert!(
-                    !nodes[v].step().is_transmit(),
-                    "wake-hint overpromise: node {v} would transmit in round {round} \
-                     inside its elided span"
-                );
                 let msg = &self.tx_messages[scratch.tx_index[w] as usize];
-                let (decoded, rx_faulted, _) =
-                    deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, false);
+                let (decoded, rx_faulted, event) =
+                    deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, record_trace);
                 deliveries += u64::from(decoded);
                 rx_faults += u64::from(rx_faulted);
-                if decoded {
-                    st.reschedule(&nodes[v], v, round);
+                events.extend(event.map(|e| (v, e)));
+            } else {
+                let marked = scratch.stamp[v] == generation;
+                collisions += u64::from(marked);
+                if record_trace && marked {
+                    events.push((
+                        v,
+                        NodeEvent::Collision {
+                            transmitting_neighbors: scratch.hit_count[v] as usize,
+                        },
+                    ));
+                }
+                nodes[v].receive(None);
+            }
+            st.reschedule(&nodes[v], v, round);
+        }
+        for i in 0..st.touched.len() {
+            let v = st.touched[i];
+            if let Some(f) = faults {
+                if f.inert_kind(v, round).is_some() {
+                    continue;
                 }
             }
+            let w = scratch.last_sender[v];
+            if scratch.hit_count[v] != 1 || scratch.tx_index[w] == JAMMER {
+                collisions += 1;
+                if record_trace {
+                    events.push((
+                        v,
+                        NodeEvent::Collision {
+                            transmitting_neighbors: scratch.hit_count[v] as usize,
+                        },
+                    ));
+                }
+                continue;
+            }
+            // Tripwire (debug builds): touched nodes are dormant by
+            // construction, so the elided `step` must be a Listen no-op — a
+            // Transmit means `wake_hint` overpromised and elision suppressed
+            // a real transmission.
+            debug_assert!(
+                !nodes[v].step().is_transmit(),
+                "wake-hint overpromise: node {v} would transmit in round {round} \
+                 inside its elided span"
+            );
+            let msg = &self.tx_messages[scratch.tx_index[w] as usize];
+            let (decoded, rx_faulted, event) =
+                deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, record_trace);
+            deliveries += u64::from(decoded);
+            rx_faults += u64::from(rx_faulted);
+            events.extend(event.map(|e| (v, e)));
+            if decoded {
+                st.reschedule(&nodes[v], v, round);
+            }
+        }
+        if record_trace {
+            // Inert nodes are never stepped or observed, so their markers
+            // come from the plan's short list of nodes it ever makes inert.
+            if let Some(f) = faults {
+                for &v in f.inert_nodes() {
+                    if let Some(kind) = f.inert_kind(v, round) {
+                        events.push((v, NodeEvent::Faulted(kind)));
+                    }
+                }
+            }
+            events.sort_unstable_by_key(|&(v, _)| v);
+            self.trace.rounds.push(RoundRecord { round, events });
         }
         let transmitter_count = self.scratch.transmitters.len();
         if let Some(sink) = self.metrics.as_deref_mut() {
@@ -1276,10 +1238,10 @@ mod tests {
         assert_eq!(sim.nodes()[1].listened_rounds, 1);
         // Trace records a collision with 2 transmitting neighbours.
         assert_eq!(sim.trace().rounds[0].collision_nodes(), vec![1]);
-        match &sim.trace().rounds[0].events[1] {
-            NodeEvent::Collision {
+        match sim.trace().rounds[0].event(1) {
+            Some(NodeEvent::Collision {
                 transmitting_neighbors,
-            } => {
+            }) => {
                 assert_eq!(*transmitting_neighbors, 2);
             }
             other => panic!("expected collision, got {other:?}"),
@@ -1405,10 +1367,10 @@ mod tests {
         let tx_ref = reference.step_round();
         assert_eq!(tx_fast, tx_ref);
         assert_eq!(fast.trace().rounds, reference.trace().rounds);
-        match &fast.trace().rounds[0].events[0] {
-            NodeEvent::Collision {
+        match fast.trace().rounds[0].event(0) {
+            Some(NodeEvent::Collision {
                 transmitting_neighbors,
-            } => assert_eq!(*transmitting_neighbors, 4),
+            }) => assert_eq!(*transmitting_neighbors, 4),
             other => panic!("expected collision at the centre, got {other:?}"),
         }
     }
@@ -1474,8 +1436,8 @@ mod tests {
         }
         assert_eq!(sim.trace().fault_rounds(0), vec![1, 2, 3]);
         assert!(matches!(
-            sim.trace().rounds[0].events[0],
-            NodeEvent::Faulted(FaultKind::Crashed)
+            sim.trace().rounds[0].event(0),
+            Some(NodeEvent::Faulted(FaultKind::Crashed))
         ));
         // The dead node's step() was never called, so its transmit flag is
         // still pending.
@@ -1506,14 +1468,14 @@ mod tests {
         assert_eq!(transmitters, 2, "source + jammer both occupy the channel");
         assert_eq!(sim.nodes()[1].heard, None);
         assert!(matches!(
-            sim.trace().rounds[0].events[1],
-            NodeEvent::Collision {
+            sim.trace().rounds[0].event(1),
+            Some(NodeEvent::Collision {
                 transmitting_neighbors: 2
-            }
+            })
         ));
         assert!(matches!(
-            sim.trace().rounds[0].events[2],
-            NodeEvent::Faulted(FaultKind::Jamming)
+            sim.trace().rounds[0].event(2),
+            Some(NodeEvent::Faulted(FaultKind::Jamming))
         ));
     }
 
@@ -1526,10 +1488,10 @@ mod tests {
         sim.step_round();
         assert_eq!(sim.nodes()[1].heard, None);
         assert!(matches!(
-            sim.trace().rounds[0].events[1],
-            NodeEvent::Collision {
+            sim.trace().rounds[0].event(1),
+            Some(NodeEvent::Collision {
                 transmitting_neighbors: 1
-            }
+            })
         ));
     }
 
@@ -1547,15 +1509,15 @@ mod tests {
         assert_eq!(sim.nodes()[2].heard, Some(43));
         assert_eq!(sim.nodes()[3].heard, Some(42));
         assert!(matches!(
-            sim.trace().rounds[0].events[1],
-            NodeEvent::Faulted(FaultKind::Dropped)
+            sim.trace().rounds[0].event(1),
+            Some(NodeEvent::Faulted(FaultKind::Dropped))
         ));
         assert!(matches!(
-            sim.trace().rounds[0].events[2],
-            NodeEvent::Heard {
+            sim.trace().rounds[0].event(2),
+            Some(NodeEvent::Heard {
                 from: 0,
                 message: 43
-            }
+            })
         ));
     }
 
@@ -1568,10 +1530,7 @@ mod tests {
         let plan = FaultPlan::none().drop_message(2, 1);
         let mut sim = Simulator::new(g, nodes).with_faults(&plan);
         sim.step_round();
-        assert!(matches!(
-            sim.trace().rounds[0].events[2],
-            NodeEvent::Silence
-        ));
+        assert!(sim.trace().rounds[0].event(2).is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl ExecutionStats {
         };
         for round in &trace.rounds {
             let mut tx_this_round = 0usize;
-            for event in &round.events {
+            for (_, event) in &round.events {
                 match event {
                     NodeEvent::Transmitted(m) => {
                         tx_this_round += 1;
@@ -54,7 +54,7 @@ impl ExecutionStats {
                     // traffic: a jammer transmits no protocol bits and a
                     // dropped reception is not a reception. Robustness
                     // accounting lives in the run reports, not here.
-                    NodeEvent::Silence | NodeEvent::Faulted(_) => {}
+                    NodeEvent::Faulted(_) => {}
                 }
             }
             if tx_this_round == 0 {
@@ -107,27 +107,33 @@ mod tests {
                 RoundRecord {
                     round: 1,
                     events: vec![
-                        NodeEvent::Transmitted(9),
-                        NodeEvent::Heard {
-                            from: 0,
-                            message: 9,
-                        },
-                        NodeEvent::Silence,
+                        (0, NodeEvent::Transmitted(9)),
+                        (
+                            1,
+                            NodeEvent::Heard {
+                                from: 0,
+                                message: 9,
+                            },
+                        ),
                     ],
                 },
                 RoundRecord {
                     round: 2,
                     events: vec![
-                        NodeEvent::Transmitted(255),
-                        NodeEvent::Transmitted(1),
-                        NodeEvent::Collision {
-                            transmitting_neighbors: 2,
-                        },
+                        (0, NodeEvent::Transmitted(255)),
+                        (1, NodeEvent::Transmitted(1)),
+                        (
+                            2,
+                            NodeEvent::Collision {
+                                transmitting_neighbors: 2,
+                            },
+                        ),
                     ],
                 },
+                // An all-silent round records no events at all.
                 RoundRecord {
                     round: 3,
-                    events: vec![NodeEvent::Silence, NodeEvent::Silence, NodeEvent::Silence],
+                    events: Vec::new(),
                 },
             ],
         }
@@ -161,6 +167,7 @@ mod tests {
             total_bits: 13,
             max_message_bits: 8,
             frontier_peak: 3,
+            node_steps: 9,
             elided_rounds: 0,
             elided_spans: 0,
             scratch_reused: 0,

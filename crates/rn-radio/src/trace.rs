@@ -11,7 +11,9 @@ use crate::message::RadioMessage;
 use rn_graph::NodeId;
 
 /// What happened at one node in one round, as seen by an omniscient observer
-/// (the nodes themselves never see this).
+/// (the nodes themselves never see this). A node that listened and heard
+/// nothing because no neighbour transmitted has no event at all: see
+/// [`RoundRecord::event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeEvent<M> {
     /// The node transmitted the given message.
@@ -29,8 +31,6 @@ pub enum NodeEvent<M> {
         /// Number of neighbours that transmitted.
         transmitting_neighbors: usize,
     },
-    /// The node listened and heard nothing because no neighbour transmitted.
-    Silence,
     /// The node's round was consumed by an injected fault (see
     /// [`crate::fault`]): it was dead, asleep, jamming, or its reception was
     /// dropped or garbled beyond decoding. Fault-free executions never
@@ -38,51 +38,57 @@ pub enum NodeEvent<M> {
     Faulted(FaultKind),
 }
 
-/// Complete record of one round.
+/// What happened in one round: an entry for every node that transmitted,
+/// heard, collided or was faulted. Silence is recorded by omission, so a
+/// round costs memory in proportion to its channel activity, not to `n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRecord<M> {
     /// 1-based round number (the paper numbers rounds from 1).
     pub round: u64,
-    /// Per-node events, indexed by node id.
-    pub events: Vec<NodeEvent<M>>,
+    /// The active nodes and their events, sorted by node id (each node at
+    /// most once).
+    pub events: Vec<(NodeId, NodeEvent<M>)>,
 }
 
 impl<M: RadioMessage> RoundRecord<M> {
-    /// Nodes that transmitted in this round, in increasing order.
-    pub fn transmitters(&self) -> Vec<NodeId> {
+    /// What node `v` did in this round; `None` means it listened into
+    /// silence.
+    pub fn event(&self, v: NodeId) -> Option<&NodeEvent<M>> {
+        self.events
+            .binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|i| &self.events[i].1)
+    }
+
+    /// The nodes whose event satisfies `pred`, in increasing order.
+    fn nodes_where(&self, pred: impl Fn(&NodeEvent<M>) -> bool) -> Vec<NodeId> {
         self.events
             .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, NodeEvent::Transmitted(_)))
-            .map(|(v, _)| v)
+            .filter(|(_, e)| pred(e))
+            .map(|&(v, _)| v)
             .collect()
+    }
+
+    /// Nodes that transmitted in this round, in increasing order.
+    pub fn transmitters(&self) -> Vec<NodeId> {
+        self.nodes_where(|e| matches!(e, NodeEvent::Transmitted(_)))
     }
 
     /// Nodes that successfully received a message in this round.
     pub fn receivers(&self) -> Vec<NodeId> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, NodeEvent::Heard { .. }))
-            .map(|(v, _)| v)
-            .collect()
+        self.nodes_where(|e| matches!(e, NodeEvent::Heard { .. }))
     }
 
     /// Nodes at which a collision occurred in this round.
     pub fn collision_nodes(&self) -> Vec<NodeId> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, NodeEvent::Collision { .. }))
-            .map(|(v, _)| v)
-            .collect()
+        self.nodes_where(|e| matches!(e, NodeEvent::Collision { .. }))
     }
 
     /// Total number of bits transmitted in this round.
     pub fn bits_transmitted(&self) -> usize {
         self.events
             .iter()
-            .map(|e| match e {
+            .map(|(_, e)| match e {
                 NodeEvent::Transmitted(m) => m.bit_size(),
                 _ => 0,
             })
@@ -113,22 +119,23 @@ impl<M: RadioMessage> Trace<M> {
         self.rounds.is_empty()
     }
 
-    /// All rounds in which node `v` transmitted (1-based round numbers).
-    pub fn transmit_rounds(&self, v: NodeId) -> Vec<u64> {
+    /// The rounds in which node `v`'s event satisfies `pred`.
+    fn rounds_where(&self, v: NodeId, pred: impl Fn(&NodeEvent<M>) -> bool) -> Vec<u64> {
         self.rounds
             .iter()
-            .filter(|r| matches!(r.events.get(v), Some(NodeEvent::Transmitted(_))))
+            .filter(|r| r.event(v).is_some_and(&pred))
             .map(|r| r.round)
             .collect()
     }
 
+    /// All rounds in which node `v` transmitted (1-based round numbers).
+    pub fn transmit_rounds(&self, v: NodeId) -> Vec<u64> {
+        self.rounds_where(v, |e| matches!(e, NodeEvent::Transmitted(_)))
+    }
+
     /// All rounds in which node `v` successfully received a message.
     pub fn receive_rounds(&self, v: NodeId) -> Vec<u64> {
-        self.rounds
-            .iter()
-            .filter(|r| matches!(r.events.get(v), Some(NodeEvent::Heard { .. })))
-            .map(|r| r.round)
-            .collect()
+        self.rounds_where(v, |e| matches!(e, NodeEvent::Heard { .. }))
     }
 
     /// The first round in which node `v` successfully received a message.
@@ -138,21 +145,13 @@ impl<M: RadioMessage> Trace<M> {
 
     /// All rounds in which a collision occurred at node `v`.
     pub fn collision_rounds(&self, v: NodeId) -> Vec<u64> {
-        self.rounds
-            .iter()
-            .filter(|r| matches!(r.events.get(v), Some(NodeEvent::Collision { .. })))
-            .map(|r| r.round)
-            .collect()
+        self.rounds_where(v, |e| matches!(e, NodeEvent::Collision { .. }))
     }
 
     /// All rounds in which an injected fault consumed node `v`'s round
     /// (see [`NodeEvent::Faulted`]); empty for fault-free executions.
     pub fn fault_rounds(&self, v: NodeId) -> Vec<u64> {
-        self.rounds
-            .iter()
-            .filter(|r| matches!(r.events.get(v), Some(NodeEvent::Faulted(_))))
-            .map(|r| r.round)
-            .collect()
+        self.rounds_where(v, |e| matches!(e, NodeEvent::Faulted(_)))
     }
 
     /// Round in which each of the `node_count` nodes first heard a message
@@ -194,9 +193,9 @@ impl<M: RadioMessage> Trace<M> {
     /// gossip token or bundle carries every index it has accumulated);
     /// emitted keys `>= keys` are ignored. This replaces `k` separate
     /// [`first_receive_rounds_matching`](Self::first_receive_rounds_matching)
-    /// scans — `O(k · rounds · n)` — with one `O(rounds · n)` pass, which
-    /// is what keeps per-message completion accounting affordable once
-    /// gossip makes `k = n`.
+    /// scans — `k` walks of every recorded event — with one, which is what
+    /// keeps per-message completion accounting affordable once gossip makes
+    /// `k = n`.
     pub fn first_receive_rounds_bucketed<F>(
         &self,
         node_count: usize,
@@ -208,7 +207,7 @@ impl<M: RadioMessage> Trace<M> {
     {
         let mut first = vec![vec![None; node_count]; keys];
         for r in &self.rounds {
-            for (v, event) in r.events.iter().enumerate() {
+            for &(v, ref event) in &r.events {
                 if let NodeEvent::Heard { message, .. } = event {
                     if v >= node_count {
                         continue;
@@ -231,7 +230,7 @@ impl<M: RadioMessage> Trace<M> {
         self.rounds
             .iter()
             .find(|r| r.round == round)
-            .and_then(|r| match r.events.get(v) {
+            .and_then(|r| match r.event(v) {
                 Some(NodeEvent::Heard { message, .. }) => Some(message),
                 _ => None,
             })
@@ -271,12 +270,15 @@ pub enum ShapeEvent {
 pub struct ShapeRound {
     /// 1-based round number.
     pub round: u64,
-    /// Per-node events, indexed by node id.
+    /// Per-node events, indexed by node id: dense, with every silent node
+    /// filled in as [`ShapeEvent::Silence`].
     pub events: Vec<ShapeEvent>,
 }
 
 /// A message-agnostic execution trace: the per-round transmit / heard /
-/// collision / silence skeleton with payloads erased.
+/// collision / silence skeleton with payloads erased. Unlike a sparse
+/// [`RoundRecord`], every round lists all `n` nodes, so a physics check can
+/// index any node directly.
 ///
 /// The bounded model checker (`rn-modelcheck`) verifies per-round physics
 /// invariants — a `Heard` requires exactly one transmitting neighbour, a
@@ -310,31 +312,30 @@ impl TraceShape {
 }
 
 impl<M: RadioMessage> Trace<M> {
-    /// The message-agnostic skeleton of this trace (see [`TraceShape`]).
-    pub fn shape(&self) -> TraceShape {
+    /// The message-agnostic skeleton of this trace (see [`TraceShape`]) on
+    /// a graph of `node_count` nodes, with silence filled back in.
+    pub fn shape(&self, node_count: usize) -> TraceShape {
+        let shape_round = |r: &RoundRecord<M>| {
+            let mut events = vec![ShapeEvent::Silence; node_count];
+            for &(v, ref e) in &r.events {
+                events[v] = match *e {
+                    NodeEvent::Transmitted(_) => ShapeEvent::Transmitted,
+                    NodeEvent::Heard { from, .. } => ShapeEvent::Heard { from },
+                    NodeEvent::Collision {
+                        transmitting_neighbors,
+                    } => ShapeEvent::Collision {
+                        transmitting_neighbors,
+                    },
+                    NodeEvent::Faulted(kind) => ShapeEvent::Faulted(kind),
+                };
+            }
+            ShapeRound {
+                round: r.round,
+                events,
+            }
+        };
         TraceShape {
-            rounds: self
-                .rounds
-                .iter()
-                .map(|r| ShapeRound {
-                    round: r.round,
-                    events: r
-                        .events
-                        .iter()
-                        .map(|e| match e {
-                            NodeEvent::Transmitted(_) => ShapeEvent::Transmitted,
-                            NodeEvent::Heard { from, .. } => ShapeEvent::Heard { from: *from },
-                            NodeEvent::Collision {
-                                transmitting_neighbors,
-                            } => ShapeEvent::Collision {
-                                transmitting_neighbors: *transmitting_neighbors,
-                            },
-                            NodeEvent::Silence => ShapeEvent::Silence,
-                            NodeEvent::Faulted(kind) => ShapeEvent::Faulted(*kind),
-                        })
-                        .collect(),
-                })
-                .collect(),
+            rounds: self.rounds.iter().map(shape_round).collect(),
         }
     }
 }
@@ -349,22 +350,26 @@ mod tests {
                 RoundRecord {
                     round: 1,
                     events: vec![
-                        NodeEvent::Transmitted(9),
-                        NodeEvent::Heard {
-                            from: 0,
-                            message: 9,
-                        },
-                        NodeEvent::Silence,
+                        (0, NodeEvent::Transmitted(9)),
+                        (
+                            1,
+                            NodeEvent::Heard {
+                                from: 0,
+                                message: 9,
+                            },
+                        ),
                     ],
                 },
                 RoundRecord {
                     round: 2,
                     events: vec![
-                        NodeEvent::Silence,
-                        NodeEvent::Transmitted(9),
-                        NodeEvent::Collision {
-                            transmitting_neighbors: 2,
-                        },
+                        (1, NodeEvent::Transmitted(9)),
+                        (
+                            2,
+                            NodeEvent::Collision {
+                                transmitting_neighbors: 2,
+                            },
+                        ),
                     ],
                 },
             ],
@@ -379,6 +384,33 @@ mod tests {
         assert!(t.rounds[0].collision_nodes().is_empty());
         assert_eq!(t.rounds[1].collision_nodes(), vec![2]);
         assert_eq!(t.rounds[0].bits_transmitted(), 4); // 9 needs 4 bits
+        assert_eq!(t.rounds[0].event(0), Some(&NodeEvent::Transmitted(9)));
+        assert_eq!(t.rounds[0].event(2), None); // silence is omitted
+        assert_eq!(t.rounds[1].event(0), None);
+    }
+
+    #[test]
+    fn shape_fills_silence_back_in() {
+        let shape = sample_trace().shape(3);
+        assert_eq!(
+            shape.rounds[0].events,
+            vec![
+                ShapeEvent::Transmitted,
+                ShapeEvent::Heard { from: 0 },
+                ShapeEvent::Silence
+            ]
+        );
+        assert_eq!(
+            shape.rounds[1].events,
+            vec![
+                ShapeEvent::Silence,
+                ShapeEvent::Transmitted,
+                ShapeEvent::Collision {
+                    transmitting_neighbors: 2
+                }
+            ]
+        );
+        assert_eq!(shape.transmitters_at(1), vec![1]);
     }
 
     #[test]

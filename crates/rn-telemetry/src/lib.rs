@@ -139,6 +139,9 @@ pub struct RunCounters {
     pub max_message_bits: u64,
     /// Largest per-round engine frontier.
     pub frontier_peak: u64,
+    /// Total node steps: the engine frontier summed over executed rounds
+    /// (elided rounds step no node).
+    pub node_steps: u64,
     /// Rounds skipped by silent-span elision.
     pub elided_rounds: u64,
     /// Number of elided spans.
@@ -205,7 +208,7 @@ impl Counter {
 
 impl RunCounters {
     /// Every counter, in exposition order.
-    pub const TABLE: [Counter; 15] = [
+    pub const TABLE: [Counter; 16] = [
         Counter::sum("rounds", |c| &mut c.rounds),
         Counter::sum("transmitters", |c| &mut c.transmitters),
         Counter::sum("transmissions", |c| &mut c.transmissions),
@@ -219,6 +222,7 @@ impl RunCounters {
         Counter::sum("total_bits", |c| &mut c.total_bits),
         Counter::max("max_message_bits", |c| &mut c.max_message_bits),
         Counter::max("frontier_peak", |c| &mut c.frontier_peak),
+        Counter::sum("node_steps", |c| &mut c.node_steps),
         Counter::sum("elided_rounds", |c| &mut c.elided_rounds),
         Counter::sum("elided_spans", |c| &mut c.elided_spans),
         Counter::sum("scratch_reused", |c| &mut c.scratch_reused),
@@ -260,6 +264,7 @@ impl MetricsSink for CounterSink {
         c.total_bits += m.bits;
         c.max_message_bits = c.max_message_bits.max(m.max_message_bits);
         c.frontier_peak = c.frontier_peak.max(m.frontier);
+        c.node_steps += m.frontier;
     }
 
     fn on_elided_span(&mut self, _first_round: u64, rounds: u64) {
@@ -521,6 +526,7 @@ mod tests {
         assert_eq!(c.max_transmitters_per_round, 3);
         assert_eq!(c.total_bits, 40);
         assert_eq!(c.max_message_bits, 8);
+        assert_eq!(c.node_steps, 3 + 1 + 5);
     }
 
     #[test]
@@ -534,6 +540,7 @@ mod tests {
         assert_eq!(c.silent_rounds, 5);
         assert_eq!(c.elided_rounds, 5);
         assert_eq!(c.elided_spans, 1);
+        assert_eq!(c.node_steps, 4, "elided rounds step no node");
     }
 
     #[test]

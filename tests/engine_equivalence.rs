@@ -619,6 +619,22 @@ fn sink_installed_raw_traces_identical_on_every_engine() {
                 ExecutionStats::from_trace(sim.trace()),
                 "{label} [{engine:?}]: counters diverge from the trace walk"
             );
+            // The trace holds exactly the channel's activity: one event per
+            // transmission, delivery and collision, none for silence, and
+            // each round's nodes in strictly increasing order.
+            let events: usize = sim.trace().rounds.iter().map(|r| r.events.len()).sum();
+            assert_eq!(
+                events as u64,
+                counters.transmissions + counters.deliveries + counters.collisions,
+                "{label} [{engine:?}]: trace size is not the channel's activity"
+            );
+            for record in &sim.trace().rounds {
+                assert!(
+                    record.events.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{label} [{engine:?}] round {}: node ids do not strictly increase",
+                    record.round
+                );
+            }
         }
     }
 }

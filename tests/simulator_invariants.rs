@@ -69,37 +69,36 @@ proptest! {
             let transmitters: Vec<usize> = record
                 .events
                 .iter()
-                .enumerate()
                 .filter(|(_, e)| matches!(e, NodeEvent::Transmitted(_)))
-                .map(|(v, _)| v)
+                .map(|&(v, _)| v)
                 .collect();
-            for (v, event) in record.events.iter().enumerate() {
+            for v in 0..n {
                 let tx_neighbors: Vec<usize> = g
                     .neighbors(v)
                     .iter()
                     .copied()
                     .filter(|w| transmitters.contains(w))
                     .collect();
-                match event {
-                    NodeEvent::Transmitted(_) => {
+                match record.event(v) {
+                    Some(NodeEvent::Transmitted(_)) => {
                         // A transmitter never receives anything this round —
                         // there is nothing to check in the trace beyond the
                         // fact that it carries no Heard event, which the enum
                         // already guarantees.
                     }
-                    NodeEvent::Heard { from, message } => {
+                    Some(NodeEvent::Heard { from, message }) => {
                         prop_assert_eq!(tx_neighbors.len(), 1, "heard without unique transmitter");
                         prop_assert_eq!(tx_neighbors[0], *from);
                         prop_assert_eq!(*message as usize, *from, "chatter transmits its own id");
                     }
-                    NodeEvent::Collision { transmitting_neighbors } => {
+                    Some(NodeEvent::Collision { transmitting_neighbors }) => {
                         prop_assert!(tx_neighbors.len() >= 2);
                         prop_assert_eq!(*transmitting_neighbors, tx_neighbors.len());
                     }
-                    NodeEvent::Silence => {
+                    None => {
                         prop_assert!(tx_neighbors.is_empty());
                     }
-                    NodeEvent::Faulted(_) => {
+                    Some(NodeEvent::Faulted(_)) => {
                         prop_assert!(false, "fault marker in a fault-free run");
                     }
                 }
@@ -141,15 +140,15 @@ proptest! {
         for v in 0..n {
             let mut observed = sim.nodes()[v].heard.iter();
             for record in &sim.trace().rounds {
-                match &record.events[v] {
-                    NodeEvent::Transmitted(_) => {}
-                    NodeEvent::Heard { message, .. } => {
+                match record.event(v) {
+                    Some(NodeEvent::Transmitted(_)) => {}
+                    Some(NodeEvent::Heard { message, .. }) => {
                         prop_assert_eq!(observed.next().copied().flatten(), Some(*message));
                     }
-                    NodeEvent::Collision { .. } | NodeEvent::Silence => {
+                    Some(NodeEvent::Collision { .. }) | None => {
                         prop_assert_eq!(observed.next().copied().flatten(), None);
                     }
-                    NodeEvent::Faulted(_) => {
+                    Some(NodeEvent::Faulted(_)) => {
                         prop_assert!(false, "fault marker in a fault-free run");
                     }
                 }

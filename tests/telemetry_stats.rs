@@ -8,7 +8,7 @@
 //! pins the two derivations to each other.
 
 use radio_labeling::broadcast::session::{Scheme, Session};
-use radio_labeling::graph::generators::TopologyFamily;
+use radio_labeling::graph::generators::{self, TopologyFamily};
 use radio_labeling::radio::ExecutionStats;
 use std::sync::Arc;
 
@@ -47,4 +47,31 @@ fn counters_equal_trace_derived_stats_on_every_preset_and_general_scheme() {
             );
         }
     }
+}
+
+#[test]
+fn node_steps_count_the_frontier_each_engine_drives() {
+    // `node_steps` sums the per-round frontier: a dense protocol (λ_ack
+    // declares no wake hints) steps every node every executed round, while
+    // λ's wake-hint frontier steps strictly fewer.
+    let graph = Arc::new(generators::path(64));
+    let n = graph.node_count() as u64;
+    let run = |scheme: Scheme| {
+        let session = Session::builder(scheme, Arc::clone(&graph))
+            .build()
+            .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+        let (report, metrics) = session.run_instrumented();
+        (report, metrics.counters.expect("instrumented run"))
+    };
+    let (dense, c) = run(Scheme::LambdaAck);
+    assert!(dense.rounds_executed > 0);
+    assert_eq!(c.node_steps, dense.rounds_executed * n);
+    let (frontier, c) = run(Scheme::Lambda);
+    assert!(frontier.rounds_executed > 0);
+    assert!(
+        c.node_steps < frontier.rounds_executed * n,
+        "frontier λ stepped {} nodes in {} rounds",
+        c.node_steps,
+        frontier.rounds_executed
+    );
 }

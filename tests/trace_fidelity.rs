@@ -14,7 +14,9 @@ use radio_labeling::graph::generators::TopologyFamily;
 use radio_labeling::graph::Graph;
 use radio_labeling::radio::testing::ChaosNode;
 use radio_labeling::radio::trace::NodeEvent;
-use radio_labeling::radio::{Action, Engine, FaultPlan, RadioNode, Simulator, StopCondition};
+use radio_labeling::radio::{
+    Action, CounterSink, Engine, FaultPlan, RadioNode, Simulator, StopCondition,
+};
 use std::sync::Arc;
 
 /// Every preset instantiated at the same nominal size and seed. Rigid
@@ -79,10 +81,14 @@ impl RadioNode for Flood {
     }
 }
 
-/// Runs `Flood` on one engine with tracing on and returns the simulator.
+/// Runs `Flood` on one engine with tracing on and a `CounterSink`
+/// installed, checks that the trace holds exactly the channel's activity,
+/// and returns the simulator.
 fn flood_run(graph: &Arc<Graph>, engine: Engine) -> Simulator<Flood> {
     let n = graph.node_count();
-    let mut sim = Simulator::new(Arc::clone(graph), Flood::network(n)).with_engine(engine);
+    let mut sim = Simulator::new(Arc::clone(graph), Flood::network(n))
+        .with_engine(engine)
+        .with_metrics(Box::new(CounterSink::new()));
     sim.run_until(
         StopCondition::QuietFor {
             quiet: 3,
@@ -90,6 +96,22 @@ fn flood_run(graph: &Arc<Graph>, engine: Engine) -> Simulator<Flood> {
         },
         |_| false,
     );
+    // A fault-free trace is sparse: one event per transmission, delivery
+    // and collision, and nothing for a silent node.
+    let c = sim.metrics_counters().expect("sink installed");
+    let events: usize = sim.trace().rounds.iter().map(|r| r.events.len()).sum();
+    assert_eq!(
+        events as u64,
+        c.transmissions + c.deliveries + c.collisions,
+        "[{engine:?}]: trace size is not the channel's activity"
+    );
+    for record in &sim.trace().rounds {
+        assert!(
+            record.events.windows(2).all(|w| w[0].0 < w[1].0),
+            "[{engine:?}] round {}: node ids do not strictly increase",
+            record.round
+        );
+    }
     sim
 }
 
@@ -220,19 +242,18 @@ fn every_round_event_is_consistent_with_the_recorded_transmitters() {
             let transmitters: Vec<usize> = record
                 .events
                 .iter()
-                .enumerate()
                 .filter(|(_, e)| matches!(e, NodeEvent::Transmitted(_)))
-                .map(|(v, _)| v)
+                .map(|&(v, _)| v)
                 .collect();
-            for (v, event) in record.events.iter().enumerate() {
+            for v in 0..graph.node_count() {
                 let tx_neighbors = graph
                     .neighbors(v)
                     .iter()
                     .filter(|w| transmitters.contains(w))
                     .count();
-                match event {
-                    NodeEvent::Transmitted(_) => {}
-                    NodeEvent::Heard { from, .. } => {
+                match record.event(v) {
+                    Some(NodeEvent::Transmitted(_)) => {}
+                    Some(NodeEvent::Heard { from, .. }) => {
                         assert_eq!(
                             tx_neighbors, 1,
                             "{label} round {}: heard without unique transmitter",
@@ -244,23 +265,23 @@ fn every_round_event_is_consistent_with_the_recorded_transmitters() {
                             record.round
                         );
                     }
-                    NodeEvent::Collision {
+                    Some(NodeEvent::Collision {
                         transmitting_neighbors,
-                    } => {
+                    }) => {
                         assert_eq!(
                             *transmitting_neighbors, tx_neighbors,
                             "{label} round {}: collision fan-in wrong",
                             record.round
                         );
                     }
-                    NodeEvent::Silence => {
+                    None => {
                         assert_eq!(
                             tx_neighbors, 0,
                             "{label} round {}: silence with transmitting neighbors",
                             record.round
                         );
                     }
-                    NodeEvent::Faulted(_) => {
+                    Some(NodeEvent::Faulted(_)) => {
                         panic!("{label}: fault marker in a fault-free run");
                     }
                 }
