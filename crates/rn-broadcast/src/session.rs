@@ -66,7 +66,7 @@ use rn_radio::{
     CounterSink, Engine, ExecutionStats, FaultPlan, MetricsSink, RadioNode, RoundScratch,
     Simulator, StopCondition, TraceShape, WakeHintAudit, WakeHintViolation,
 };
-use rn_telemetry::{RunMetrics, SpanRecord, SpanTimer};
+use rn_telemetry::{RunCounters, RunMetrics, SpanRecord, SpanTimer};
 use std::sync::{Arc, Mutex};
 
 /// Which labeling scheme / broadcast algorithm pair a session executes.
@@ -1128,12 +1128,12 @@ impl Session {
         // Round 0 is the initial state: nodes informed before round 1 (the
         // sources) get round 0, exactly as the trace-based accounting
         // credits the source.
-        let mut online: Vec<Option<u64>> = if track_online {
-            nodes.iter().map(|v| v.is_informed().then_some(0)).collect()
-        } else {
-            Vec::new()
-        };
-        P::observe(&nodes, 0, &mut report);
+        let mut watch = Watch::default();
+        if track_online {
+            watch.online = vec![None; nodes.len()];
+            watch.track(&nodes, 0);
+        }
+        P::observe(&nodes, 0, &mut report, &mut watch);
 
         // The per-round scratch is borrowed from the session's pool and
         // returned afterwards, so repeated and batched runs reuse the same
@@ -1160,19 +1160,18 @@ impl Session {
         let outcome = sim.run_until(self.stop_condition(), |s| {
             let round = s.current_round();
             if track_online {
-                for (v, node) in s.nodes().iter().enumerate() {
-                    if online[v].is_none() && node.is_informed() {
-                        online[v] = Some(round);
-                    }
-                }
+                watch.track(s.nodes(), round);
             }
-            P::observe(s.nodes(), round, &mut report)
+            P::observe(s.nodes(), round, &mut report, &mut watch)
         });
         self.scratch_pool
             .lock()
             .expect("scratch pool not poisoned")
             .push(sim.take_scratch());
-        let counters = sim.metrics_counters();
+        let counters = sim.metrics_counters().map(|c| RunCounters {
+            harness_visits: watch.visits,
+            ..c
+        });
 
         report.rounds_executed = outcome.rounds_executed;
         report.informed_rounds = match P::TRACE_PAYLOAD {
@@ -1182,7 +1181,7 @@ impl Session {
                 report.source,
                 is_payload,
             ),
-            _ => online,
+            _ => watch.online,
         };
         report.stats = if record {
             ExecutionStats::from_trace(sim.trace())
@@ -1291,10 +1290,47 @@ trait Protocol: RadioNode + Clone {
     /// Observes the network at `round` — round 0 is the initial state, then
     /// once after every executed round — and records the protocol's own
     /// measurements in `report`: the ack, completion, common-knowledge and
-    /// per-message completion rounds. Returning `true` stops the run early
-    /// (ignored at round 0).
-    fn observe(_nodes: &[Self], _round: u64, _report: &mut RunReport) -> bool {
+    /// per-message completion rounds. All-nodes checks go through
+    /// [`Watch::all`]. Returning `true` stops the run early (ignored at
+    /// round 0).
+    fn observe(_nodes: &[Self], _round: u64, _report: &mut RunReport, _watch: &mut Watch) -> bool {
         false
+    }
+}
+
+/// What [`Session::drive`] keeps between rounds to observe a run: the
+/// informed rounds it tracks from node state, and a tally of the node
+/// states it examined (the `harness_visits` counter).
+#[derive(Default)]
+struct Watch {
+    /// The first round each node was seen informed; empty when the run's
+    /// trace answers instead.
+    online: Vec<Option<u64>>,
+    /// Node states examined so far.
+    visits: u64,
+}
+
+impl Watch {
+    /// Records `round` for every node of `nodes` newly informed.
+    fn track<P: Protocol>(&mut self, nodes: &[P], round: u64) {
+        self.visits += nodes.len() as u64;
+        for (v, node) in nodes.iter().enumerate() {
+            if self.online[v].is_none() && node.is_informed() {
+                self.online[v] = Some(round);
+            }
+        }
+    }
+
+    /// Whether every node satisfies `holds`. `check` names the predicate
+    /// among the protocol's all-nodes checks.
+    fn all<N>(&mut self, _check: usize, nodes: &[N], holds: impl Fn(&N) -> bool) -> bool {
+        for node in nodes {
+            self.visits += 1;
+            if !holds(node) {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -1332,7 +1368,7 @@ impl Protocol for BackNode {
         BackNode::is_informed(self)
     }
 
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, _watch: &mut Watch) -> bool {
         if report.ack_round.is_none() && nodes[report.source].source_received_ack() {
             report.ack_round = Some(round);
         }
@@ -1359,18 +1395,18 @@ impl Protocol for ArbNode {
     /// Completion is every node knowing µ itself, not just some message;
     /// both it and common knowledge are first checked after round 1, so
     /// even a one-node network completes in round 1.
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
         if round == 0 {
             return false;
         }
+        let message = Some(report.message);
         if report.completion_round.is_none()
-            && nodes
-                .iter()
-                .all(|n| n.learned_message() == Some(report.message))
+            && watch.all(0, nodes, |n| n.learned_message() == message)
         {
             report.completion_round = Some(round);
         }
-        if report.common_knowledge_round.is_none() && nodes.iter().all(ArbNode::knows_completion) {
+        if report.common_knowledge_round.is_none() && watch.all(1, nodes, ArbNode::knows_completion)
+        {
             report.common_knowledge_round = Some(round);
         }
         report.completion_round.is_some() && report.common_knowledge_round.is_some()
@@ -1395,8 +1431,8 @@ impl Protocol for SlottedNode {
 
     /// The slotted baselines never go quiet on their own: stop once every
     /// node is informed.
-    fn observe(nodes: &[Self], _round: u64, _report: &mut RunReport) -> bool {
-        nodes.iter().all(SlottedNode::is_informed)
+    fn observe(nodes: &[Self], _round: u64, _report: &mut RunReport, watch: &mut Watch) -> bool {
+        watch.all(0, nodes, SlottedNode::is_informed)
     }
 }
 
@@ -1436,8 +1472,8 @@ impl Protocol for MultiNode {
         self.holds_all_messages()
     }
 
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
-        observe_messages(nodes, round, report, MultiNode::has_message)
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
+        observe_messages(nodes, round, report, watch, MultiNode::has_message)
     }
 }
 
@@ -1460,8 +1496,8 @@ impl Protocol for GossipNode {
         self.holds_all_messages()
     }
 
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport) -> bool {
-        observe_messages(nodes, round, report, GossipNode::has_message)
+    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
+        observe_messages(nodes, round, report, watch, GossipNode::has_message)
     }
 }
 
@@ -1473,6 +1509,7 @@ fn observe_messages<N>(
     nodes: &[N],
     round: u64,
     report: &mut RunReport,
+    watch: &mut Watch,
     has_message: impl Fn(&N, usize) -> bool,
 ) -> bool {
     let sources = &report.sources;
@@ -1482,7 +1519,7 @@ fn observe_messages<N>(
     let mut all_complete = true;
     for (j, (_, slot)) in slots.iter_mut().enumerate() {
         if slot.is_none() {
-            if nodes.iter().all(|nd| has_message(nd, j)) {
+            if watch.all(j, nodes, |nd| has_message(nd, j)) {
                 *slot = Some(round);
             } else {
                 all_complete = false;

@@ -404,10 +404,11 @@ mod tests {
             max_message_bits: 10,
             frontier_peak: 11,
             node_steps: 12,
-            elided_rounds: 13,
-            elided_spans: 14,
-            scratch_reused: 15,
-            scratch_fresh: 16,
+            harness_visits: 13,
+            elided_rounds: 14,
+            elided_spans: 15,
+            scratch_reused: 16,
+            scratch_fresh: 17,
         }
     }
 

@@ -168,6 +168,7 @@ mod tests {
             max_message_bits: 8,
             frontier_peak: 3,
             node_steps: 9,
+            harness_visits: 0,
             elided_rounds: 0,
             elided_spans: 0,
             scratch_reused: 0,

@@ -142,6 +142,12 @@ pub struct RunCounters {
     /// Total node steps: the engine frontier summed over executed rounds
     /// (elided rounds step no node).
     pub node_steps: u64,
+    /// Node states a session's harness examined after the rounds: its
+    /// informed-round tracking and all-nodes completion checks. The
+    /// engines never touch it; an instrumented `Session` run fills it in.
+    /// Like `node_steps` it depends on the engine, which may or may not
+    /// tell the harness which nodes a round changed.
+    pub harness_visits: u64,
     /// Rounds skipped by silent-span elision.
     pub elided_rounds: u64,
     /// Number of elided spans.
@@ -208,7 +214,7 @@ impl Counter {
 
 impl RunCounters {
     /// Every counter, in exposition order.
-    pub const TABLE: [Counter; 16] = [
+    pub const TABLE: [Counter; 17] = [
         Counter::sum("rounds", |c| &mut c.rounds),
         Counter::sum("transmitters", |c| &mut c.transmitters),
         Counter::sum("transmissions", |c| &mut c.transmissions),
@@ -223,6 +229,7 @@ impl RunCounters {
         Counter::max("max_message_bits", |c| &mut c.max_message_bits),
         Counter::max("frontier_peak", |c| &mut c.frontier_peak),
         Counter::sum("node_steps", |c| &mut c.node_steps),
+        Counter::sum("harness_visits", |c| &mut c.harness_visits),
         Counter::sum("elided_rounds", |c| &mut c.elided_rounds),
         Counter::sum("elided_spans", |c| &mut c.elided_spans),
         Counter::sum("scratch_reused", |c| &mut c.scratch_reused),
