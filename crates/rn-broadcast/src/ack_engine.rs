@@ -328,19 +328,40 @@ impl BackEngine {
         }
     }
 
+    /// Age an age counter is pinned at once it can no longer trigger any
+    /// rule: every rule in [`step`](Self::step) compares an age with 1 or
+    /// 2, so saturating at 3 changes no decision, and it makes a settled
+    /// engine's state invariant under further ticks (the frozen state the
+    /// wrappers' wake hints promise).
+    const SETTLED_AGE: u64 = 3;
+
     fn tick(&mut self) {
+        let age = |a: &mut u64| *a = (*a + 1).min(Self::SETTLED_AGE);
         if let Some(a) = &mut self.informed_age {
-            *a += 1;
+            age(a);
         }
         if let Some(a) = &mut self.last_data_transmit_age {
-            *a += 1;
+            age(a);
         }
         if let Some((_, a)) = &mut self.stay_received {
-            *a += 1;
+            age(a);
         }
         if let Some((_, _, a)) = &mut self.ack_received {
-            *a += 1;
+            age(a);
         }
+    }
+
+    /// Whether the engine is frozen until it hears something: no source
+    /// transmission is pending and every age has settled, so `step` only
+    /// listens and leaves the state unchanged, and `receive(None)` is a
+    /// no-op.
+    pub fn settled(&self) -> bool {
+        let settled = |age: Option<u64>| age.is_none_or(|a| a >= Self::SETTLED_AGE);
+        !(self.is_source && self.enabled && !self.ever_acted)
+            && settled(self.informed_age)
+            && settled(self.last_data_transmit_age)
+            && settled(self.stay_received.map(|(_, a)| a))
+            && settled(self.ack_received.map(|(_, _, a)| a))
     }
 
     fn transmit_payload(&mut self, payload: TaggedPayload, tag: u64) -> EngineAction {

@@ -87,11 +87,23 @@ impl BackNode {
 
 impl RadioNode for BackNode {
     type Msg = TaggedMessage;
+    const WAKE_HINTS: bool = true;
 
     fn step(&mut self) -> Action<TaggedMessage> {
         match self.engine.step() {
             EngineAction::Transmit(m) => Action::Transmit(m),
             EngineAction::Listen => Action::Listen,
+        }
+    }
+
+    /// Every rule of Algorithm 2 fires one or two rounds after something
+    /// the node heard (or, at the source, in its first round), so a node
+    /// whose engine has settled parks until its next reception.
+    fn wake_hint(&self) -> u64 {
+        if self.engine.settled() {
+            u64::MAX
+        } else {
+            0
         }
     }
 
@@ -208,6 +220,37 @@ mod tests {
         assert!(sim.nodes()[1].is_informed());
         assert!(sim.nodes()[0].source_received_ack());
         assert!(sim.current_round() <= 3);
+    }
+
+    #[test]
+    fn parked_node_state_is_frozen() {
+        // A fresh uninformed node parks; a source must transmit first.
+        let mut node = BackNode::new(Label::three_bits(true, true, false), None);
+        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(
+            BackNode::new(Label::three_bits(false, false, false), Some(MSG)).wake_hint(),
+            0
+        );
+        // Hearing µ wakes it: it relays and sends "stay" within two rounds.
+        node.receive(Some(&TaggedMessage::new(
+            Phase::One,
+            TaggedPayload::Data(MSG),
+            4,
+        )));
+        assert_eq!(node.wake_hint(), 0);
+        for _ in 0..6 {
+            node.step();
+            node.receive(None);
+        }
+        assert_eq!(node.wake_hint(), u64::MAX);
+        // The wake-hint contract: once the hint is MAX, step/receive(None)
+        // pairs must not change the node at all.
+        let before = format!("{node:?}");
+        for _ in 0..10 {
+            assert_eq!(node.step(), Action::Listen);
+            node.receive(None);
+        }
+        assert_eq!(format!("{node:?}"), before);
     }
 
     #[test]

@@ -236,6 +236,37 @@ impl ArbNode {
         }
     }
 
+    /// Whether [`advance_phases`](Self::advance_phases) or
+    /// [`update_local_knowledge`](Self::update_local_knowledge) would
+    /// change anything if run now: a coordinator phase switch waiting on a
+    /// final ack, or a `t_v`, `T`, source acknowledgement countdown or
+    /// completion countdown that is due but not yet recorded.
+    fn bookkeeping_due(&self) -> bool {
+        let phase_switch = self.is_coordinator
+            && !self.phase3.is_enabled()
+            && if self.phase2.is_enabled() {
+                self.phase2.final_ack().is_some()
+            } else {
+                self.phase1.final_ack().is_some()
+            };
+        let t_v = self.t_v.is_none() && self.phase1.informed_round().is_some();
+        let t_bound = self.t_bound.is_none()
+            && matches!(self.phase2.payload(), Some(TaggedPayload::Ready(_)));
+        let source_ack = self.original_message.is_some()
+            && !self.is_coordinator
+            && !self.source_ack_sent
+            && self.source_ack_countdown.is_none()
+            && self.t_bound.is_some()
+            && self.phase2.informed_round().is_some();
+        let completion = self.completion_countdown.is_none()
+            && !self.knows_completion
+            && self.phase3.is_informed()
+            && !self.is_coordinator
+            && self.t_bound.is_some()
+            && self.t_v.is_some();
+        phase_switch || t_v || t_bound || source_ack || completion
+    }
+
     fn countdowns(&mut self) -> Option<TaggedMessage> {
         // Coordinator-holds-µ special case: start phase 3 once the ready
         // broadcast has surely finished.
@@ -282,6 +313,7 @@ impl ArbNode {
 
 impl RadioNode for ArbNode {
     type Msg = TaggedMessage;
+    const WAKE_HINTS: bool = true;
 
     fn step(&mut self) -> Action<TaggedMessage> {
         self.advance_phases();
@@ -311,6 +343,24 @@ impl RadioNode for ArbNode {
             return Action::Transmit(m);
         }
         Action::Listen
+    }
+
+    /// Parks the node once its next `step` would do nothing: all three
+    /// engines have settled, no countdown is running and no bookkeeping is
+    /// due. A node that is counting down stays driven every round.
+    fn wake_hint(&self) -> u64 {
+        let parked = self.phase1.settled()
+            && self.phase2.settled()
+            && self.phase3.settled()
+            && self.phase3_start_countdown.is_none()
+            && self.completion_countdown.is_none()
+            && self.source_ack_countdown.is_none()
+            && !self.bookkeeping_due();
+        if parked {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn receive(&mut self, heard: Option<&TaggedMessage>) {
@@ -432,6 +482,69 @@ mod tests {
         assert!(coord.t_bound().is_some());
         assert_eq!(coord.learned_message(), Some(MSG));
         assert_eq!(coord.t_v(), Some(0));
+    }
+
+    #[test]
+    fn parked_node_state_is_frozen() {
+        // A fresh non-coordinator parks; the coordinator must open phase 1.
+        let mut node = ArbNode::new(Label::three_bits(true, true, false), None);
+        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(
+            ArbNode::new(lambda_arb::coordinator_label(), None).wake_hint(),
+            0
+        );
+        // Hearing "initialize" wakes it: it records t_v and relays.
+        node.receive(Some(&TaggedMessage::new(
+            Phase::One,
+            TaggedPayload::Init,
+            3,
+        )));
+        assert_eq!(node.wake_hint(), 0);
+        for _ in 0..6 {
+            node.step();
+            node.receive(None);
+        }
+        assert_eq!(node.t_v(), Some(3));
+        assert_eq!(node.wake_hint(), u64::MAX);
+        // The wake-hint contract: once the hint is MAX, step/receive(None)
+        // pairs must not change the node at all.
+        let before = format!("{node:?}");
+        for _ in 0..10 {
+            assert_eq!(node.step(), Action::Listen);
+            node.receive(None);
+        }
+        assert_eq!(format!("{node:?}"), before);
+    }
+
+    #[test]
+    fn counting_down_node_stays_driven() {
+        // Phase 3 starts a completion countdown at every informed node:
+        // the node is driven every round until it knows completion.
+        let mut node = ArbNode::new(Label::three_bits(false, false, false), None);
+        node.receive(Some(&TaggedMessage::new(
+            Phase::One,
+            TaggedPayload::Init,
+            2,
+        )));
+        node.receive(Some(&TaggedMessage::new(
+            Phase::Two,
+            TaggedPayload::Ready(6),
+            2,
+        )));
+        node.receive(Some(&TaggedMessage::new(
+            Phase::Three,
+            TaggedPayload::Data(MSG),
+            2,
+        )));
+        let mut rounds = 0;
+        while !node.knows_completion() {
+            assert_eq!(node.wake_hint(), 0, "round {rounds}");
+            node.step();
+            node.receive(None);
+            rounds += 1;
+        }
+        assert_eq!(rounds, 6 - 2 + 1, "T − t_v + 1 rounds");
+        assert_eq!(node.wake_hint(), u64::MAX);
     }
 
     #[test]

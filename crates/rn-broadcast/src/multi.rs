@@ -63,6 +63,8 @@ pub struct MultiNode {
     /// Per-source payloads this node holds; entry `j` is `Some(µ_j)` once
     /// message j has been received (or originated here).
     received: Vec<Option<SourceMessage>>,
+    /// How many entries of `received` are `Some`.
+    held: usize,
     /// The bundle, once assembled (coordinator) or heard (everyone else):
     /// the broadcast phase's "sourcemsg".
     bundle: Option<MessageBundle>,
@@ -116,6 +118,7 @@ impl MultiNode {
                     local_round: 0,
                     next_slot: 0,
                     received: vec![None; k],
+                    held: 0,
                     bundle: None,
                     informed_age: None,
                     last_bundle_transmit_age: None,
@@ -124,7 +127,7 @@ impl MultiNode {
             })
             .collect();
         for (j, &s) in sources.iter().enumerate() {
-            nodes[s].received[j] = Some(payloads[j]);
+            nodes[s].hold(j, payloads[j]);
         }
         for slot in plan.slots() {
             nodes[slot.node].slots.push((slot.round, slot.payload));
@@ -140,7 +143,7 @@ impl MultiNode {
     /// Whether this node holds **all** k messages (the multi-broadcast
     /// completion notion).
     pub fn holds_all_messages(&self) -> bool {
-        self.received.iter().all(Option::is_some)
+        self.held == self.received.len()
     }
 
     /// The payloads this node currently holds, indexed by source index.
@@ -160,13 +163,19 @@ impl MultiNode {
         }
     }
 
+    /// Stores message `j` unless the node already holds it.
+    fn hold(&mut self, j: usize, payload: SourceMessage) {
+        let slot = &mut self.received[j];
+        if slot.is_none() {
+            *slot = Some(payload);
+            self.held += 1;
+        }
+    }
+
     /// Stores every payload of a bundle (idempotent).
     fn absorb_bundle(&mut self, bundle: &MessageBundle) {
         for &(j, p) in bundle.iter() {
-            let slot = &mut self.received[j as usize];
-            if slot.is_none() {
-                *slot = Some(p);
-            }
+            self.hold(j as usize, p);
         }
     }
 
@@ -262,10 +271,7 @@ impl RadioNode for MultiNode {
             } => {
                 // Opportunistic absorption; never touches the Algorithm B
                 // state (the broadcast phase has not started).
-                let slot = &mut self.received[*source_index as usize];
-                if slot.is_none() {
-                    *slot = Some(*payload);
-                }
+                self.hold(*source_index as usize, *payload);
             }
             MultiMessage::Token(token) => {
                 // The walking token of a DFS plan: absorb everything it

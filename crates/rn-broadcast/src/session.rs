@@ -1080,7 +1080,8 @@ impl Session {
         let record = self.trace == TracePolicy::Recorded || want_shape;
         // Informed rounds come from the recorded trace when the protocol's
         // payloads show who is informed, otherwise from node state after
-        // every round. Skipping that O(n)-per-round scan whenever the trace
+        // every round: the nodes the engine says the round changed, or all
+        // of them when it cannot say. Skipping that scan whenever the trace
         // can answer keeps it off the traced hot path.
         let track_online = !record || P::TRACE_PAYLOAD.is_none();
         let round_timer = metrics.is_some().then(|| SpanTimer::start("round_loop"));
@@ -1131,7 +1132,7 @@ impl Session {
         let mut watch = Watch::default();
         if track_online {
             watch.online = vec![None; nodes.len()];
-            watch.track(&nodes, 0);
+            watch.track(&nodes, None, 0);
         }
         P::observe(&nodes, 0, &mut report, &mut watch);
 
@@ -1160,7 +1161,7 @@ impl Session {
         let outcome = sim.run_until(self.stop_condition(), |s| {
             let round = s.current_round();
             if track_online {
-                watch.track(s.nodes(), round);
+                watch.track(s.nodes(), s.active_nodes(), round);
             }
             P::observe(s.nodes(), round, &mut report, &mut watch)
         });
@@ -1299,38 +1300,68 @@ trait Protocol: RadioNode + Clone {
 }
 
 /// What [`Session::drive`] keeps between rounds to observe a run: the
-/// informed rounds it tracks from node state, and a tally of the node
-/// states it examined (the `harness_visits` counter).
+/// informed rounds it tracks from node state, one cursor per all-nodes
+/// check, and a tally of the node states it examined (the
+/// `harness_visits` counter). It holds O(n + checks) words, and a round
+/// costs it O(nodes the round changed) when the engine names them.
 #[derive(Default)]
 struct Watch {
     /// The first round each node was seen informed; empty when the run's
     /// trace answers instead.
     online: Vec<Option<u64>>,
+    /// Per all-nodes check, the first node not yet seen to pass it.
+    cursors: Vec<usize>,
     /// Node states examined so far.
     visits: u64,
 }
 
 impl Watch {
-    /// Records `round` for every node of `nodes` newly informed.
-    fn track<P: Protocol>(&mut self, nodes: &[P], round: u64) {
-        self.visits += nodes.len() as u64;
-        for (v, node) in nodes.iter().enumerate() {
-            if self.online[v].is_none() && node.is_informed() {
-                self.online[v] = Some(round);
-            }
+    /// Records `round` for every newly informed node among `changed`, the
+    /// nodes the round may have changed (`None`: any node).
+    fn track<P: Protocol>(&mut self, nodes: &[P], changed: Option<&[NodeId]>, round: u64) {
+        match changed {
+            Some(vs) => vs.iter().for_each(|&v| self.see(nodes, v, round)),
+            None => (0..nodes.len()).for_each(|v| self.see(nodes, v, round)),
+        }
+        debug_assert!(
+            nodes
+                .iter()
+                .zip(&self.online)
+                .all(|(node, seen)| seen.is_some() || !node.is_informed()),
+            "round {round}: a node the engine did not name became informed"
+        );
+    }
+
+    fn see<P: Protocol>(&mut self, nodes: &[P], v: NodeId, round: u64) {
+        self.visits += 1;
+        if self.online[v].is_none() && nodes[v].is_informed() {
+            self.online[v] = Some(round);
         }
     }
 
-    /// Whether every node satisfies `holds`. `check` names the predicate
-    /// among the protocol's all-nodes checks.
-    fn all<N>(&mut self, _check: usize, nodes: &[N], holds: impl Fn(&N) -> bool) -> bool {
-        for node in nodes {
+    /// Whether every node passes `holds`, the protocol's all-nodes check
+    /// number `check`. Each such check is monotone (a node that passes
+    /// keeps passing), so its cursor only moves forward: over a run it
+    /// visits each node once, plus one node per round while it fails.
+    fn all<N>(&mut self, check: usize, nodes: &[N], holds: impl Fn(&N) -> bool) -> bool {
+        if self.cursors.len() <= check {
+            self.cursors.resize(check + 1, 0);
+        }
+        let cursor = &mut self.cursors[check];
+        while let Some(node) = nodes.get(*cursor) {
             self.visits += 1;
             if !holds(node) {
-                return false;
+                break;
             }
+            *cursor += 1;
         }
-        true
+        let all = *cursor == nodes.len();
+        debug_assert_eq!(
+            all,
+            nodes.iter().all(&holds),
+            "all-nodes check {check} is not monotone"
+        );
+        all
     }
 }
 
@@ -1744,6 +1775,27 @@ mod tests {
             }
         }
         assert!(session.run_with_instrumented(RunSpec::new(99, 7)).is_err());
+    }
+
+    #[test]
+    fn ack_and_arb_sessions_drive_only_their_frontier() {
+        // B_ack and B_arb nodes act only around their own events, so the
+        // fast engine parks them in between instead of stepping all n.
+        let g = Arc::new(generators::path(64));
+        let n = g.node_count() as u64;
+        for scheme in [Scheme::LambdaAck, Scheme::LambdaArb] {
+            let session = Session::builder(scheme, Arc::clone(&g)).build().unwrap();
+            let (report, metrics) = session.run_instrumented();
+            let c = metrics.counters.unwrap();
+            assert!(report.completed(), "{}", scheme.name());
+            assert!(
+                c.node_steps < report.rounds_executed * n,
+                "{}: {} node steps in {} rounds",
+                scheme.name(),
+                c.node_steps,
+                report.rounds_executed
+            );
+        }
     }
 
     #[test]

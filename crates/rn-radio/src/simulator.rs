@@ -90,6 +90,9 @@
 //!   wake is `k > 1` rounds away, no node can act in between (dormant nodes
 //!   are frozen, jammers are forced awake), so the clock jumps while the
 //!   quiet-streak arithmetic advances exactly as if the rounds had run.
+//!   [`Simulator::active_nodes`] names the nodes a round may have changed
+//!   (the driven ones and the dormant ones that decoded), so a harness
+//!   that watches node state can skip the rest.
 //!
 //! Either way the observe pass is the same whether or not a trace is
 //! recording. Recording only appends an event at each outcome the passes
@@ -163,7 +166,10 @@ struct EventState {
     /// channel (and resets quiet detection) even while its protocol is
     /// dormant, so elision must never skip a jam round.
     fault_wakes: BinaryHeap<Reverse<(u64, NodeId)>>,
-    /// The current round's due list (reused across rounds).
+    /// The current round's due list (reused across rounds). Once the round
+    /// is resolved, the dormant nodes that decoded a message follow the
+    /// driven ones: together they are every node the round may have
+    /// changed.
     due: Vec<NodeId>,
     /// Nodes scheduled for the immediately following round. Bypasses the
     /// heap so a node active in consecutive rounds costs O(1) per round,
@@ -505,6 +511,20 @@ impl<N: RadioNode> Simulator<N> {
     /// Number of rounds executed so far.
     pub fn current_round(&self) -> u64 {
         self.round
+    }
+
+    /// The nodes whose state the last executed round may have changed: in
+    /// [`Engine::EventDriven`]'s frontier mode, the nodes it drove plus the
+    /// dormant nodes that decoded a message. Every other node's state is
+    /// what it was before that round, and elided rounds change no node, so
+    /// a harness that watches node state needs to look only at these.
+    /// `None` — any node may have changed — for a dense protocol, under
+    /// the reference engine, and before the first round.
+    pub fn active_nodes(&self) -> Option<&[NodeId]> {
+        match &self.event {
+            Some(st) if N::WAKE_HINTS && self.engine == Engine::EventDriven => Some(&st.due),
+            _ => None,
+        }
     }
 
     /// Executes a single round and returns the number of transmitters.
@@ -943,6 +963,9 @@ impl<N: RadioNode> Simulator<N> {
             events.extend(event.map(|e| (v, e)));
             if decoded {
                 st.reschedule(&nodes[v], v, round);
+                // Past the driven prefix, the due list now also names the
+                // dormant nodes this round changed (`active_nodes`).
+                st.due.push(v);
             }
         }
         if record_trace {
@@ -1700,6 +1723,80 @@ mod tests {
             // Rounds 10 and 11 jam; 30 quiet rounds after that ends at 41.
             assert_eq!(outcome.rounds_executed, 41, "{engine:?}");
         }
+    }
+
+    /// A frontier protocol in which every node relays the first message it
+    /// hears, once, the round after; the source starts with one to relay.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Relay {
+        pending: Option<u64>,
+        relayed: bool,
+        heard: Vec<u64>,
+    }
+
+    impl RadioNode for Relay {
+        type Msg = u64;
+        const WAKE_HINTS: bool = true;
+        fn step(&mut self) -> Action<u64> {
+            match self.pending.take() {
+                Some(m) => {
+                    self.relayed = true;
+                    Action::Transmit(m)
+                }
+                None => Action::Listen,
+            }
+        }
+        fn receive(&mut self, heard: Option<&u64>) {
+            if let Some(&m) = heard {
+                self.heard.push(m);
+                if !self.relayed && self.pending.is_none() {
+                    self.pending = Some(m);
+                }
+            }
+        }
+        fn wake_hint(&self) -> u64 {
+            if self.pending.is_some() {
+                0
+            } else {
+                u64::MAX
+            }
+        }
+    }
+
+    #[test]
+    fn active_nodes_cover_every_node_a_round_changes() {
+        let n = 8;
+        let nodes: Vec<Relay> = (0..n)
+            .map(|v| Relay {
+                pending: (v == 0).then_some(5),
+                relayed: false,
+                heard: Vec::new(),
+            })
+            .collect();
+        let mut sim = Simulator::new(generators::path(n), nodes).without_trace();
+        assert_eq!(sim.active_nodes(), None, "no round executed yet");
+        let mut smallest = n;
+        for round in 1..=n as u64 + 2 {
+            let before = sim.nodes().to_vec();
+            sim.step_round();
+            let active = sim.active_nodes().expect("frontier protocol");
+            for (v, (now, was)) in sim.nodes().iter().zip(&before).enumerate() {
+                if now != was {
+                    assert!(active.contains(&v), "round {round}: node {v} changed");
+                }
+            }
+            smallest = smallest.min(active.len());
+        }
+        // Round 1 drives everyone; later rounds only the relay wave.
+        assert!(smallest <= 3, "the active set never shrank: {smallest}");
+
+        // A dense protocol, or the reference engine: any node may change.
+        let mut dense = one_shot_sim(generators::path(3));
+        dense.step_round();
+        assert_eq!(dense.active_nodes(), None);
+        let mut reference = pulse_sim(generators::path(3), Engine::ListenerCentric);
+        reference.step_round();
+        assert_eq!(reference.active_nodes(), None);
     }
 
     /// [`Pulse`] without the [`RadioNode::WAKE_HINTS`] declaration: its

@@ -81,3 +81,27 @@ fn cost_counters_match_the_golden_file() {
         changed.join("\n")
     );
 }
+
+#[test]
+fn lambda_and_lambda_ack_cost_grows_linearly_on_a_path() {
+    // Both parked between their events and observed only where a round
+    // changed something, λ and λ_ack cost O(n) on a path: doubling n may
+    // at most (about) double each counter. λ_arb still grows ~4× — its
+    // countdowns keep every informed node driven until completion.
+    for scheme in [Scheme::Lambda, Scheme::LambdaAck] {
+        let small = counters(TopologyFamily::Path, 256, scheme);
+        let large = counters(TopologyFamily::Path, 512, scheme);
+        for (name, a, b) in [
+            ("node_steps", small.node_steps, large.node_steps),
+            ("harness_visits", small.harness_visits, large.harness_visits),
+        ] {
+            if a > 0 {
+                assert!(
+                    b as f64 <= 2.2 * a as f64,
+                    "{}: {name} grew from {a} at n = 256 to {b} at n = 512",
+                    scheme.name()
+                );
+            }
+        }
+    }
+}

@@ -51,9 +51,9 @@ fn counters_equal_trace_derived_stats_on_every_preset_and_general_scheme() {
 
 #[test]
 fn node_steps_count_the_frontier_each_engine_drives() {
-    // `node_steps` sums the per-round frontier: a dense protocol (λ_ack
-    // declares no wake hints) steps every node every executed round, while
-    // λ's wake-hint frontier steps strictly fewer.
+    // `node_steps` sums the per-round frontier: a dense protocol (the
+    // unique-ID baseline declares no wake hints) steps every node every
+    // executed round, while λ's wake-hint frontier steps strictly fewer.
     let graph = Arc::new(generators::path(64));
     let n = graph.node_count() as u64;
     let run = |scheme: Scheme| {
@@ -63,7 +63,7 @@ fn node_steps_count_the_frontier_each_engine_drives() {
         let (report, metrics) = session.run_instrumented();
         (report, metrics.counters.expect("instrumented run"))
     };
-    let (dense, c) = run(Scheme::LambdaAck);
+    let (dense, c) = run(Scheme::UniqueIds);
     assert!(dense.rounds_executed > 0);
     assert_eq!(c.node_steps, dense.rounds_executed * n);
     let (frontier, c) = run(Scheme::Lambda);
