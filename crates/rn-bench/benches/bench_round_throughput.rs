@@ -14,10 +14,11 @@
 //! G(n, p), unit-disk, degree-capped), drawn through
 //! `TopologyFamily::generate` so the benches measure exactly the instances
 //! the scenario sweeps run on. Algorithm B declares wake hints, so the fast
-//! engine drives it along its frontier and elides the quiet tail. Two
-//! hint-less protocols — the k = 4 multi-broadcast and all-to-all gossip —
-//! cover the fast engine's dense mode, where every node is driven every
-//! round. Every run executes `2n` rounds — the active broadcast wave plus
+//! engine drives it along its frontier and elides the quiet tail; so do
+//! B_ack and B_arb, which run on the path too (λ_ack and λ_arb labels).
+//! Two hint-less protocols — the k = 4 multi-broadcast and all-to-all
+//! gossip — cover the fast engine's dense mode, where every node is driven
+//! every round. Every run executes `2n` rounds — the active broadcast wave plus
 //! the quiet tail — because the paper's protocols spend most of a long
 //! execution in rounds with very few (often zero) transmitters: the
 //! listener-centric engine scans every listener's whole neighbourhood even
@@ -33,11 +34,13 @@
 //! run after all measurements and write one consolidated file.
 
 use rn_broadcast::algo_b::BNode;
+use rn_broadcast::algo_back::BackNode;
+use rn_broadcast::algo_barb::ArbNode;
 use rn_broadcast::gossip::GossipNode;
 use rn_broadcast::multi::MultiNode;
 use rn_graph::generators::TopologyFamily;
 use rn_graph::{generators, Graph};
-use rn_labeling::{gossip, lambda, multi};
+use rn_labeling::{gossip, lambda, lambda_ack, lambda_arb, multi};
 use rn_radio::{Engine, RadioNode, Simulator};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -169,6 +172,39 @@ fn run_workload(name: &'static str, graph: Graph, cfg: &Config) -> Measurement {
     )
 }
 
+/// Algorithm B_ack under λ_ack labels, from source 0: the broadcast wave,
+/// then the acknowledgement hopping back to the source.
+fn run_ack_workload(name: &'static str, graph: Graph, cfg: &Config) -> Measurement {
+    let graph = Arc::new(graph);
+    let labeling = lambda_ack::construct(&graph, 0)
+        .expect("workload is connected")
+        .into_labeling();
+    bench_case(
+        name,
+        "lambda_ack",
+        Arc::clone(&graph),
+        move || BackNode::network(&labeling, 0, 7),
+        cfg,
+    )
+}
+
+/// Algorithm B_arb under λ_arb labels, from the far end of the graph: the
+/// coordinator's three phases, with every informed node counting down.
+fn run_arb_workload(name: &'static str, graph: Graph, cfg: &Config) -> Measurement {
+    let graph = Arc::new(graph);
+    let source = graph.node_count() - 1;
+    let labeling = lambda_arb::construct(&graph)
+        .expect("workload is connected")
+        .into_labeling();
+    bench_case(
+        name,
+        "lambda_arb",
+        Arc::clone(&graph),
+        move || ArbNode::network(&labeling, source, 7),
+        cfg,
+    )
+}
+
 /// A k-source multi-broadcast case: collection plus bundle broadcast, so
 /// the engines also see the one-transmitter collection rounds and the
 /// Arc-shared bundle relays.
@@ -280,6 +316,8 @@ fn main() {
     let n = cfg.n;
     let mut measurements = vec![
         run_workload("path", generators::path(n), &cfg),
+        run_ack_workload("lambda-ack-path", generators::path(n), &cfg),
+        run_arb_workload("lambda-arb-path", generators::path(n), &cfg),
         run_workload("random-tree", generators::random_tree(n, 7), &cfg),
         run_workload(
             "gnp-avg-deg-8",
