@@ -355,7 +355,7 @@ impl BackEngine {
     /// transmission is pending and every age has settled, so `step` only
     /// listens and leaves the state unchanged, and `receive(None)` is a
     /// no-op.
-    pub fn settled(&self) -> bool {
+    pub(crate) fn settled(&self) -> bool {
         let settled = |age: Option<u64>| age.is_none_or(|a| a >= Self::SETTLED_AGE);
         !(self.is_source && self.enabled && !self.ever_acted)
             && settled(self.informed_age)

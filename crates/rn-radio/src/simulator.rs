@@ -963,7 +963,7 @@ impl<N: RadioNode> Simulator<N> {
             events.extend(event.map(|e| (v, e)));
             if decoded {
                 st.reschedule(&nodes[v], v, round);
-                // Past the driven prefix, the due list now also names the
+                // Past the driven prefix, the due list also names the
                 // dormant nodes this round changed (`active_nodes`).
                 st.due.push(v);
             }
