@@ -1303,7 +1303,8 @@ trait Protocol: RadioNode + Clone {
 /// informed rounds it tracks from node state, one cursor per all-nodes
 /// check, and a tally of the node states it examined (the
 /// `harness_visits` counter). It holds O(n + checks) words, and a round
-/// costs it O(nodes the round changed) when the engine names them.
+/// costs it O(nodes the round changed + checks) when the engine names
+/// the changed nodes.
 #[derive(Default)]
 struct Watch {
     /// The first round each node was seen informed; empty when the run's
