@@ -17,6 +17,10 @@
 //! * `tiny/<graph>/<scheme>` — the degenerate one- and two-node graphs;
 //! * `engine/<scheme>/<engine>` — every scheme on every engine;
 //! * `faults/<scheme>` — every scheme under one crash + jam fault plan;
+//! * `latewake/<scheme>` — every `Scheme::GENERAL` entry under a plan that
+//!   wakes one node late, jams a relay across its multi-broadcast collection
+//!   slot and jams an informed node during λ_arb's completion countdown, on
+//!   both engines and under both trace policies;
 //! * `api/<scheme>` — the other entry points: `run_instrumented` (counters
 //!   and the trace cross-check), `run_shaped`, a relabelling `run_with`,
 //!   `run_with_message`, a 2-thread `run_batch`, `audit_wake_hints` and
@@ -220,6 +224,30 @@ fn fault_column(scheme: Scheme, g: &Arc<Graph>) -> String {
     hex(d)
 }
 
+/// A late wake plus two jams, timed on the 7×7 grid from source 0: node 17
+/// is jammed in rounds 2–3, before its `multi_lambda:2` collection slot in
+/// round 5, and node 2 in rounds 70–72, inside λ_arb's phase-3 completion
+/// countdown. A jam suspends the protocol, so both slots move by the
+/// length of the jam.
+fn late_wake_column(scheme: Scheme, g: &Arc<Graph>) -> String {
+    let plan = FaultPlan::none()
+        .late_wake(9, 4)
+        .jam(17, 2, 2)
+        .jam(2, 70, 3);
+    let mut d = Digest::new(0x5e55_0004);
+    for engine in ENGINES {
+        for trace in TRACES {
+            let session = build(scheme, g)
+                .faults(plan.clone())
+                .engine(engine)
+                .trace(trace)
+                .build();
+            d = result(d, &session, |d, s| report(d, &s.run()));
+        }
+    }
+    hex(d)
+}
+
 /// The `api` section's columns for one scheme on one graph.
 fn api_columns(scheme: Scheme, g: &Arc<Graph>) -> Vec<String> {
     let n = g.node_count();
@@ -362,6 +390,12 @@ fn actual_rows() -> Vec<String> {
     for (scheme, g) in every_scheme(&fault_graph) {
         let col = fault_column(scheme, &g);
         row(&mut rows, format!("faults/{}", label(scheme)), vec![col]);
+    }
+
+    section(&mut rows, "latewake/<scheme> report");
+    for scheme in Scheme::GENERAL {
+        let col = late_wake_column(scheme, &fault_graph);
+        row(&mut rows, format!("latewake/{}", label(scheme)), vec![col]);
     }
 
     section(
