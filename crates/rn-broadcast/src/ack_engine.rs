@@ -44,12 +44,16 @@ pub struct BackEngine {
     /// The paper's `informedRound` variable (round tag of the first received
     /// broadcast payload). `None` for the source.
     informed_round: Option<u64>,
-    informed_age: Option<u64>,
+    /// The local round in which the payload first arrived.
+    informed_at: Option<u64>,
     /// The paper's `transmitRounds` variable.
     transmit_rounds: Vec<u64>,
-    last_data_transmit_age: Option<u64>,
-    stay_received: Option<(u64, u64)>,
-    ack_received: Option<(u64, Option<u64>, u64)>,
+    /// The local round of the last payload transmission.
+    last_tx_at: Option<u64>,
+    /// The last "stay" heard: `(tag, local round)`.
+    stay_at: Option<(u64, u64)>,
+    /// The last "ack" heard: `(tag, extra, local round)`.
+    ack_at: Option<(u64, Option<u64>, u64)>,
     ever_acted: bool,
     enabled: bool,
     /// First acknowledgement heard by the source (any tag) — the quantity
@@ -98,11 +102,11 @@ impl BackEngine {
             ack_extra,
             sourcemsg: source_payload,
             informed_round: None,
-            informed_age: None,
+            informed_at: None,
             transmit_rounds: Vec::new(),
-            last_data_transmit_age: None,
-            stay_received: None,
-            ack_received: None,
+            last_tx_at: None,
+            stay_at: None,
+            ack_at: None,
             ever_acted: false,
             enabled,
             first_ack_heard: None,
@@ -214,11 +218,11 @@ impl BackEngine {
             .word(pk)
             .word(pv)
             .opt(self.informed_round)
-            .opt(self.informed_age)
+            .opt(self.informed_at)
             .words(&self.transmit_rounds)
-            .opt(self.last_data_transmit_age);
-        let d = pair(d, self.stay_received);
-        let d = match self.ack_received {
+            .opt(self.last_tx_at);
+        let d = pair(d, self.stay_at);
+        let d = match self.ack_at {
             None => d.word(0),
             Some((a, b, c)) => d.word(1).word(a).opt(b).word(c),
         };
@@ -226,28 +230,29 @@ impl BackEngine {
         tagged(tagged(d, self.first_ack_heard), self.final_ack)
     }
 
-    /// Advances local time by one round and decides this round's action.
-    pub fn step(&mut self) -> EngineAction {
-        self.tick();
+    /// Decides the action of local round `now`.
+    pub fn step(&mut self, now: u64) -> EngineAction {
         if self.is_source && self.enabled && !self.ever_acted {
             // Algorithm 2, lines 4-5: the source transmits (µ, 1) in its
             // first active round.
             let payload = self.sourcemsg.expect("source knows its payload");
-            return self.transmit_payload(payload, 1);
+            return self.transmit_payload(payload, 1, now);
         }
         if self.sourcemsg.is_none() {
             // Lines 6-10: uninformed nodes listen.
             return EngineAction::Listen;
         }
-        // Lines 11-33.
-        if self.informed_age == Some(2) {
+        // Lines 11-33. Each rule compares the age of an event, `now` minus
+        // its timestamp, with 1 or 2.
+        let informed_age = self.informed_at.map(|t| now - t);
+        if informed_age == Some(2) {
             // Lines 12-16.
             if self.x1 {
                 let tag = self.informed_round.expect("informed non-source") + 2;
                 let payload = self.sourcemsg.expect("informed");
-                return self.transmit_payload(payload, tag);
+                return self.transmit_payload(payload, tag, now);
             }
-        } else if self.informed_age == Some(1) {
+        } else if informed_age == Some(1) {
             // Lines 17-22.
             if self.x3 && self.x3_initiates_ack {
                 let k = self.informed_round.expect("informed non-source");
@@ -266,13 +271,13 @@ impl BackEngine {
                     k + 1,
                 ));
             }
-        } else if let Some((k, 1)) = self.stay_received {
+        } else if let Some((k, _)) = self.stay_at.filter(|&(_, t)| now - t == 1) {
             // Lines 23-27.
-            if self.last_data_transmit_age == Some(2) {
+            if self.last_tx_at.map(|t| now - t) == Some(2) {
                 let payload = self.sourcemsg.expect("informed");
-                return self.transmit_payload(payload, k + 1);
+                return self.transmit_payload(payload, k + 1, now);
             }
-        } else if let Some((k, extra, 1)) = self.ack_received {
+        } else if let Some((k, extra, _)) = self.ack_at.filter(|&(_, _, t)| now - t == 1) {
             // Lines 28-32. The source never forwards (its transmitRounds is
             // treated as null by the paper); it records the acknowledgement
             // instead (see `receive`).
@@ -289,9 +294,10 @@ impl BackEngine {
         EngineAction::Listen
     }
 
-    /// Processes a heard message (or silence) for this instance. Messages of
-    /// other phases must not be passed here; the wrapper filters them.
-    pub fn receive(&mut self, heard: Option<&TaggedMessage>) {
+    /// Processes a message (or silence) heard in local round `now` for this
+    /// instance. Messages of other phases must not be passed here; the
+    /// wrapper filters them.
+    pub fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {
         let Some(msg) = heard else { return };
         debug_assert_eq!(msg.phase, self.phase, "wrapper must filter phases");
         match msg.payload {
@@ -301,19 +307,19 @@ impl BackEngine {
                     // Lines 7-10.
                     self.sourcemsg = Some(p);
                     self.informed_round = Some(msg.tag);
-                    self.informed_age = Some(0);
+                    self.informed_at = Some(now);
                 }
             }
             TaggedPayload::Stay => {
                 if self.sourcemsg.is_some() {
                     self.ever_acted = true;
-                    self.stay_received = Some((msg.tag, 0));
+                    self.stay_at = Some((msg.tag, now));
                 }
             }
             TaggedPayload::Ack => {
                 if self.sourcemsg.is_some() {
                     self.ever_acted = true;
-                    self.ack_received = Some((msg.tag, msg.extra, 0));
+                    self.ack_at = Some((msg.tag, msg.extra, now));
                     if self.is_source {
                         if self.first_ack_heard.is_none() {
                             self.first_ack_heard = Some((msg.tag, msg.extra));
@@ -328,46 +334,37 @@ impl BackEngine {
         }
     }
 
-    /// Age an age counter is pinned at once it can no longer trigger any
-    /// rule: every rule in [`step`](Self::step) compares an age with 1 or
-    /// 2, so saturating at 3 changes no decision, and it makes a settled
-    /// engine's state invariant under further ticks (the frozen state the
-    /// wrappers' wake hints promise).
-    const SETTLED_AGE: u64 = 3;
-
-    fn tick(&mut self) {
-        let age = |a: &mut u64| *a = (*a + 1).min(Self::SETTLED_AGE);
-        if let Some(a) = &mut self.informed_age {
-            age(a);
+    /// The first local round after `now` in which a rule of
+    /// [`step`](Self::step) may fire, or `None` when only a reception can
+    /// make one fire: every rule fires one or two rounds after something
+    /// the node heard or sent, or in an enabled source's first round. The
+    /// engine's state changes only when a rule fires or a message arrives,
+    /// so until then it is frozen.
+    pub(crate) fn next_rule_round(&self, now: u64) -> Option<u64> {
+        if self.is_source && self.enabled && !self.ever_acted {
+            return Some(now + 1);
         }
-        if let Some(a) = &mut self.last_data_transmit_age {
-            age(a);
-        }
-        if let Some((_, a)) = &mut self.stay_received {
-            age(a);
-        }
-        if let Some((_, _, a)) = &mut self.ack_received {
-            age(a);
-        }
+        let stay_rule = self
+            .last_tx_at
+            .filter(|&t| self.stay_at.is_some_and(|(_, s)| s == t + 1))
+            .map(|t| t + 2);
+        let speaks_at_one = self.x2 || (self.x3 && self.x3_initiates_ack);
+        [
+            self.informed_at.filter(|_| speaks_at_one).map(|t| t + 1),
+            self.informed_at.filter(|_| self.x1).map(|t| t + 2),
+            stay_rule,
+            self.ack_at.map(|(_, _, t)| t + 1),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&t| t > now)
+        .min()
     }
 
-    /// Whether the engine is frozen until it hears something: no source
-    /// transmission is pending and every age has settled, so `step` only
-    /// listens and leaves the state unchanged, and `receive(None)` is a
-    /// no-op.
-    pub(crate) fn settled(&self) -> bool {
-        let settled = |age: Option<u64>| age.is_none_or(|a| a >= Self::SETTLED_AGE);
-        !(self.is_source && self.enabled && !self.ever_acted)
-            && settled(self.informed_age)
-            && settled(self.last_data_transmit_age)
-            && settled(self.stay_received.map(|(_, a)| a))
-            && settled(self.ack_received.map(|(_, _, a)| a))
-    }
-
-    fn transmit_payload(&mut self, payload: TaggedPayload, tag: u64) -> EngineAction {
+    fn transmit_payload(&mut self, payload: TaggedPayload, tag: u64, now: u64) -> EngineAction {
         self.ever_acted = true;
         self.transmit_rounds.push(tag);
-        self.last_data_transmit_age = Some(0);
+        self.last_tx_at = Some(now);
         EngineAction::Transmit(TaggedMessage::new(self.phase, payload, tag))
     }
 }
@@ -390,7 +387,7 @@ mod tests {
             AckExtra::None,
             true,
         );
-        match e.step() {
+        match e.step(1) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Data(7));
                 assert_eq!(m.tag, 1);
@@ -399,7 +396,7 @@ mod tests {
             EngineAction::Listen => panic!("source must transmit"),
         }
         // Only once.
-        assert_eq!(e.step(), EngineAction::Listen);
+        assert_eq!(e.step(2), EngineAction::Listen);
         assert_eq!(e.transmit_rounds(), &[1]);
     }
 
@@ -413,11 +410,11 @@ mod tests {
             AckExtra::None,
             false,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        assert_eq!(e.step(), EngineAction::Listen);
+        assert_eq!(e.step(1), EngineAction::Listen);
+        assert_eq!(e.step(2), EngineAction::Listen);
         assert!(!e.is_enabled());
         e.enable();
-        match e.step() {
+        match e.step(3) {
             EngineAction::Transmit(m) => assert_eq!(m.payload, TaggedPayload::Ready(5)),
             EngineAction::Listen => panic!("enabled source must transmit"),
         }
@@ -433,16 +430,15 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(9),
-            3,
-        )));
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(9), 3)),
+            1,
+        );
         assert_eq!(e.informed_round(), Some(3));
-        assert_eq!(e.step(), EngineAction::Listen); // age 1, x2 = 0
-        e.receive(None);
-        match e.step() {
+        assert_eq!(e.step(2), EngineAction::Listen); // age 1, x2 = 0
+        e.receive(None, 2);
+        match e.step(3) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Data(9));
                 assert_eq!(m.tag, 5);
@@ -462,13 +458,12 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(9),
-            7,
-        )));
-        match e.step() {
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(9), 7)),
+            1,
+        );
+        match e.step(2) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Stay);
                 assert_eq!(m.tag, 8);
@@ -487,13 +482,12 @@ mod tests {
             AckExtra::OwnInformedRound,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(9),
-            11,
-        )));
-        match e.step() {
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(9), 11)),
+            1,
+        );
+        match e.step(2) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Ack);
                 assert_eq!(m.tag, 11);
@@ -513,13 +507,12 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::Two,
-            TaggedPayload::Ready(4),
-            11,
-        )));
-        assert_eq!(e.step(), EngineAction::Listen);
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::Two, TaggedPayload::Ready(4), 11)),
+            1,
+        );
+        assert_eq!(e.step(2), EngineAction::Listen);
     }
 
     #[test]
@@ -533,25 +526,23 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(9),
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(9), 1)),
             1,
-        )));
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(None);
+        );
+        assert_eq!(e.step(2), EngineAction::Listen);
+        e.receive(None, 2);
         // Transmits (µ, 3).
-        assert!(matches!(e.step(), EngineAction::Transmit(_)));
+        assert!(matches!(e.step(3), EngineAction::Transmit(_)));
         // Round 4: listens and hears ("stay", 4); it must retransmit (µ, 5)
         // in round 5, two rounds after its own transmission.
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Stay,
+        assert_eq!(e.step(4), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Stay, 4)),
             4,
-        )));
-        match e.step() {
+        );
+        match e.step(5) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Data(9));
                 assert_eq!(m.tag, 5);
@@ -571,29 +562,27 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(9),
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(9), 1)),
             1,
-        )));
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(None);
-        assert!(matches!(e.step(), EngineAction::Transmit(_))); // transmits (µ, 3)
-                                                                // Round 4: hears an ack for a round it did not transmit in: ignored.
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 7, None)));
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(None);
-        assert_eq!(e.step(), EngineAction::Listen);
+        );
+        assert_eq!(e.step(2), EngineAction::Listen);
+        e.receive(None, 2);
+        assert!(matches!(e.step(3), EngineAction::Transmit(_))); // transmits (µ, 3)
+                                                                 // Round 4: hears an ack for a round it did not transmit in: ignored.
+        assert_eq!(e.step(4), EngineAction::Listen);
+        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 7, None)), 4);
+        assert_eq!(e.step(5), EngineAction::Listen);
+        e.receive(None, 5);
+        assert_eq!(e.step(6), EngineAction::Listen);
         // Ack for round 3 (its transmit round): forwarded with its own
         // informed round and the extra copied through.
-        e.receive(Some(&TaggedMessage::ack_with_extra(
-            Phase::One,
-            3,
-            Some(42),
-        )));
-        match e.step() {
+        e.receive(
+            Some(&TaggedMessage::ack_with_extra(Phase::One, 3, Some(42))),
+            6,
+        );
+        match e.step(7) {
             EngineAction::Transmit(m) => {
                 assert_eq!(m.payload, TaggedPayload::Ack);
                 assert_eq!(m.tag, 1);
@@ -613,18 +602,21 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert!(matches!(e.step(), EngineAction::Transmit(_))); // (µ, 1)
-                                                                // Hears an ack for a round it did not transmit in: recorded as heard,
-                                                                // not final.
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 9, None)));
+        assert!(matches!(e.step(1), EngineAction::Transmit(_))); // (µ, 1)
+                                                                 // Hears an ack for a round it did not transmit in: recorded as heard,
+                                                                 // not final.
+        assert_eq!(e.step(2), EngineAction::Listen);
+        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 9, None)), 2);
         assert_eq!(e.first_ack_heard(), Some((9, None)));
         assert_eq!(e.final_ack(), None);
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 1, Some(3))));
+        assert_eq!(e.step(3), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::ack_with_extra(Phase::One, 1, Some(3))),
+            3,
+        );
         assert_eq!(e.final_ack(), Some((1, Some(3))));
         // Still never forwards.
-        assert_eq!(e.step(), EngineAction::Listen);
+        assert_eq!(e.step(4), EngineAction::Listen);
     }
 
     #[test]
@@ -637,17 +629,16 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Stay,
-            2,
-        )));
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Stay, 2)),
+            1,
+        );
         assert!(!e.is_informed());
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 2, None)));
+        assert_eq!(e.step(2), EngineAction::Listen);
+        e.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 2, None)), 2);
         assert!(!e.is_informed());
-        assert_eq!(e.step(), EngineAction::Listen);
+        assert_eq!(e.step(3), EngineAction::Listen);
     }
 
     #[test]
@@ -660,16 +651,19 @@ mod tests {
             AckExtra::None,
             true,
         );
-        assert_eq!(e.step(), EngineAction::Listen);
-        e.receive(Some(&TaggedMessage::new(
-            Phase::Three,
-            TaggedPayload::Data(77),
-            4,
-        )));
+        assert_eq!(e.step(1), EngineAction::Listen);
+        e.receive(
+            Some(&TaggedMessage::new(
+                Phase::Three,
+                TaggedPayload::Data(77),
+                4,
+            )),
+            1,
+        );
         assert_eq!(e.payload(), Some(TaggedPayload::Data(77)));
-        for _ in 0..6 {
-            assert_eq!(e.step(), EngineAction::Listen);
-            e.receive(None);
+        for now in 2..8 {
+            assert_eq!(e.step(now), EngineAction::Listen);
+            e.receive(None, now);
         }
     }
 }

@@ -31,13 +31,13 @@ pub struct BNode {
     sourcemsg: Option<SourceMessage>,
     /// Whether this node has ever sent or received any message.
     ever_acted: bool,
-    /// Rounds elapsed since the node first received µ (`None` for the source
-    /// and for uninformed nodes).
-    informed_age: Option<u64>,
-    /// Rounds elapsed since the node last transmitted µ.
-    last_data_transmit_age: Option<u64>,
-    /// Rounds elapsed since the node last received "stay".
-    stay_age: Option<u64>,
+    /// The local round in which the node first received µ (`None` for the
+    /// source and for uninformed nodes).
+    informed_at: Option<u64>,
+    /// The local round in which the node last transmitted µ.
+    last_tx_at: Option<u64>,
+    /// The local round in which the node last received "stay".
+    stay_at: Option<u64>,
 }
 
 impl BNode {
@@ -49,9 +49,9 @@ impl BNode {
             x2: label.x2(),
             sourcemsg,
             ever_acted: false,
-            informed_age: None,
-            last_data_transmit_age: None,
-            stay_age: None,
+            informed_at: None,
+            last_tx_at: None,
+            stay_at: None,
         }
     }
 
@@ -81,33 +81,32 @@ impl BNode {
         self.sourcemsg
     }
 
-    /// Age a counter is pinned at once it can no longer trigger any rule:
-    /// every rule in [`step`](RadioNode::step) tests equality against 1 or
-    /// 2, so saturating at 3 changes no decision — and it makes a settled
-    /// node's state invariant under further ticks, which is exactly the
-    /// frozen-state promise [`wake_hint`](RadioNode::wake_hint) relies on.
-    const SETTLED_AGE: u64 = 3;
-
-    fn tick(&mut self) {
-        if let Some(a) = &mut self.informed_age {
-            *a = (*a + 1).min(Self::SETTLED_AGE);
+    /// The first local round after `now` in which a rule of
+    /// [`step`](RadioNode::step) may fire, or `None` when only a reception
+    /// can make one fire. Every rule fires one or two rounds after a
+    /// recorded event, or in the source's first round.
+    fn next_rule_round(&self, now: u64) -> Option<u64> {
+        if self.sourcemsg.is_some() && !self.ever_acted {
+            return Some(now + 1);
         }
-        if let Some(a) = &mut self.last_data_transmit_age {
-            *a = (*a + 1).min(Self::SETTLED_AGE);
-        }
-        if let Some(a) = &mut self.stay_age {
-            *a = (*a + 1).min(Self::SETTLED_AGE);
-        }
+        let stay_rule = self
+            .last_tx_at
+            .filter(|&t| self.stay_at == Some(t + 1))
+            .map(|t| t + 2);
+        [
+            self.informed_at.filter(|_| self.x2).map(|t| t + 1),
+            self.informed_at.filter(|_| self.x1).map(|t| t + 2),
+            stay_rule,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&t| t > now)
+        .min()
     }
 
-    /// Whether this age counter can still trigger a rule in a future round.
-    fn settled(age: Option<u64>) -> bool {
-        age.is_none_or(|a| a >= Self::SETTLED_AGE)
-    }
-
-    fn transmit_data(&mut self) -> Action<BMessage> {
+    fn transmit_data(&mut self, now: u64) -> Action<BMessage> {
         self.ever_acted = true;
-        self.last_data_transmit_age = Some(0);
+        self.last_tx_at = Some(now);
         Action::Transmit(BMessage::Data(
             self.sourcemsg.expect("only informed nodes transmit µ"),
         ))
@@ -118,54 +117,43 @@ impl RadioNode for BNode {
     type Msg = BMessage;
     const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<BMessage> {
-        self.tick();
+    fn step(&mut self, now: u64) -> Action<BMessage> {
         if !self.ever_acted && self.sourcemsg.is_some() {
             // Line 2-3: the source transmits µ in its first round.
-            return self.transmit_data();
+            return self.transmit_data(now);
         }
         if self.sourcemsg.is_none() {
             // Lines 4-7: uninformed nodes listen.
             return Action::Listen;
         }
         // Lines 8-20: the node received µ before this round (or is the source
-        // after its initial transmission).
-        if self.informed_age == Some(2) {
+        // after its initial transmission). Each rule compares the age of an
+        // event, `now` minus its timestamp, with 1 or 2.
+        let age = |at: Option<u64>| at.map(|t| now - t);
+        if age(self.informed_at) == Some(2) {
             // Lines 9-12.
             if self.x1 {
-                return self.transmit_data();
+                return self.transmit_data(now);
             }
-        } else if self.informed_age == Some(1) {
+        } else if age(self.informed_at) == Some(1) {
             // Lines 13-16.
             if self.x2 {
                 self.ever_acted = true;
                 return Action::Transmit(BMessage::Stay);
             }
-        } else if self.last_data_transmit_age == Some(2) && self.stay_age == Some(1) {
+        } else if age(self.last_tx_at) == Some(2) && age(self.stay_at) == Some(1) {
             // Lines 17-19.
-            return self.transmit_data();
+            return self.transmit_data(now);
         }
         Action::Listen
     }
 
-    fn wake_hint(&self) -> u64 {
-        if self.sourcemsg.is_some() && !self.ever_acted {
-            // The source's first round: it is about to transmit µ.
-            return 0;
-        }
-        if Self::settled(self.informed_age)
-            && Self::settled(self.last_data_transmit_age)
-            && Self::settled(self.stay_age)
-        {
-            // All counters are pinned: `tick` is a no-op, no rule can ever
-            // fire again, and `receive(None)` returns immediately — the node
-            // is frozen until it hears something.
-            u64::MAX
-        } else {
-            // Recently active: stay driven every round until the counters
-            // settle (at most three rounds later).
-            0
-        }
+    /// `step` changes nothing unless a rule fires and `receive(None)`
+    /// returns at once, so the node sleeps until its next rule round, or
+    /// until it hears something when none is pending.
+    fn wake_hint(&self, now: u64) -> u64 {
+        self.next_rule_round(now)
+            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
     }
 
     fn state_digest(&self) -> u64 {
@@ -174,13 +162,13 @@ impl RadioNode for BNode {
             .flag(self.x2)
             .opt(self.sourcemsg)
             .flag(self.ever_acted)
-            .opt(self.informed_age)
-            .opt(self.last_data_transmit_age)
-            .opt(self.stay_age)
+            .opt(self.informed_at)
+            .opt(self.last_tx_at)
+            .opt(self.stay_at)
             .finish()
     }
 
-    fn receive(&mut self, heard: Option<&BMessage>) {
+    fn receive(&mut self, heard: Option<&BMessage>, now: u64) {
         let Some(msg) = heard else { return };
         match msg {
             BMessage::Data(m) => {
@@ -188,13 +176,13 @@ impl RadioNode for BNode {
                 if self.sourcemsg.is_none() {
                     // Lines 5-7.
                     self.sourcemsg = Some(*m);
-                    self.informed_age = Some(0);
+                    self.informed_at = Some(now);
                 }
             }
             BMessage::Stay => {
                 if self.sourcemsg.is_some() {
                     self.ever_acted = true;
-                    self.stay_age = Some(0);
+                    self.stay_at = Some(now);
                 }
                 // Line 5: an uninformed node ignores "stay" and stays
                 // uninformed.
@@ -270,44 +258,44 @@ mod tests {
     #[test]
     fn uninformed_node_ignores_stay() {
         let mut node = BNode::new(Label::two_bits(true, true), None);
-        node.receive(Some(&BMessage::Stay));
+        node.receive(Some(&BMessage::Stay), 1);
         assert!(!node.is_informed());
         // It still listens in the next round.
-        assert_eq!(node.step(), Action::Listen);
+        assert_eq!(node.step(2), Action::Listen);
     }
 
     #[test]
     fn informed_x1_node_transmits_two_rounds_later() {
         let mut node = BNode::new(Label::two_bits(true, false), None);
-        // Round t: listens, hears µ.
-        assert_eq!(node.step(), Action::Listen);
-        node.receive(Some(&BMessage::Data(5)));
-        // Round t+1: listens (x2 = 0).
-        assert_eq!(node.step(), Action::Listen);
-        node.receive(None);
-        // Round t+2: transmits µ.
-        assert_eq!(node.step(), Action::Transmit(BMessage::Data(5)));
+        // Round 4: listens, hears µ.
+        assert_eq!(node.step(4), Action::Listen);
+        node.receive(Some(&BMessage::Data(5)), 4);
+        // Round 5: listens (x2 = 0).
+        assert_eq!(node.step(5), Action::Listen);
+        node.receive(None, 5);
+        // Round 6: transmits µ.
+        assert_eq!(node.step(6), Action::Transmit(BMessage::Data(5)));
     }
 
     #[test]
     fn informed_x2_node_sends_stay_next_round() {
         let mut node = BNode::new(Label::two_bits(false, true), None);
-        assert_eq!(node.step(), Action::Listen);
-        node.receive(Some(&BMessage::Data(9)));
-        assert_eq!(node.step(), Action::Transmit(BMessage::Stay));
+        assert_eq!(node.step(1), Action::Listen);
+        node.receive(Some(&BMessage::Data(9)), 1);
+        assert_eq!(node.step(2), Action::Transmit(BMessage::Stay));
         // And never transmits µ (x1 = 0).
-        node.receive(None);
-        assert_eq!(node.step(), Action::Listen);
+        node.receive(None, 2);
+        assert_eq!(node.step(3), Action::Listen);
     }
 
     #[test]
     fn node_with_zero_label_never_transmits() {
         let mut node = BNode::new(Label::two_bits(false, false), None);
-        assert_eq!(node.step(), Action::Listen);
-        node.receive(Some(&BMessage::Data(9)));
-        for _ in 0..10 {
-            assert_eq!(node.step(), Action::Listen);
-            node.receive(None);
+        assert_eq!(node.step(1), Action::Listen);
+        node.receive(Some(&BMessage::Data(9)), 1);
+        for now in 2..12 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
         }
         assert!(node.is_informed());
     }
@@ -317,13 +305,12 @@ mod tests {
         // The source transmits in round 1; if it receives "stay" in round 2 it
         // must transmit µ again in round 3 (lines 17-19).
         let mut source = BNode::new(Label::two_bits(true, false), Some(MSG));
-        assert_eq!(source.step(), Action::Transmit(BMessage::Data(MSG)));
-        source.receive(Some(&BMessage::Stay)); // harness would not call this for a transmitter; emulate round 2 listen below
-                                               // Round 2: source listens and hears "stay".
-        assert_eq!(source.step(), Action::Listen);
-        source.receive(Some(&BMessage::Stay));
+        assert_eq!(source.step(1), Action::Transmit(BMessage::Data(MSG)));
+        // Round 2: source listens and hears "stay".
+        assert_eq!(source.step(2), Action::Listen);
+        source.receive(Some(&BMessage::Stay), 2);
         // Round 3: source retransmits µ.
-        assert_eq!(source.step(), Action::Transmit(BMessage::Data(MSG)));
+        assert_eq!(source.step(3), Action::Transmit(BMessage::Data(MSG)));
     }
 
     #[test]
@@ -338,36 +325,36 @@ mod tests {
     fn wake_hint_tracks_activity() {
         // A fresh source is about to transmit: it must be driven now.
         let source = BNode::new(Label::two_bits(true, false), Some(MSG));
-        assert_eq!(source.wake_hint(), 0);
+        assert_eq!(source.wake_hint(0), 0);
         // A fresh uninformed node is frozen until it hears something.
         let mut node = BNode::new(Label::two_bits(true, true), None);
-        assert_eq!(node.wake_hint(), u64::MAX);
-        // Hearing µ makes it active (it may transmit within two rounds)...
-        node.receive(Some(&BMessage::Data(5)));
-        assert_eq!(node.wake_hint(), 0);
-        // ...and a few rounds later every counter is pinned and it parks.
-        for _ in 0..5 {
-            node.step();
-            node.receive(None);
-        }
-        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(node.wake_hint(0), u64::MAX);
+        // Hearing µ in round 3 schedules "stay" for round 4...
+        node.receive(Some(&BMessage::Data(5)), 3);
+        assert_eq!(node.wake_hint(3), 0);
+        assert_eq!(node.step(4), Action::Transmit(BMessage::Stay));
+        // ...and µ for round 5; after that nothing is pending and it parks.
+        assert_eq!(node.wake_hint(4), 0);
+        assert_eq!(node.step(5), Action::Transmit(BMessage::Data(5)));
+        assert_eq!(node.wake_hint(5), u64::MAX);
+        // A "stay" right after its µ schedules the retransmission two
+        // rounds after it.
+        node.receive(Some(&BMessage::Stay), 6);
+        assert_eq!(node.wake_hint(6), 0);
     }
 
     #[test]
     fn parked_node_state_is_frozen() {
-        // The wake-hint contract: once the hint is MAX, step/receive(None)
+        // The wake-hint contract: while the hint holds, step/receive(None)
         // pairs must not change the node at all.
-        let mut node = BNode::new(Label::two_bits(true, true), None);
-        node.receive(Some(&BMessage::Data(5)));
-        for _ in 0..6 {
-            node.step();
-            node.receive(None);
-        }
-        assert_eq!(node.wake_hint(), u64::MAX);
+        let mut node = BNode::new(Label::two_bits(true, false), None);
+        node.receive(Some(&BMessage::Data(5)), 1);
+        assert_eq!(node.step(3), Action::Transmit(BMessage::Data(5)));
+        assert_eq!(node.wake_hint(3), u64::MAX);
         let before = format!("{node:?}");
-        for _ in 0..10 {
-            assert_eq!(node.step(), Action::Listen);
-            node.receive(None);
+        for now in 4..14 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
         }
         assert_eq!(format!("{node:?}"), before);
     }

@@ -89,26 +89,25 @@ impl RadioNode for BackNode {
     type Msg = TaggedMessage;
     const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<TaggedMessage> {
-        match self.engine.step() {
+    fn step(&mut self, now: u64) -> Action<TaggedMessage> {
+        match self.engine.step(now) {
             EngineAction::Transmit(m) => Action::Transmit(m),
             EngineAction::Listen => Action::Listen,
         }
     }
 
     /// Every rule of Algorithm 2 fires one or two rounds after something
-    /// the node heard (or, at the source, in its first round), so a node
-    /// whose engine has settled parks until its next reception.
-    fn wake_hint(&self) -> u64 {
-        if self.engine.settled() {
-            u64::MAX
-        } else {
-            0
-        }
+    /// the node heard or sent (or, at the source, in its first round), so
+    /// the node sleeps until its engine's next rule round, or until its
+    /// next reception when none is pending.
+    fn wake_hint(&self, now: u64) -> u64 {
+        self.engine
+            .next_rule_round(now)
+            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
     }
 
-    fn receive(&mut self, heard: Option<&TaggedMessage>) {
-        self.engine.receive(heard);
+    fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {
+        self.engine.receive(heard, now);
     }
 
     fn state_digest(&self) -> u64 {
@@ -226,31 +225,47 @@ mod tests {
     fn parked_node_state_is_frozen() {
         // A fresh uninformed node parks; a source must transmit first.
         let mut node = BackNode::new(Label::three_bits(true, true, false), None);
-        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(node.wake_hint(0), u64::MAX);
         assert_eq!(
-            BackNode::new(Label::three_bits(false, false, false), Some(MSG)).wake_hint(),
+            BackNode::new(Label::three_bits(false, false, false), Some(MSG)).wake_hint(0),
             0
         );
-        // Hearing µ wakes it: it relays and sends "stay" within two rounds.
-        node.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Data(MSG),
+        // Hearing µ in round 4 wakes it: it sends "stay" in round 5 and
+        // relays in round 6.
+        node.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(MSG), 4)),
             4,
-        )));
-        assert_eq!(node.wake_hint(), 0);
-        for _ in 0..6 {
-            node.step();
-            node.receive(None);
-        }
-        assert_eq!(node.wake_hint(), u64::MAX);
+        );
+        assert_eq!(node.wake_hint(4), 0);
+        assert!(node.step(5).is_transmit());
+        assert_eq!(node.wake_hint(5), 0);
+        assert!(node.step(6).is_transmit());
+        assert_eq!(node.wake_hint(6), u64::MAX);
         // The wake-hint contract: once the hint is MAX, step/receive(None)
         // pairs must not change the node at all.
         let before = format!("{node:?}");
-        for _ in 0..10 {
-            assert_eq!(node.step(), Action::Listen);
-            node.receive(None);
+        for now in 7..17 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
         }
         assert_eq!(format!("{node:?}"), before);
+    }
+
+    #[test]
+    fn node_waiting_for_an_ack_round_parks_until_then() {
+        // A relay that hears an ack for its own transmit round forwards it
+        // the round after; the hint names exactly that round.
+        let mut node = BackNode::new(Label::three_bits(true, false, false), None);
+        node.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Data(MSG), 1)),
+            1,
+        );
+        assert_eq!(node.wake_hint(1), 1, "relays in round 3");
+        assert!(node.step(3).is_transmit());
+        node.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 3, None)), 9);
+        assert_eq!(node.wake_hint(9), 0);
+        assert!(node.step(10).is_transmit());
+        assert_eq!(node.wake_hint(10), u64::MAX);
     }
 
     #[test]

@@ -50,17 +50,18 @@ pub struct ArbNode {
     /// The timestamp bound T learned from the "ready" broadcast (or, for the
     /// coordinator, from the phase-1 ack).
     t_bound: Option<u64>,
-    /// Source-side countdown until it starts the phase-2 acknowledgement.
-    source_ack_countdown: Option<u64>,
+    /// The local round in which the source starts the phase-2
+    /// acknowledgement.
+    source_ack_at: Option<u64>,
     /// Whether the source already started the phase-2 acknowledgement.
     source_ack_sent: bool,
-    /// Coordinator-side countdown used only when the coordinator itself holds
+    /// Coordinator-side deadline used only when the coordinator itself holds
     /// µ: phase 3 starts once the "ready" broadcast has surely finished,
     /// since no phase-2 acknowledgement will ever be initiated.
-    phase3_start_countdown: Option<u64>,
-    /// Countdown (after receiving µ in phase 3) until this node knows the
-    /// broadcast has completed everywhere.
-    completion_countdown: Option<u64>,
+    phase3_start_at: Option<u64>,
+    /// The local round (after receiving µ in phase 3) in which this node
+    /// knows the broadcast has completed everywhere.
+    completion_at: Option<u64>,
     /// Whether this node knows the broadcast has completed everywhere.
     knows_completion: bool,
 }
@@ -105,10 +106,10 @@ impl ArbNode {
             phase3,
             t_v: is_coordinator.then_some(0),
             t_bound: None,
-            source_ack_countdown: None,
+            source_ack_at: None,
             source_ack_sent: false,
-            phase3_start_countdown: None,
-            completion_countdown: None,
+            phase3_start_at: None,
+            completion_at: None,
             knows_completion: false,
         }
     }
@@ -169,9 +170,16 @@ impl ArbNode {
         self.knows_completion
     }
 
+    /// The deadline of a countdown of `rounds` rounds started in local round
+    /// `now`: a countdown counts its first round too, so it fires in round
+    /// `now + rounds − 1`.
+    fn deadline(now: u64, rounds: u64) -> u64 {
+        now + rounds - 1
+    }
+
     /// Coordinator-side bookkeeping executed at the start of every round:
     /// advance phases when the previous phase's terminating ack has arrived.
-    fn advance_phases(&mut self) {
+    fn advance_phases(&mut self, now: u64) {
         if !self.is_coordinator {
             return;
         }
@@ -187,7 +195,7 @@ impl ArbNode {
                     // "ready"). Phase 2 still runs so every node learns T;
                     // phase 3 starts once the ready broadcast has surely
                     // finished (T rounds plus slack).
-                    self.phase3_start_countdown = Some(t + 2);
+                    self.phase3_start_at = Some(Self::deadline(now, t + 2));
                 }
             }
         } else if self.phase2.is_enabled() && !self.phase3.is_enabled() {
@@ -197,14 +205,15 @@ impl ArbNode {
                 self.phase3.enable();
                 // The coordinator (t_r = 0) knows completion T rounds after
                 // it starts the final broadcast.
-                self.completion_countdown = Some(self.t_bound.expect("T known") + 1);
+                let t = self.t_bound.expect("T known");
+                self.completion_at = Some(Self::deadline(now, t + 1));
             }
         }
     }
 
     /// Non-coordinator bookkeeping: record t_v, T, the source's delayed
-    /// acknowledgement, and the completion countdown.
-    fn update_local_knowledge(&mut self) {
+    /// acknowledgement, and the completion deadline.
+    fn update_local_knowledge(&mut self, now: u64) {
         if self.t_v.is_none() {
             self.t_v = self.phase1.informed_round();
         }
@@ -218,20 +227,20 @@ impl ArbNode {
         if self.original_message.is_some()
             && !self.is_coordinator
             && !self.source_ack_sent
-            && self.source_ack_countdown.is_none()
+            && self.source_ack_at.is_none()
         {
             if let (Some(t), Some(_)) = (self.t_bound, self.phase2.informed_round()) {
-                self.source_ack_countdown = Some(t + 1);
+                self.source_ack_at = Some(Self::deadline(now, t + 1));
             }
         }
-        // Completion countdown: T - t_v rounds after receiving µ in phase 3.
-        if self.completion_countdown.is_none()
+        // Completion: T - t_v rounds after receiving µ in phase 3.
+        if self.completion_at.is_none()
             && !self.knows_completion
             && self.phase3.is_informed()
             && !self.is_coordinator
         {
             if let (Some(t), Some(tv)) = (self.t_bound, self.t_v) {
-                self.completion_countdown = Some(t.saturating_sub(tv) + 1);
+                self.completion_at = Some(Self::deadline(now, t.saturating_sub(tv) + 1));
             }
         }
     }
@@ -239,8 +248,8 @@ impl ArbNode {
     /// Whether [`advance_phases`](Self::advance_phases) or
     /// [`update_local_knowledge`](Self::update_local_knowledge) would
     /// change anything if run now: a coordinator phase switch waiting on a
-    /// final ack, or a `t_v`, `T`, source acknowledgement countdown or
-    /// completion countdown that is due but not yet recorded.
+    /// final ack, or a `t_v`, `T`, source acknowledgement deadline or
+    /// completion deadline that is due but not yet recorded.
     fn bookkeeping_due(&self) -> bool {
         let phase_switch = self.is_coordinator
             && !self.phase3.is_enabled()
@@ -255,10 +264,10 @@ impl ArbNode {
         let source_ack = self.original_message.is_some()
             && !self.is_coordinator
             && !self.source_ack_sent
-            && self.source_ack_countdown.is_none()
+            && self.source_ack_at.is_none()
             && self.t_bound.is_some()
             && self.phase2.informed_round().is_some();
-        let completion = self.completion_countdown.is_none()
+        let completion = self.completion_at.is_none()
             && !self.knows_completion
             && self.phase3.is_informed()
             && !self.is_coordinator
@@ -267,45 +276,40 @@ impl ArbNode {
         phase_switch || t_v || t_bound || source_ack || completion
     }
 
-    fn countdowns(&mut self) -> Option<TaggedMessage> {
+    /// Fires the deadlines that fall in local round `now`, in the order
+    /// the phases need: the coordinator's phase-3 start (which sets the
+    /// completion deadline it may meet in the same round), completion,
+    /// and the source's delayed acknowledgement, which it returns.
+    fn deadlines(&mut self, now: u64) -> Option<TaggedMessage> {
         // Coordinator-holds-µ special case: start phase 3 once the ready
         // broadcast has surely finished.
-        if let Some(c) = &mut self.phase3_start_countdown {
-            *c -= 1;
-            if *c == 0 {
-                self.phase3_start_countdown = None;
-                let m = self
-                    .original_message
-                    .expect("only the source-coordinator waits");
-                self.phase3.set_source_payload(TaggedPayload::Data(m));
-                self.phase3.enable();
-                self.completion_countdown = Some(self.t_bound.expect("T known") + 1);
-            }
+        if self.phase3_start_at == Some(now) {
+            self.phase3_start_at = None;
+            let m = self
+                .original_message
+                .expect("only the source-coordinator waits");
+            self.phase3.set_source_payload(TaggedPayload::Data(m));
+            self.phase3.enable();
+            let t = self.t_bound.expect("T known");
+            self.completion_at = Some(Self::deadline(now, t + 1));
         }
-        // Completion countdown.
-        if let Some(c) = &mut self.completion_countdown {
-            *c -= 1;
-            if *c == 0 {
-                self.completion_countdown = None;
-                self.knows_completion = true;
-            }
+        if self.completion_at == Some(now) {
+            self.completion_at = None;
+            self.knows_completion = true;
         }
         // Source-side delayed acknowledgement.
-        if let Some(c) = &mut self.source_ack_countdown {
-            *c -= 1;
-            if *c == 0 {
-                self.source_ack_countdown = None;
-                self.source_ack_sent = true;
-                let k = self
-                    .phase2
-                    .informed_round()
-                    .expect("the source heard the ready broadcast");
-                return Some(TaggedMessage::ack_with_extra(
-                    Phase::Two,
-                    k,
-                    Some(self.original_message.expect("only the source acks with µ")),
-                ));
-            }
+        if self.source_ack_at == Some(now) {
+            self.source_ack_at = None;
+            self.source_ack_sent = true;
+            let k = self
+                .phase2
+                .informed_round()
+                .expect("the source heard the ready broadcast");
+            return Some(TaggedMessage::ack_with_extra(
+                Phase::Two,
+                k,
+                Some(self.original_message.expect("only the source acks with µ")),
+            ));
         }
         None
     }
@@ -315,17 +319,17 @@ impl RadioNode for ArbNode {
     type Msg = TaggedMessage;
     const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<TaggedMessage> {
-        self.advance_phases();
-        self.update_local_knowledge();
+    fn step(&mut self, now: u64) -> Action<TaggedMessage> {
+        self.advance_phases(now);
+        self.update_local_knowledge(now);
 
-        let special = self.countdowns();
+        let special = self.deadlines(now);
 
-        // Step every engine (they track their own local time); collect the
-        // transmission requests.
-        let a1 = self.phase1.step();
-        let a2 = self.phase2.step();
-        let a3 = self.phase3.step();
+        // Step every engine on the node's clock; collect the transmission
+        // requests.
+        let a1 = self.phase1.step(now);
+        let a2 = self.phase2.step(now);
+        let a3 = self.phase3.step(now);
 
         // The phases never overlap, so at most one engine (or the special
         // source acknowledgement) asks to transmit; prefer the latest phase
@@ -345,30 +349,35 @@ impl RadioNode for ArbNode {
         Action::Listen
     }
 
-    /// Parks the node once its next `step` would do nothing: all three
-    /// engines have settled, no countdown is running and no bookkeeping is
-    /// due. A node that is counting down stays driven every round.
-    fn wake_hint(&self) -> u64 {
-        let parked = self.phase1.settled()
-            && self.phase2.settled()
-            && self.phase3.settled()
-            && self.phase3_start_countdown.is_none()
-            && self.completion_countdown.is_none()
-            && self.source_ack_countdown.is_none()
-            && !self.bookkeeping_due();
-        if parked {
-            u64::MAX
-        } else {
-            0
+    /// Sleeps until the next round in which `step` does something: the
+    /// next round when bookkeeping is due, else the earliest of the three
+    /// engines' rule rounds and the pending deadlines. With none pending
+    /// the node parks until it hears something. A node waiting out its
+    /// completion deadline sleeps through the whole wait.
+    fn wake_hint(&self, now: u64) -> u64 {
+        if self.bookkeeping_due() {
+            return 0;
         }
+        [
+            self.phase1.next_rule_round(now),
+            self.phase2.next_rule_round(now),
+            self.phase3.next_rule_round(now),
+            self.phase3_start_at,
+            self.completion_at,
+            self.source_ack_at,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
     }
 
-    fn receive(&mut self, heard: Option<&TaggedMessage>) {
+    fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {
         let Some(msg) = heard else { return };
         match msg.phase {
-            Phase::One => self.phase1.receive(Some(msg)),
-            Phase::Two => self.phase2.receive(Some(msg)),
-            Phase::Three => self.phase3.receive(Some(msg)),
+            Phase::One => self.phase1.receive(Some(msg), now),
+            Phase::Two => self.phase2.receive(Some(msg), now),
+            Phase::Three => self.phase3.receive(Some(msg), now),
         }
     }
 
@@ -378,10 +387,10 @@ impl RadioNode for ArbNode {
             .opt(self.original_message)
             .opt(self.t_v)
             .opt(self.t_bound)
-            .opt(self.source_ack_countdown)
+            .opt(self.source_ack_at)
             .flag(self.source_ack_sent)
-            .opt(self.phase3_start_countdown)
-            .opt(self.completion_countdown)
+            .opt(self.phase3_start_at)
+            .opt(self.completion_at)
             .flag(self.knows_completion);
         let d = self.phase1.digest_into(d);
         let d = self.phase2.digest_into(d);
@@ -488,63 +497,92 @@ mod tests {
     fn parked_node_state_is_frozen() {
         // A fresh non-coordinator parks; the coordinator must open phase 1.
         let mut node = ArbNode::new(Label::three_bits(true, true, false), None);
-        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(node.wake_hint(0), u64::MAX);
         assert_eq!(
-            ArbNode::new(lambda_arb::coordinator_label(), None).wake_hint(),
+            ArbNode::new(lambda_arb::coordinator_label(), None).wake_hint(0),
             0
         );
         // Hearing "initialize" wakes it: it records t_v and relays.
-        node.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Init,
+        node.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Init, 3)),
             3,
-        )));
-        assert_eq!(node.wake_hint(), 0);
-        for _ in 0..6 {
-            node.step();
-            node.receive(None);
+        );
+        assert_eq!(node.wake_hint(3), 0);
+        for now in 4..10 {
+            node.step(now);
+            node.receive(None, now);
         }
         assert_eq!(node.t_v(), Some(3));
-        assert_eq!(node.wake_hint(), u64::MAX);
+        assert_eq!(node.wake_hint(9), u64::MAX);
         // The wake-hint contract: once the hint is MAX, step/receive(None)
         // pairs must not change the node at all.
         let before = format!("{node:?}");
-        for _ in 0..10 {
-            assert_eq!(node.step(), Action::Listen);
-            node.receive(None);
+        for now in 10..20 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
         }
         assert_eq!(format!("{node:?}"), before);
     }
 
     #[test]
-    fn counting_down_node_stays_driven() {
-        // Phase 3 starts a completion countdown at every informed node:
-        // the node is driven every round until it knows completion.
+    fn counting_down_node_parks_until_its_deadline() {
+        // Phase 3 gives every informed node a completion deadline T − t_v + 1
+        // rounds out: the node sleeps through the wait, frozen, and wakes
+        // in exactly its deadline round.
         let mut node = ArbNode::new(Label::three_bits(false, false, false), None);
-        node.receive(Some(&TaggedMessage::new(
-            Phase::One,
-            TaggedPayload::Init,
+        node.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Init, 2)),
+            1,
+        );
+        node.receive(
+            Some(&TaggedMessage::new(Phase::Two, TaggedPayload::Ready(6), 2)),
             2,
-        )));
-        node.receive(Some(&TaggedMessage::new(
-            Phase::Two,
-            TaggedPayload::Ready(6),
-            2,
-        )));
-        node.receive(Some(&TaggedMessage::new(
-            Phase::Three,
-            TaggedPayload::Data(MSG),
-            2,
-        )));
-        let mut rounds = 0;
-        while !node.knows_completion() {
-            assert_eq!(node.wake_hint(), 0, "round {rounds}");
-            node.step();
-            node.receive(None);
-            rounds += 1;
+        );
+        node.receive(
+            Some(&TaggedMessage::new(
+                Phase::Three,
+                TaggedPayload::Data(MSG),
+                2,
+            )),
+            3,
+        );
+        assert_eq!(node.wake_hint(3), 0, "t_v, T and the deadline are due");
+        assert_eq!(node.step(4), Action::Listen);
+        let hint = node.wake_hint(4);
+        assert_eq!(hint, 3, "asleep in rounds 5 to 7");
+        let before = node.state_digest();
+        for now in 5..5 + hint {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
+            assert_eq!(node.state_digest(), before, "round {now}");
         }
-        assert_eq!(rounds, 6 - 2 + 1, "T − t_v + 1 rounds");
-        assert_eq!(node.wake_hint(), u64::MAX);
+        assert!(!node.knows_completion());
+        assert_eq!(node.step(8), Action::Listen);
+        assert!(node.knows_completion(), "T − t_v + 1 rounds from round 4");
+        assert_eq!(node.wake_hint(8), u64::MAX);
+    }
+
+    #[test]
+    fn source_sleeps_until_its_delayed_acknowledgement() {
+        // The actual source hears "ready" and acknowledges T rounds later,
+        // with µ appended; it sleeps through the wait.
+        let mut node = ArbNode::new(Label::three_bits(false, false, false), Some(MSG));
+        node.receive(
+            Some(&TaggedMessage::new(Phase::One, TaggedPayload::Init, 1)),
+            1,
+        );
+        node.receive(
+            Some(&TaggedMessage::new(Phase::Two, TaggedPayload::Ready(4), 5)),
+            6,
+        );
+        assert_eq!(node.wake_hint(6), 0);
+        assert_eq!(node.step(7), Action::Listen);
+        assert_eq!(node.wake_hint(7), 3, "acknowledges in round 11");
+        assert_eq!(
+            node.step(11),
+            Action::Transmit(TaggedMessage::ack_with_extra(Phase::Two, 5, Some(MSG)))
+        );
+        assert_eq!(node.wake_hint(11), u64::MAX);
     }
 
     #[test]

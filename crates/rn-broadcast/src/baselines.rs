@@ -55,10 +55,11 @@ pub struct SlottedNode {
     slot: u64,
     modulus: u64,
     sourcemsg: Option<SourceMessage>,
-    /// The current (source-local) round number, once known. The source knows
-    /// it from the start; other nodes learn it from the first message they
-    /// hear.
-    round: Option<u64>,
+    /// The source-local round number minus the node's own local round,
+    /// once known (wrapping: a node that woke before the source runs
+    /// ahead of it). The source knows it from the start — it is 0 there;
+    /// other nodes learn it from the first message they hear.
+    clock_offset: Option<u64>,
 }
 
 impl SlottedNode {
@@ -69,7 +70,7 @@ impl SlottedNode {
         SlottedNode {
             slot: label.value(),
             modulus: 1u64 << label.len().min(63),
-            round: if sourcemsg.is_some() { Some(0) } else { None },
+            clock_offset: sourcemsg.is_some().then_some(0),
             sourcemsg,
         }
     }
@@ -104,16 +105,19 @@ impl SlottedNode {
     pub fn modulus(&self) -> u64 {
         self.modulus
     }
+
+    /// The source-local round number of local round `now`, once known.
+    fn source_round(&self, now: u64) -> Option<u64> {
+        self.clock_offset.map(|offset| now.wrapping_add(offset))
+    }
 }
 
 impl RadioNode for SlottedNode {
     type Msg = SlottedMessage;
+    const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<SlottedMessage> {
-        if let Some(r) = &mut self.round {
-            *r += 1;
-        }
-        match (self.sourcemsg, self.round) {
+    fn step(&mut self, now: u64) -> Action<SlottedMessage> {
+        match (self.sourcemsg, self.source_round(now)) {
             (Some(data), Some(round)) if slot_owns_round(self.slot, self.modulus, round) => {
                 Action::Transmit(SlottedMessage { data, round })
             }
@@ -121,14 +125,26 @@ impl RadioNode for SlottedNode {
         }
     }
 
-    fn receive(&mut self, heard: Option<&SlottedMessage>) {
+    fn receive(&mut self, heard: Option<&SlottedMessage>, now: u64) {
         if let Some(msg) = heard {
             if self.sourcemsg.is_none() {
                 self.sourcemsg = Some(msg.data);
             }
-            // Synchronise with the source-local clock (idempotent for already
-            // synchronised nodes).
-            self.round = Some(msg.round);
+            // Synchronise with the source-local clock: the message was sent
+            // in source round `msg.round`, which is this node's round `now`
+            // (idempotent for already synchronised nodes).
+            self.clock_offset = Some(msg.round.wrapping_sub(now));
+        }
+    }
+
+    /// An informed node sleeps until its next slot; an uninformed one until
+    /// it hears something.
+    fn wake_hint(&self, now: u64) -> u64 {
+        match (self.sourcemsg, self.source_round(now)) {
+            // Source round `round + 1 + h` is the first the slot owns:
+            // `(round + h) % modulus == slot`.
+            (Some(_), Some(round)) => self.slot.wrapping_sub(round) & (self.modulus - 1),
+            _ => u64::MAX,
         }
     }
 
@@ -137,7 +153,7 @@ impl RadioNode for SlottedNode {
             .word(self.slot)
             .word(self.modulus)
             .opt(self.sourcemsg)
-            .opt(self.round)
+            .opt(self.clock_offset)
             .finish()
     }
 }
@@ -276,9 +292,30 @@ mod tests {
     #[test]
     fn uninformed_node_never_transmits() {
         let mut node = SlottedNode::new(Label::from_value(0, 3), None);
-        for _ in 0..50 {
-            assert_eq!(node.step(), Action::Listen);
-            node.receive(None);
+        assert_eq!(node.wake_hint(0), u64::MAX);
+        for now in 1..=50 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
         }
+    }
+
+    #[test]
+    fn informed_node_sleeps_frozen_until_its_slot() {
+        // Slot 5 of 8 owns source rounds 6, 14, 22, …. Hearing source
+        // round 10 in local round 4 puts source round 14 at local round 8.
+        let mut node = SlottedNode::new(Label::from_value(5, 3), None);
+        node.receive(Some(&SlottedMessage { data: 1, round: 10 }), 4);
+        assert_eq!(node.wake_hint(4), 3);
+        let before = node.state_digest();
+        for now in 5..8 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
+            assert_eq!(node.state_digest(), before, "round {now}");
+        }
+        assert_eq!(
+            node.step(8),
+            Action::Transmit(SlottedMessage { data: 1, round: 14 })
+        );
+        assert_eq!(node.wake_hint(8), 7, "next at source round 22");
     }
 }

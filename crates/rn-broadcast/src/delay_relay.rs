@@ -26,8 +26,8 @@ pub struct DelayRelayNode {
     sourcemsg: Option<SourceMessage>,
     is_source: bool,
     source_sent: bool,
-    /// Rounds remaining until this node relays (set when informed).
-    relay_countdown: Option<u64>,
+    /// The local round in which this node relays (set when informed).
+    relay_at: Option<u64>,
     relayed: bool,
 }
 
@@ -41,7 +41,7 @@ impl DelayRelayNode {
             is_source: sourcemsg.is_some(),
             sourcemsg,
             source_sent: false,
-            relay_countdown: None,
+            relay_at: None,
             relayed: false,
         }
     }
@@ -79,35 +79,44 @@ impl DelayRelayNode {
 
 impl RadioNode for DelayRelayNode {
     type Msg = BMessage;
+    const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<BMessage> {
+    fn step(&mut self, now: u64) -> Action<BMessage> {
         if self.is_source && !self.source_sent {
             self.source_sent = true;
             return Action::Transmit(BMessage::Data(self.sourcemsg.expect("the source holds µ")));
         }
-        if let Some(c) = &mut self.relay_countdown {
-            *c -= 1;
-            if *c == 0 {
-                self.relay_countdown = None;
-                self.relayed = true;
-                return Action::Transmit(BMessage::Data(
-                    self.sourcemsg.expect("only informed nodes relay"),
-                ));
-            }
+        if self.relay_at == Some(now) {
+            self.relay_at = None;
+            self.relayed = true;
+            return Action::Transmit(BMessage::Data(
+                self.sourcemsg.expect("only informed nodes relay"),
+            ));
         }
         Action::Listen
     }
 
-    fn receive(&mut self, heard: Option<&BMessage>) {
+    fn receive(&mut self, heard: Option<&BMessage>, now: u64) {
         if let Some(BMessage::Data(m)) = heard {
             if self.sourcemsg.is_none() {
                 self.sourcemsg = Some(*m);
                 if !self.relayed {
                     // Relay 1 + b rounds after this one.
-                    self.relay_countdown = Some(1 + u64::from(self.delay_bit));
+                    self.relay_at = Some(now + 1 + u64::from(self.delay_bit));
                 }
             }
         }
+    }
+
+    /// The source acts in its first round and a relay in its relay round;
+    /// in between, and once it has relayed, the node sleeps until it hears
+    /// something.
+    fn wake_hint(&self, now: u64) -> u64 {
+        if self.is_source && !self.source_sent {
+            return 0;
+        }
+        self.relay_at
+            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
     }
 
     fn state_digest(&self) -> u64 {
@@ -116,7 +125,7 @@ impl RadioNode for DelayRelayNode {
             .opt(self.sourcemsg)
             .flag(self.is_source)
             .flag(self.source_sent)
-            .opt(self.relay_countdown)
+            .opt(self.relay_at)
             .flag(self.relayed)
             .finish()
     }
@@ -200,5 +209,26 @@ mod tests {
         for node in sim.nodes() {
             assert_eq!(node.sourcemsg(), Some(MSG));
         }
+    }
+
+    #[test]
+    fn informed_node_sleeps_frozen_until_its_relay_round() {
+        // Delay bit 1: informed in round 3, the node relays in round 5.
+        let mut node = DelayRelayNode::new(Label::one_bit(true), None);
+        assert_eq!(node.wake_hint(0), u64::MAX);
+        node.receive(Some(&BMessage::Data(MSG)), 3);
+        assert_eq!(node.wake_hint(3), 1);
+        let before = node.state_digest();
+        assert_eq!(node.step(4), Action::Listen);
+        node.receive(None, 4);
+        assert_eq!(node.state_digest(), before);
+        assert_eq!(node.step(5), Action::Transmit(BMessage::Data(MSG)));
+        assert_eq!(node.wake_hint(5), u64::MAX);
+        let after = node.state_digest();
+        for now in 6..16 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(Some(&BMessage::Data(MSG)), now);
+        }
+        assert_eq!(node.state_digest(), after, "it relays exactly once");
     }
 }

@@ -62,13 +62,18 @@ impl GossipNode {
 
 impl RadioNode for GossipNode {
     type Msg = <MultiNode as RadioNode>::Msg;
+    const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<Self::Msg> {
-        self.0.step()
+    fn step(&mut self, now: u64) -> Action<Self::Msg> {
+        self.0.step(now)
     }
 
-    fn receive(&mut self, heard: Option<&Self::Msg>) {
-        self.0.receive(heard);
+    fn receive(&mut self, heard: Option<&Self::Msg>, now: u64) {
+        self.0.receive(heard, now);
+    }
+
+    fn wake_hint(&self, now: u64) -> u64 {
+        self.0.wake_hint(now)
     }
 
     fn state_digest(&self) -> u64 {

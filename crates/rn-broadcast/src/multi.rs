@@ -7,10 +7,11 @@
 //!
 //! Every node runs the same [`MultiNode`] state machine; its behaviour
 //! depends only on its advice (the 2-bit λ label plus its slice of the
-//! collection schedule) and the messages it has heard — no topology
-//! knowledge, no network size, no global clock beyond the round counter a
-//! node can maintain by itself (all nodes start in the same round, and the
-//! simulator drives every node every round).
+//! collection schedule), the messages it has heard and its local round —
+//! no topology knowledge, no network size, no global clock beyond the
+//! round count a node could keep by itself (all nodes start in the same
+//! round). A node that only waits for its next slot is frozen, so it sleeps
+//! on the simulator's wake-hint frontier until that round.
 //!
 //! Execution timeline, for a scheme with collection length `T`:
 //!
@@ -55,9 +56,6 @@ pub struct MultiNode {
     coordinator_start: Option<u64>,
 
     // Dynamic state.
-    /// Local round counter (all nodes start together, so counting one's own
-    /// steps is legitimate node-local knowledge).
-    local_round: u64,
     /// Next unfired entry of `slots`.
     next_slot: usize,
     /// Per-source payloads this node holds; entry `j` is `Some(µ_j)` once
@@ -68,10 +66,12 @@ pub struct MultiNode {
     /// The bundle, once assembled (coordinator) or heard (everyone else):
     /// the broadcast phase's "sourcemsg".
     bundle: Option<MessageBundle>,
-    // Algorithm B state, mirroring `BNode` field for field.
-    informed_age: Option<u64>,
-    last_bundle_transmit_age: Option<u64>,
-    stay_age: Option<u64>,
+    // Algorithm B state, mirroring `BNode` field for field: the local
+    // rounds of the first bundle, the last bundle transmission and the
+    // last "stay".
+    informed_at: Option<u64>,
+    last_tx_at: Option<u64>,
+    stay_at: Option<u64>,
 }
 
 impl MultiNode {
@@ -115,14 +115,13 @@ impl MultiNode {
                     x2: label.x2(),
                     slots: Vec::new(),
                     coordinator_start: (v == plan.coordinator()).then(|| plan.rounds()),
-                    local_round: 0,
                     next_slot: 0,
                     received: vec![None; k],
                     held: 0,
                     bundle: None,
-                    informed_age: None,
-                    last_bundle_transmit_age: None,
-                    stay_age: None,
+                    informed_at: None,
+                    last_tx_at: None,
+                    stay_at: None,
                 }
             })
             .collect();
@@ -151,16 +150,26 @@ impl MultiNode {
         &self.received
     }
 
-    fn tick(&mut self) {
-        if let Some(a) = &mut self.informed_age {
-            *a += 1;
-        }
-        if let Some(a) = &mut self.last_bundle_transmit_age {
-            *a += 1;
-        }
-        if let Some(a) = &mut self.stay_age {
-            *a += 1;
-        }
+    /// The first local round after `now` in which `step` may act, or
+    /// `None` when only a reception can make it act: the next collection
+    /// slot, the coordinator's opening round, and the rounds Algorithm B's
+    /// rules fire in (as in `BNode`).
+    fn next_rule_round(&self, now: u64) -> Option<u64> {
+        let stay_rule = self
+            .last_tx_at
+            .filter(|&t| self.stay_at == Some(t + 1))
+            .map(|t| t + 2);
+        [
+            self.slots.get(self.next_slot).map(|&(round, _)| round),
+            self.coordinator_start.map(|t| t + 1),
+            self.informed_at.filter(|_| self.x2).map(|t| t + 1),
+            self.informed_at.filter(|_| self.x1).map(|t| t + 2),
+            stay_rule,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&t| t > now)
+        .min()
     }
 
     /// Stores message `j` unless the node already holds it.
@@ -179,8 +188,8 @@ impl MultiNode {
         }
     }
 
-    fn transmit_bundle(&mut self) -> Action<MultiMessage> {
-        self.last_bundle_transmit_age = Some(0);
+    fn transmit_bundle(&mut self, now: u64) -> Action<MultiMessage> {
+        self.last_tx_at = Some(now);
         Action::Transmit(MultiMessage::Bundle(
             self.bundle
                 .clone()
@@ -191,11 +200,9 @@ impl MultiNode {
 
 impl RadioNode for MultiNode {
     type Msg = MultiMessage;
+    const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<MultiMessage> {
-        self.tick();
-        self.local_round += 1;
-
+    fn step(&mut self, now: u64) -> Action<MultiMessage> {
         // Collection phase: fire this node's scheduled relays. In a
         // fault-free run the schedule guarantees the payload arrived in an
         // earlier round (the previous hop was the sole transmitter of its
@@ -205,7 +212,7 @@ impl RadioNode for MultiNode {
         // report surfaces as an incomplete `message_completion_rounds`
         // entry, never a panic.
         if let Some(&(round, payload)) = self.slots.get(self.next_slot) {
-            if round == self.local_round {
+            if round == now {
                 self.next_slot += 1;
                 return match payload {
                     TokenPayload::Source(j) => match self.received[j as usize] {
@@ -233,7 +240,7 @@ impl RadioNode for MultiNode {
         // µ in its first round. Collection funnels every message here in a
         // fault-free run; under injected faults some may be missing, and
         // the coordinator broadcasts whatever subset it holds.
-        if self.coordinator_start == Some(self.local_round - 1) {
+        if self.coordinator_start.map(|t| t + 1) == Some(now) {
             let bundle: Vec<(u32, SourceMessage)> = self
                 .received
                 .iter()
@@ -241,28 +248,38 @@ impl RadioNode for MultiNode {
                 .filter_map(|(j, p)| p.map(|p| (j as u32, p)))
                 .collect();
             self.bundle = Some(Arc::new(bundle));
-            return self.transmit_bundle();
+            return self.transmit_bundle(now);
         }
 
         // Broadcast phase: Algorithm B's rules with µ = the bundle.
         if self.bundle.is_none() {
             return Action::Listen;
         }
-        if self.informed_age == Some(2) {
+        let age = |at: Option<u64>| at.map(|t| now - t);
+        if age(self.informed_at) == Some(2) {
             if self.x1 {
-                return self.transmit_bundle();
+                return self.transmit_bundle(now);
             }
-        } else if self.informed_age == Some(1) {
+        } else if age(self.informed_at) == Some(1) {
             if self.x2 {
                 return Action::Transmit(MultiMessage::Stay);
             }
-        } else if self.last_bundle_transmit_age == Some(2) && self.stay_age == Some(1) {
-            return self.transmit_bundle();
+        } else if age(self.last_tx_at) == Some(2) && age(self.stay_at) == Some(1) {
+            return self.transmit_bundle(now);
         }
         Action::Listen
     }
 
-    fn receive(&mut self, heard: Option<&MultiMessage>) {
+    /// A node changes state only when it transmits or hears something, so
+    /// it sleeps until its next slot or rule round — a relay waiting for
+    /// its one collection slot sleeps through the whole wait — or until it
+    /// hears something when none is pending.
+    fn wake_hint(&self, now: u64) -> u64 {
+        self.next_rule_round(now)
+            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+    }
+
+    fn receive(&mut self, heard: Option<&MultiMessage>, now: u64) {
         let Some(msg) = heard else { return };
         match msg {
             MultiMessage::Relay {
@@ -283,13 +300,13 @@ impl RadioNode for MultiNode {
             MultiMessage::Bundle(bundle) => {
                 if self.bundle.is_none() {
                     self.bundle = Some(Arc::clone(bundle));
-                    self.informed_age = Some(0);
+                    self.informed_at = Some(now);
                 }
                 self.absorb_bundle(bundle);
             }
             MultiMessage::Stay => {
                 if self.bundle.is_some() {
-                    self.stay_age = Some(0);
+                    self.stay_at = Some(now);
                 }
                 // A node without the bundle ignores "stay", like B's
                 // uninformed nodes.
@@ -310,7 +327,6 @@ impl RadioNode for MultiNode {
         }
         d = d
             .opt(self.coordinator_start)
-            .word(self.local_round)
             .word(self.next_slot as u64)
             .word(self.received.len() as u64);
         for slot in &self.received {
@@ -325,9 +341,9 @@ impl RadioNode for MultiNode {
                 d = d.word(u64::from(j)).word(m);
             }
         }
-        d.opt(self.informed_age)
-            .opt(self.last_bundle_transmit_age)
-            .opt(self.stay_age)
+        d.opt(self.informed_at)
+            .opt(self.last_tx_at)
+            .opt(self.stay_at)
             .finish()
     }
 }
@@ -506,6 +522,40 @@ mod tests {
         sim.step_round();
         assert!(sim.nodes()[8].has_message(0));
         assert!(!sim.nodes()[0].has_message(0));
+    }
+
+    #[test]
+    fn relay_sleeps_frozen_until_its_collection_slot() {
+        // On a path with the coordinator at 0 and the source at 9, node 3
+        // relays message 0 in one collection slot and waits for it.
+        let g = generators::path(10);
+        let scheme = multi::construct_with_coordinator(&g, &[9], 0).unwrap();
+        let slot = scheme
+            .plan()
+            .slots()
+            .iter()
+            .find(|s| s.node == 3)
+            .expect("node 3 relays")
+            .round;
+        let mut node = MultiNode::network(&scheme, &[5]).swap_remove(3);
+        assert_eq!(node.wake_hint(0), slot - 1);
+        let before = node.state_digest();
+        for now in 1..slot - 1 {
+            assert_eq!(node.step(now), Action::Listen);
+            node.receive(None, now);
+            assert_eq!(node.state_digest(), before, "round {now}");
+        }
+        // The previous hop's relay arrives the round before the slot.
+        let relay = MultiMessage::Relay {
+            source_index: 0,
+            payload: 5,
+        };
+        assert_eq!(node.step(slot - 1), Action::Listen);
+        node.receive(Some(&relay), slot - 1);
+        assert_eq!(node.wake_hint(slot - 1), 0);
+        assert_eq!(node.step(slot), Action::Transmit(relay));
+        // Nothing else is scheduled: it sleeps until the bundle comes.
+        assert_eq!(node.wake_hint(slot), u64::MAX);
     }
 
     #[test]

@@ -166,13 +166,13 @@ impl Flood {
 
 impl RadioNode for Flood {
     type Msg = BMessage;
-    fn step(&mut self) -> rn_radio::Action<BMessage> {
+    fn step(&mut self, _now: u64) -> rn_radio::Action<BMessage> {
         match self.msg {
             Some(m) => rn_radio::Action::Transmit(BMessage::Data(m)),
             None => rn_radio::Action::Listen,
         }
     }
-    fn receive(&mut self, heard: Option<&BMessage>) {
+    fn receive(&mut self, heard: Option<&BMessage>, _now: u64) {
         if let Some(BMessage::Data(m)) = heard {
             self.informed = true;
             self.msg = Some(*m);

@@ -128,7 +128,7 @@ impl RadioNode for BadHintNode {
     type Msg = u64;
     const WAKE_HINTS: bool = true;
 
-    fn step(&mut self) -> Action<u64> {
+    fn step(&mut self, _now: u64) -> Action<u64> {
         if let Some(c) = self.countdown {
             if c == 0 {
                 self.countdown = None;
@@ -139,14 +139,14 @@ impl RadioNode for BadHintNode {
         Action::Listen
     }
 
-    fn receive(&mut self, heard: Option<&u64>) {
+    fn receive(&mut self, heard: Option<&u64>, _now: u64) {
         if heard.is_some() && !self.informed {
             self.informed = true;
             self.countdown = Some(2);
         }
     }
 
-    fn wake_hint(&self) -> u64 {
+    fn wake_hint(&self, _now: u64) -> u64 {
         match self.countdown {
             // The lie: a ticking countdown (and the transmission it ends
             // in) is promised away as frozen dormancy. An expired countdown

@@ -1,13 +1,16 @@
 //! Exhaustive wake-hint contract auditing: the machinery behind the
 //! bounded model checker's elision-soundness proof.
 //!
-//! [`RadioNode::wake_hint`] returning `h > 0` promises that — absent a
-//! decodable delivery — the node's next `h` `step`/`receive(None)` pairs
-//! are Listen-only no-ops that leave its state bit-identical (*frozen*).
+//! [`RadioNode::wake_hint`] returning `h > 0` at local round `now` promises
+//! that — absent a decodable delivery — the node's next `h`
+//! `step`/`receive(None)` pairs, at local rounds `now + 1 ..= now + h`, are
+//! Listen-only no-ops that leave its state bit-identical (*frozen*).
 //! The event-driven engine elides those calls, so a hint that overpromises
 //! silently corrupts elided runs. [`audit_wake_hints`] drives a simulation
-//! round by round and, at **every reachable state**, replays the promised
-//! span against a cloned node: each replayed `step` must return
+//! round by round and, at **every reachable state**, asks each node for its
+//! hint at its true local round (the clock the engines pass, from the same
+//! helper) and replays the promised span against a cloned node on that
+//! clock: each replayed `step` must return
 //! [`Action::Listen`](crate::Action) and (for nodes implementing
 //! [`RadioNode::state_digest`]) the digest must not move. On an enumerated
 //! graph family this is an exhaustive proof of the elision contract up to
@@ -107,7 +110,8 @@ fn check_current_state<N: RadioNode + Clone>(
     let mut audit = WakeHintAudit::default();
     for (v, node) in sim.nodes().iter().enumerate() {
         audit.states_checked += 1;
-        let hint = node.wake_hint();
+        let now = sim.local_round(v, round);
+        let hint = node.wake_hint(now);
         if hint == 0 {
             continue;
         }
@@ -121,7 +125,7 @@ fn check_current_state<N: RadioNode + Clone>(
         // still enforced, state drift is only visible to implementers.
         let before = replay.state_digest();
         for offset in 1..=span {
-            if replay.step().is_transmit() {
+            if replay.step(now + offset).is_transmit() {
                 return Err(WakeHintViolation {
                     node: v,
                     round,
@@ -130,7 +134,7 @@ fn check_current_state<N: RadioNode + Clone>(
                     kind: HintViolationKind::TransmittedDuringSpan,
                 });
             }
-            replay.receive(None);
+            replay.receive(None, now + offset);
             audit.steps_replayed += 1;
             if before != 0 {
                 let after = replay.state_digest();
@@ -182,13 +186,14 @@ mod tests {
     use std::sync::Arc;
 
     /// A node that, once informed, waits quietly for a fixed 3 rounds and
-    /// then transmits once. `honest` controls whether its hint stops at
-    /// the truth (the countdown ticks, so no promise may cover it) or
-    /// overpromises across the countdown and its own transmission.
+    /// then transmits once. It stores the local round it transmits in, so
+    /// its state is frozen while it waits. `honest` controls whether its
+    /// hint stops at the truth (the rounds before that deadline) or
+    /// overpromises across its own transmission.
     #[derive(Debug, Clone)]
     struct DelayedTalker {
         informed: bool,
-        countdown: Option<u64>,
+        transmit_at: Option<u64>,
         honest: bool,
     }
 
@@ -197,7 +202,7 @@ mod tests {
             (0..n)
                 .map(|v| DelayedTalker {
                     informed: v == 0,
-                    countdown: (v == 0).then_some(0),
+                    transmit_at: (v == 0).then_some(1),
                     honest,
                 })
                 .collect()
@@ -207,42 +212,39 @@ mod tests {
     impl RadioNode for DelayedTalker {
         type Msg = u64;
         const WAKE_HINTS: bool = true;
-        fn step(&mut self) -> Action<u64> {
-            if let Some(c) = self.countdown {
-                if c == 0 {
-                    self.countdown = None;
-                    return Action::Transmit(1);
-                }
-                self.countdown = Some(c - 1);
+        fn step(&mut self, now: u64) -> Action<u64> {
+            if self.transmit_at == Some(now) {
+                self.transmit_at = None;
+                return Action::Transmit(1);
             }
             Action::Listen
         }
-        fn receive(&mut self, heard: Option<&u64>) {
+        fn receive(&mut self, heard: Option<&u64>, now: u64) {
             if heard.is_some() && !self.informed {
                 self.informed = true;
-                self.countdown = Some(3);
+                self.transmit_at = Some(now + 4);
             }
         }
-        fn wake_hint(&self) -> u64 {
-            match self.countdown {
-                // Truthful: a ticking countdown IS a state change, so an
-                // honest node may only promise 0 here. A dishonest one
-                // promises straight through its own transmission.
-                Some(c) => {
+        fn wake_hint(&self, now: u64) -> u64 {
+            match self.transmit_at {
+                // Truthful: dormant up to the round before the deadline. A
+                // dishonest node promises straight through it.
+                Some(at) => {
+                    let quiet = at - now - 1;
                     if self.honest {
-                        0
+                        quiet
                     } else {
-                        c + 2
+                        quiet + 2
                     }
                 }
-                // No countdown pending: dormant until it hears something.
+                // Nothing pending: dormant until it hears something.
                 None => u64::MAX,
             }
         }
         fn state_digest(&self) -> u64 {
             crate::digest::Digest::new(0xD31A)
                 .flag(self.informed)
-                .opt(self.countdown)
+                .opt(self.transmit_at)
                 .finish()
         }
     }
@@ -264,16 +266,32 @@ mod tests {
     }
 
     #[test]
+    fn audit_replays_on_the_local_clock_of_a_late_or_jammed_node() {
+        // Node 1 hears the source in round 1 and waits for local round 5,
+        // but jams in rounds 2-3, so it transmits in global round 7; node
+        // 2 wakes in round 3 and relays in global round 11 (its local 9).
+        // On the global clock both deadlines would lie in the past while
+        // the nodes still wait for them.
+        let plan = crate::FaultPlan::none().jam(1, 2, 2).late_wake(2, 3);
+        for engine in [Engine::ListenerCentric, Engine::EventDriven] {
+            let mut sim = Simulator::new(path3(), DelayedTalker::network(3, true))
+                .with_engine(engine)
+                .with_faults(&plan);
+            let audit = audit_wake_hints(&mut sim, 24).expect("honest hints certify");
+            assert!(audit.hints_audited > 0);
+            assert_eq!(sim.trace().transmit_rounds(1), vec![7]);
+            assert_eq!(sim.trace().transmit_rounds(2), vec![11]);
+        }
+    }
+
+    #[test]
     fn overpromising_protocol_is_caught_with_location() {
         let mut sim = Simulator::new(path3(), DelayedTalker::network(3, false));
         let violation = audit_wake_hints(&mut sim, 20).expect_err("overpromise must be caught");
-        // The dishonest hint spans the countdown: the replay either sees
-        // the transmission or the ticking digest, whichever the span hits
-        // first — here the countdown ticks immediately.
-        assert!(matches!(
-            violation.kind,
-            HintViolationKind::StateDrift { .. } | HintViolationKind::TransmittedDuringSpan
-        ));
+        // The dishonest hint spans the deadline, and the replay's clock
+        // reaches it: the state is frozen, so the transmission is what
+        // breaks the promise.
+        assert_eq!(violation.kind, HintViolationKind::TransmittedDuringSpan);
         assert!(violation.offset >= 1);
         assert!(violation.hint >= 2);
     }

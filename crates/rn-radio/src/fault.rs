@@ -257,6 +257,14 @@ impl FaultPlan {
     }
 }
 
+/// Node `v`'s local round in global round `round` under an optional
+/// compiled plan: `round` itself when there is none (see
+/// [`CompiledFaults::local_round`]).
+#[inline]
+pub(crate) fn local_round(faults: Option<&CompiledFaults>, v: NodeId, round: u64) -> u64 {
+    faults.map_or(round, |f| f.local_round(v, round))
+}
+
 /// Receive-side fault kinds, as compiled for per-round lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum RxFault {
@@ -278,8 +286,13 @@ pub(crate) struct CompiledFaults {
     /// The nodes the plan ever makes inert (they crash or wake late), in
     /// increasing order.
     inert_nodes: Vec<NodeId>,
-    /// Jam intervals as `(node, first_round, last_round)`, inclusive.
+    /// Jam intervals as `(node, first_round, last_round)`, inclusive,
+    /// sorted by node and merged, so a node's intervals are disjoint and
+    /// in increasing order.
     jams: Vec<(NodeId, u64, u64)>,
+    /// Per node, where its intervals sit in `jams`:
+    /// `jams[jam_index[v]..jam_index[v + 1]]`.
+    jam_index: Vec<usize>,
     /// Receive-side faults sorted by `(round, node)`; at most one per
     /// `(round, node)` pair (the first scheduled event wins).
     rx: Vec<(u64, NodeId, RxFault)>,
@@ -335,13 +348,69 @@ impl CompiledFaults {
         let inert_nodes = (0..n)
             .filter(|&v| crash_round[v] != u64::MAX || wake_round[v] > 1)
             .collect();
+        // Overlapping or touching intervals of one node merge, so
+        // `local_round` can subtract each jammed round exactly once.
+        jams.sort_unstable();
+        let mut merged: Vec<(NodeId, u64, u64)> = Vec::with_capacity(jams.len());
+        for (node, first, last) in jams {
+            match merged.last_mut() {
+                Some((v, _, end)) if *v == node && first <= end.saturating_add(1) => {
+                    *end = (*end).max(last);
+                }
+                _ => merged.push((node, first, last)),
+            }
+        }
+        let mut jam_index = vec![0; n + 1];
+        for &(node, _, _) in &merged {
+            jam_index[node + 1] += 1;
+        }
+        for v in 0..n {
+            jam_index[v + 1] += jam_index[v];
+        }
         CompiledFaults {
             crash_round,
             wake_round,
             inert_nodes,
-            jams,
+            jams: merged,
+            jam_index,
             rx,
         }
+    }
+
+    /// Node `v`'s jam intervals, disjoint and in increasing order.
+    #[inline]
+    fn jams_of(&self, v: NodeId) -> &[(NodeId, u64, u64)] {
+        &self.jams[self.jam_index[v]..self.jam_index[v + 1]]
+    }
+
+    /// Node `v`'s local round in global round `round`: the number of rounds
+    /// up to and including `round` in which its protocol runs — from its
+    /// wake round to the round before it crashes, minus the rounds it
+    /// spends jamming. 0 before it wakes. O(1) for a node the plan never
+    /// jams.
+    ///
+    /// This is the `now` both engines pass to
+    /// [`RadioNode::step`](crate::RadioNode::step) and
+    /// [`RadioNode::receive`](crate::RadioNode::receive), and the clock the
+    /// wake-hint audit replays on; see [`local_round`] for a run without a
+    /// plan.
+    pub(crate) fn local_round(&self, v: NodeId, round: u64) -> u64 {
+        let wake = self.wake_round[v];
+        let round = round.min(self.crash_round[v].saturating_sub(1));
+        if round < wake {
+            return 0;
+        }
+        let mut now = round - wake + 1;
+        for &(_, first, last) in self.jams_of(v) {
+            if first > round {
+                break;
+            }
+            let (lo, hi) = (first.max(wake), last.min(round));
+            if lo <= hi {
+                now -= hi - lo + 1;
+            }
+        }
+        now
     }
 
     /// If node `v` is inert in `round`, which marker the trace records.
@@ -387,9 +456,9 @@ impl CompiledFaults {
     /// callers check [`inert_kind`](Self::inert_kind) first.
     #[inline]
     pub(crate) fn is_jamming(&self, v: NodeId, round: u64) -> bool {
-        self.jams
+        self.jams_of(v)
             .iter()
-            .any(|&(node, first, last)| node == v && (first..=last).contains(&round))
+            .any(|&(_, first, last)| (first..=last).contains(&round))
     }
 
     /// The receive-side faults scheduled for `round`, sorted by node.
@@ -470,6 +539,28 @@ mod tests {
         assert_eq!(CompiledFaults::rx_fault(w, 3), Some(RxFault::Drop));
         assert_eq!(CompiledFaults::rx_fault(w, 0), None);
         assert!(c.rx_window(7).is_empty());
+    }
+
+    #[test]
+    fn local_round_starts_at_the_wake_round_and_pauses_while_jamming() {
+        let plan = FaultPlan::none()
+            .late_wake(0, 4)
+            .jam(0, 2, 4) // rounds 2..=5, of which 4 and 5 are awake
+            .jam(1, 3, 2) // rounds 3..=4
+            .jam(1, 4, 3) // rounds 4..=6: merges into 3..=6
+            .jam(1, 9, 1)
+            .crash(2, 8);
+        let c = CompiledFaults::compile(&plan, 3);
+        let clock = |v| (0..=10).map(|r| c.local_round(v, r)).collect::<Vec<_>>();
+        assert_eq!(clock(0), [0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(clock(1), [0, 1, 2, 2, 2, 2, 2, 3, 4, 4, 5]);
+        // Node 2 crashes in round 8: its clock stops at round 7.
+        assert_eq!(clock(2), [0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7]);
+        assert_eq!(local_round(None, 2, 7), 7);
+        assert_eq!(local_round(Some(&c), 1, 7), 3);
+        // Merged intervals still answer `is_jamming` round by round.
+        assert!((3..=6).all(|r| c.is_jamming(1, r)));
+        assert!(!c.is_jamming(1, 7) && c.is_jamming(1, 9));
     }
 
     #[test]

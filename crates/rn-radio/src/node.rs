@@ -5,9 +5,13 @@
 //! model: a node is constructed from its label (and, for the source, the
 //! source message) by the algorithm crate, and afterwards the simulator only
 //! ever calls [`RadioNode::step`] ("what do you do this round?") and
-//! [`RadioNode::receive`] ("this is what you heard"). No global information —
-//! not the round number, not the topology, not the network size — ever flows
-//! from the simulator into a node.
+//! [`RadioNode::receive`] ("this is what you heard"). The one number the
+//! simulator passes in is the node's own **local round**: how many rounds
+//! its protocol has run, counting the current one. A node could count that
+//! itself, one per `step`; receiving it lets a protocol store timestamps
+//! instead of ticking counters, so its state stays frozen while it waits.
+//! No global information — not the global round number, not the topology,
+//! not the network size — ever flows from the simulator into a node.
 
 use crate::message::RadioMessage;
 
@@ -43,22 +47,34 @@ impl<M> Action<M> {
 /// this order:
 ///
 /// 1. [`step`](RadioNode::step) — the node decides to transmit or listen,
-///    based only on its internal state (label + history);
+///    based only on its internal state (label + history) and its local
+///    round;
 /// 2. [`receive`](RadioNode::receive) — **only if the node listened**, it is
 ///    told what it heard: `Some(msg)` if exactly one neighbour transmitted,
 ///    `None` otherwise (silence and collision are indistinguishable, as the
 ///    model has no collision detection).
 ///
 /// Transmitting nodes get no feedback at all for that round.
+///
+/// # The local round
+///
+/// Every call carries `now`, the node's local round: the number of rounds
+/// in which its protocol has run, counting this one. Without faults it is
+/// the global round, starting at 1. A late-waking node starts at 1 in its
+/// wake round, and a jam round pauses the count, because the protocol is
+/// suspended then; it is exactly the count of `step` calls a node would
+/// keep itself. `now` is not state: [`state_digest`](RadioNode::state_digest)
+/// leaves it out, and a node that only stores timestamps of past events
+/// keeps a state that no passing round changes.
 pub trait RadioNode {
     /// The message type this protocol exchanges.
     type Msg: RadioMessage;
 
-    /// Decide this round's action.
-    fn step(&mut self) -> Action<Self::Msg>;
+    /// Decide the action of local round `now`.
+    fn step(&mut self, now: u64) -> Action<Self::Msg>;
 
-    /// Observe the outcome of a listening round.
-    fn receive(&mut self, heard: Option<&Self::Msg>);
+    /// Observe the outcome of listening in local round `now`.
+    fn receive(&mut self, heard: Option<&Self::Msg>, now: u64);
 
     /// Whether this protocol type gives wake hints, i.e. overrides
     /// [`wake_hint`](RadioNode::wake_hint) to return positive values.
@@ -75,18 +91,22 @@ pub trait RadioNode {
 
     /// How many upcoming rounds this node is guaranteed to be *dormant*,
     /// as a hint to the fast engine's frontier mode (read only when the
-    /// type declares [`WAKE_HINTS`](RadioNode::WAKE_HINTS)).
+    /// type declares [`WAKE_HINTS`](RadioNode::WAKE_HINTS)). `now` is the
+    /// local round the node has just run, so a node waiting for local round
+    /// `t` returns `t − now − 1`.
     ///
     /// Returning `h` promises that — unless a decodable message is
     /// delivered to the node first — each of its next `h` [`step`] calls
-    /// would return [`Action::Listen`], and that skipping those `h`
-    /// `step`/`receive(None)` call pairs leaves the node in exactly the
-    /// state it would reach if they were made (its state is *frozen*:
-    /// `step` and `receive(None)` are no-ops for those rounds). The
-    /// engine may then elide the calls entirely and only wake the node
-    /// early when it hears something (`receive(Some(_))`), after which
-    /// the hint is queried again. `u64::MAX` means "dormant until I hear
-    /// something".
+    /// (local rounds `now + 1 ..= now + h`) would return
+    /// [`Action::Listen`], and that skipping those `h` `step`/`receive(None)`
+    /// call pairs leaves the node in exactly the state it would reach if
+    /// they were made (its state is *frozen*: `step` and `receive(None)`
+    /// are no-ops for those rounds). The engine may then elide the calls
+    /// entirely and only wake the node early when it hears something
+    /// (`receive(Some(_))`), after which the hint is queried again.
+    /// `u64::MAX` means "dormant until I hear something". Waking early is
+    /// always safe; the engine counts the span in global rounds, which a
+    /// jam can only make end sooner in local rounds.
     ///
     /// The default of `0` makes no promise at all — the node is driven
     /// every round, exactly like the reference engine drives it — so any
@@ -96,7 +116,7 @@ pub trait RadioNode {
     /// hint that overpromises.
     ///
     /// [`step`]: RadioNode::step
-    fn wake_hint(&self) -> u64 {
+    fn wake_hint(&self, _now: u64) -> u64 {
         0
     }
 

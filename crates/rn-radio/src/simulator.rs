@@ -69,6 +69,17 @@
 //!   `tx_index` lookups, the per-node receive-fault search) is order-free,
 //!   so the driven set needs no sorting.
 //!
+//! # The local clock
+//!
+//! Every `step`, `receive` and `wake_hint` call carries the node's local
+//! round (see [`RadioNode`]): the global round when no fault plan is
+//! installed, otherwise counted from the node's late-wake round with its
+//! jam rounds left out. Both engines and the wake-hint audit compute it in
+//! one place (`CompiledFaults::local_round`), in O(1) for a node the plan
+//! never jams. Protocols keep timestamps on this clock instead of ticking
+//! counters, so a node that only waits for a local round is frozen until
+//! then and can park on the frontier below.
+//!
 //! # Dense or frontier driving
 //!
 //! Which nodes the decide pass drives is a property of the protocol type,
@@ -105,7 +116,7 @@
 //! application are bit-identical to the reference engine; the equivalence
 //! matrix in `tests/engine_equivalence.rs` pins them.
 
-use crate::fault::{CompiledFaults, FaultKind, FaultPlan, RxFault};
+use crate::fault::{local_round, CompiledFaults, FaultKind, FaultPlan, RxFault};
 use crate::message::RadioMessage;
 use crate::node::{Action, RadioNode};
 use crate::scratch::RoundScratch;
@@ -205,23 +216,25 @@ impl EventState {
         }
     }
 
-    /// Queues node `v`, just driven in `round`, for the round its
-    /// post-step or post-receive [`RadioNode::wake_hint`] names (frontier
-    /// mode; `u64::MAX` parks it until a reception wakes it). A dense
-    /// protocol keeps no queue and its hint must stay 0, which debug builds
-    /// check: a positive hint from a type that does not declare
-    /// [`RadioNode::WAKE_HINTS`] would silently never be honoured.
+    /// Queues node `v`, just driven in `round` (its local round `now`),
+    /// for the round its post-step or post-receive [`RadioNode::wake_hint`]
+    /// names (frontier mode; `u64::MAX` parks it until a reception wakes
+    /// it). The hint counts local rounds and the queue global ones; a jam
+    /// inside the span only wakes the node early, and jammers are driven
+    /// anyway. A dense protocol keeps no queue and its hint must stay 0,
+    /// which debug builds check: a positive hint from a type that does not
+    /// declare [`RadioNode::WAKE_HINTS`] would silently never be honoured.
     #[inline]
-    fn reschedule<N: RadioNode>(&mut self, node: &N, v: NodeId, round: u64) {
+    fn reschedule<N: RadioNode>(&mut self, node: &N, v: NodeId, round: u64, now: u64) {
         if N::WAKE_HINTS {
-            let wake = round.saturating_add(1).saturating_add(node.wake_hint());
+            let wake = round.saturating_add(1).saturating_add(node.wake_hint(now));
             self.schedule(v, round, wake);
         } else {
             debug_assert!(
-                node.wake_hint() == 0,
+                node.wake_hint(now) == 0,
                 "node {v} returned wake hint {} but its protocol type does not declare \
                  RadioNode::WAKE_HINTS",
-                node.wake_hint()
+                node.wake_hint(now)
             );
         }
     }
@@ -230,7 +243,8 @@ impl EventState {
 /// Delivers one successful reception through the receive-side fault filter —
 /// the single copy of the Drop/Corrupt/clean logic both engines share.
 ///
-/// Returns `(decoded, rx_faulted, event)`: whether the node was actually
+/// `now` is the node's local round. Returns `(decoded, rx_faulted, event)`:
+/// whether the node was actually
 /// handed a message (`receive(Some(_))` — the fast engine's frontier mode
 /// wakes dormant listeners exactly on this), whether a receive-side fault was
 /// consumed (drop or corruption, decodable or not — the engines' `rx_faults`
@@ -239,6 +253,7 @@ impl EventState {
 fn deliver_with_rx_faults<N: RadioNode>(
     node: &mut N,
     v: NodeId,
+    now: u64,
     sender: NodeId,
     msg: &N::Msg,
     rx_window: &[(u64, NodeId, RxFault)],
@@ -246,7 +261,7 @@ fn deliver_with_rx_faults<N: RadioNode>(
 ) -> (bool, bool, Option<NodeEvent<N::Msg>>) {
     match CompiledFaults::rx_fault(rx_window, v) {
         Some(RxFault::Drop) => {
-            node.receive(None);
+            node.receive(None, now);
             (
                 false,
                 true,
@@ -255,7 +270,7 @@ fn deliver_with_rx_faults<N: RadioNode>(
         }
         Some(RxFault::Corrupt) => match msg.corrupted() {
             Some(garbled) => {
-                node.receive(Some(&garbled));
+                node.receive(Some(&garbled), now);
                 let event = record.then(|| NodeEvent::Heard {
                     from: sender,
                     message: garbled,
@@ -263,7 +278,7 @@ fn deliver_with_rx_faults<N: RadioNode>(
                 (true, true, event)
             }
             None => {
-                node.receive(None);
+                node.receive(None, now);
                 (
                     false,
                     true,
@@ -272,7 +287,7 @@ fn deliver_with_rx_faults<N: RadioNode>(
             }
         },
         None => {
-            node.receive(Some(msg));
+            node.receive(Some(msg), now);
             let event = record.then(|| NodeEvent::Heard {
                 from: sender,
                 message: msg.clone(),
@@ -513,6 +528,13 @@ impl<N: RadioNode> Simulator<N> {
         self.round
     }
 
+    /// Node `v`'s local round in global round `round` under this
+    /// simulator's fault plan (see [`RadioNode`]'s local round): the `now`
+    /// the engines pass it, and the clock the wake-hint audit replays on.
+    pub(crate) fn local_round(&self, v: NodeId, round: u64) -> u64 {
+        local_round(self.faults.as_ref(), v, round)
+    }
+
     /// The nodes whose state the last executed round may have changed: in
     /// [`Engine::EventDriven`]'s frontier mode, the nodes it drove plus the
     /// dormant nodes that decoded a message. Every other node's state is
@@ -571,7 +593,7 @@ impl<N: RadioNode> Simulator<N> {
                     continue;
                 }
             }
-            actions.push(node.step());
+            actions.push(node.step(local_round(faults, v, round)));
         }
         let transmitting: Vec<bool> = actions
             .iter()
@@ -605,6 +627,7 @@ impl<N: RadioNode> Simulator<N> {
                     }
                 }
                 Action::Listen => {
+                    let now = local_round(faults, v, round);
                     let mut tx_neighbors = self
                         .graph
                         .neighbors(v)
@@ -617,7 +640,7 @@ impl<N: RadioNode> Simulator<N> {
                         (Some(w), None) if jamming[w] => {
                             // The only transmitting neighbour is a jammer:
                             // busy channel, nothing decodable.
-                            self.nodes[v].receive(None);
+                            self.nodes[v].receive(None, now);
                             collisions += 1;
                             if self.record_trace {
                                 events.push((
@@ -633,6 +656,7 @@ impl<N: RadioNode> Simulator<N> {
                             let (decoded, rx_faulted, event) = deliver_with_rx_faults(
                                 &mut self.nodes[v],
                                 v,
+                                now,
                                 w,
                                 msg,
                                 rx_window,
@@ -645,7 +669,7 @@ impl<N: RadioNode> Simulator<N> {
                         (Some(_), Some(_)) => {
                             // Collision: indistinguishable from silence for
                             // the node.
-                            self.nodes[v].receive(None);
+                            self.nodes[v].receive(None, now);
                             collisions += 1;
                             if self.record_trace {
                                 let count = self
@@ -662,7 +686,7 @@ impl<N: RadioNode> Simulator<N> {
                                 ));
                             }
                         }
-                        (None, _) => self.nodes[v].receive(None),
+                        (None, _) => self.nodes[v].receive(None, now),
                     }
                 }
             }
@@ -841,7 +865,8 @@ impl<N: RadioNode> Simulator<N> {
                     continue;
                 }
             }
-            match nodes[v].step() {
+            let now = local_round(faults, v, round);
+            match nodes[v].step(now) {
                 Action::Transmit(m) => {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = self.tx_messages.len() as u32;
@@ -850,7 +875,7 @@ impl<N: RadioNode> Simulator<N> {
                         events.push((v, NodeEvent::Transmitted(m.clone())));
                     }
                     self.tx_messages.push(m);
-                    st.reschedule(&nodes[v], v, round);
+                    st.reschedule(&nodes[v], v, round, now);
                 }
                 Action::Listen => {} // rescheduled in observe, after receive
             }
@@ -900,6 +925,7 @@ impl<N: RadioNode> Simulator<N> {
             if scratch.tx_stamp[v] == generation {
                 continue; // transmitters and jammers observe nothing
             }
+            let now = local_round(faults, v, round);
             if scratch.stamp[v] == generation
                 && scratch.hit_count[v] == 1
                 && scratch.tx_index[scratch.last_sender[v]] != JAMMER
@@ -907,7 +933,7 @@ impl<N: RadioNode> Simulator<N> {
                 let w = scratch.last_sender[v];
                 let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                 let (decoded, rx_faulted, event) =
-                    deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, record_trace);
+                    deliver_with_rx_faults(&mut nodes[v], v, now, w, msg, rx_window, record_trace);
                 deliveries += u64::from(decoded);
                 rx_faults += u64::from(rx_faulted);
                 events.extend(event.map(|e| (v, e)));
@@ -922,9 +948,9 @@ impl<N: RadioNode> Simulator<N> {
                         },
                     ));
                 }
-                nodes[v].receive(None);
+                nodes[v].receive(None, now);
             }
-            st.reschedule(&nodes[v], v, round);
+            st.reschedule(&nodes[v], v, round, now);
         }
         for i in 0..st.touched.len() {
             let v = st.touched[i];
@@ -950,19 +976,20 @@ impl<N: RadioNode> Simulator<N> {
             // construction, so the elided `step` must be a Listen no-op — a
             // Transmit means `wake_hint` overpromised and elision suppressed
             // a real transmission.
+            let now = local_round(faults, v, round);
             debug_assert!(
-                !nodes[v].step().is_transmit(),
+                !nodes[v].step(now).is_transmit(),
                 "wake-hint overpromise: node {v} would transmit in round {round} \
                  inside its elided span"
             );
             let msg = &self.tx_messages[scratch.tx_index[w] as usize];
             let (decoded, rx_faulted, event) =
-                deliver_with_rx_faults(&mut nodes[v], v, w, msg, rx_window, record_trace);
+                deliver_with_rx_faults(&mut nodes[v], v, now, w, msg, rx_window, record_trace);
             deliveries += u64::from(decoded);
             rx_faults += u64::from(rx_faulted);
             events.extend(event.map(|e| (v, e)));
             if decoded {
-                st.reschedule(&nodes[v], v, round);
+                st.reschedule(&nodes[v], v, round, now);
                 // Past the driven prefix, the due list also names the
                 // dormant nodes this round changed (`active_nodes`).
                 st.due.push(v);
@@ -1154,7 +1181,7 @@ mod tests {
 
     impl RadioNode for OneShot {
         type Msg = u64;
-        fn step(&mut self) -> Action<u64> {
+        fn step(&mut self, _now: u64) -> Action<u64> {
             if self.is_source && !self.sent {
                 self.sent = true;
                 Action::Transmit(42)
@@ -1162,7 +1189,7 @@ mod tests {
                 Action::Listen
             }
         }
-        fn receive(&mut self, heard: Option<&u64>) {
+        fn receive(&mut self, heard: Option<&u64>, _now: u64) {
             let h = heard.copied();
             self.listen_outcomes.push(h);
             if self.heard.is_none() {
@@ -1181,7 +1208,7 @@ mod tests {
 
     impl RadioNode for Simultaneous {
         type Msg = u64;
-        fn step(&mut self) -> Action<u64> {
+        fn step(&mut self, _now: u64) -> Action<u64> {
             if self.transmit_first && !self.done {
                 self.done = true;
                 Action::Transmit(7)
@@ -1189,7 +1216,7 @@ mod tests {
                 Action::Listen
             }
         }
-        fn receive(&mut self, heard: Option<&u64>) {
+        fn receive(&mut self, heard: Option<&u64>, _now: u64) {
             self.listened_rounds += 1;
             if self.heard.is_none() {
                 self.heard = heard.copied();
@@ -1605,7 +1632,7 @@ mod tests {
     impl RadioNode for Pulse {
         type Msg = u64;
         const WAKE_HINTS: bool = true;
-        fn step(&mut self) -> Action<u64> {
+        fn step(&mut self, _now: u64) -> Action<u64> {
             if self.is_source && !self.sent {
                 self.sent = true;
                 Action::Transmit(42)
@@ -1613,12 +1640,12 @@ mod tests {
                 Action::Listen
             }
         }
-        fn receive(&mut self, heard: Option<&u64>) {
+        fn receive(&mut self, heard: Option<&u64>, _now: u64) {
             if let Some(m) = heard {
                 self.heard.push(*m);
             }
         }
-        fn wake_hint(&self) -> u64 {
+        fn wake_hint(&self, _now: u64) -> u64 {
             if self.is_source && !self.sent {
                 0
             } else {
@@ -1725,6 +1752,59 @@ mod tests {
         }
     }
 
+    /// A frontier protocol on the local clock alone: a node transmits in
+    /// every local round that is a multiple of its period and parks in
+    /// between, with no counter to tick.
+    #[derive(Clone, Debug)]
+    struct Metronome {
+        period: u64,
+    }
+
+    impl RadioNode for Metronome {
+        type Msg = u64;
+        const WAKE_HINTS: bool = true;
+        fn step(&mut self, now: u64) -> Action<u64> {
+            if now.is_multiple_of(self.period) {
+                Action::Transmit(now)
+            } else {
+                Action::Listen
+            }
+        }
+        fn receive(&mut self, _heard: Option<&u64>, _now: u64) {}
+        fn wake_hint(&self, now: u64) -> u64 {
+            self.period - 1 - now % self.period
+        }
+    }
+
+    #[test]
+    fn parked_nodes_wake_on_their_local_clock_under_faults() {
+        let plan = FaultPlan::none()
+            .late_wake(1, 4)
+            .jam(2, 3, 4)
+            .jam(3, 7, 2)
+            .crash(4, 15);
+        let make = |engine| {
+            let nodes = [2, 4, 3, 5, 3]
+                .into_iter()
+                .map(|period| Metronome { period })
+                .collect();
+            Simulator::new(generators::path(5), nodes)
+                .with_engine(engine)
+                .with_faults(&plan)
+        };
+        let mut reference = make(Engine::ListenerCentric);
+        let mut event = make(Engine::EventDriven);
+        reference.run_rounds(30);
+        event.run_rounds(30);
+        assert_eq!(reference.trace().rounds, event.trace().rounds);
+        // Node 1 wakes in round 4, so its local round 4 is global round 7.
+        assert_eq!(event.trace().transmit_rounds(1)[..2], [7, 11]);
+        // Node 2 jams in rounds 3-6: local round 3 is global round 7.
+        assert_eq!(event.trace().transmit_rounds(2)[..3], [7, 10, 13]);
+        // Each transmission carries the sender's local round.
+        assert_eq!(event.trace().heard_in_round(0, 7), Some(&4));
+    }
+
     /// A frontier protocol in which every node relays the first message it
     /// hears, once, the round after; the source starts with one to relay.
     #[derive(Clone, Debug, PartialEq)]
@@ -1737,7 +1817,7 @@ mod tests {
     impl RadioNode for Relay {
         type Msg = u64;
         const WAKE_HINTS: bool = true;
-        fn step(&mut self) -> Action<u64> {
+        fn step(&mut self, _now: u64) -> Action<u64> {
             match self.pending.take() {
                 Some(m) => {
                     self.relayed = true;
@@ -1746,7 +1826,7 @@ mod tests {
                 None => Action::Listen,
             }
         }
-        fn receive(&mut self, heard: Option<&u64>) {
+        fn receive(&mut self, heard: Option<&u64>, _now: u64) {
             if let Some(&m) = heard {
                 self.heard.push(m);
                 if !self.relayed && self.pending.is_none() {
@@ -1754,7 +1834,7 @@ mod tests {
                 }
             }
         }
-        fn wake_hint(&self) -> u64 {
+        fn wake_hint(&self, _now: u64) -> u64 {
             if self.pending.is_some() {
                 0
             } else {
@@ -1805,14 +1885,14 @@ mod tests {
 
     impl RadioNode for UndeclaredPulse {
         type Msg = u64;
-        fn step(&mut self) -> Action<u64> {
-            self.0.step()
+        fn step(&mut self, now: u64) -> Action<u64> {
+            self.0.step(now)
         }
-        fn receive(&mut self, heard: Option<&u64>) {
-            self.0.receive(heard);
+        fn receive(&mut self, heard: Option<&u64>, now: u64) {
+            self.0.receive(heard, now);
         }
-        fn wake_hint(&self) -> u64 {
-            self.0.wake_hint()
+        fn wake_hint(&self, now: u64) -> u64 {
+            self.0.wake_hint(now)
         }
     }
 

@@ -13,12 +13,12 @@ use crate::node::{Action, RadioNode};
 
 /// An adversarial protocol for raw-simulator testing: each node transmits on
 /// a pseudo-random schedule derived from its id and how many rounds it has
-/// seen, producing dense collision patterns no real scheme would. The
-/// per-node state advances on *observations* only (the simulator never leaks
-/// the round number), exactly like a real protocol — which also means an
-/// injected fault that suppresses a `receive` call visibly desynchronizes
-/// the node, making `ChaosNode` a sharp probe for fault-injection
-/// equivalence across engines.
+/// seen, producing dense collision patterns no real scheme would. It counts
+/// its own rounds and asserts that the local round the engine passes agrees
+/// — a check of the engines' local clock under every fault plan the suites
+/// drive it through. An injected fault that suppresses a `receive` call
+/// visibly desynchronizes its observation log, making `ChaosNode` a sharp
+/// probe for fault-injection equivalence across engines.
 #[derive(Clone, Debug)]
 pub struct ChaosNode {
     id: u64,
@@ -57,9 +57,13 @@ impl ChaosNode {
 impl RadioNode for ChaosNode {
     type Msg = u64;
 
-    fn step(&mut self) -> Action<u64> {
+    fn step(&mut self, now: u64) -> Action<u64> {
         let fire = self.hash().is_multiple_of(self.density);
         self.local_round += 1;
+        // The node counts its own rounds, so it can check the clock the
+        // engine passes: under any fault plan, on either engine, the two
+        // must agree.
+        assert_eq!(now, self.local_round, "node {}: engine clock", self.id);
         if fire {
             Action::Transmit(self.id * 1000 + self.local_round)
         } else {
@@ -67,7 +71,7 @@ impl RadioNode for ChaosNode {
         }
     }
 
-    fn receive(&mut self, heard: Option<&u64>) {
+    fn receive(&mut self, heard: Option<&u64>, _now: u64) {
         self.observations.push(heard.copied());
     }
 }
@@ -82,7 +86,8 @@ mod tests {
         let mut b = ChaosNode::network(4, 3);
         for _ in 0..32 {
             for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                assert_eq!(x.step().is_transmit(), y.step().is_transmit());
+                let now = x.local_round + 1;
+                assert_eq!(x.step(now).is_transmit(), y.step(now).is_transmit());
             }
         }
     }
@@ -92,9 +97,9 @@ mod tests {
         let mut nodes = ChaosNode::network(16, 2);
         let mut transmits = 0usize;
         let mut listens = 0usize;
-        for _ in 0..32 {
+        for now in 1..=32 {
             for node in &mut nodes {
-                if node.step().is_transmit() {
+                if node.step(now).is_transmit() {
                     transmits += 1;
                 } else {
                     listens += 1;

@@ -37,14 +37,14 @@ impl Chatter {
 
 impl RadioNode for Chatter {
     type Msg = u64;
-    fn step(&mut self) -> Action<u64> {
+    fn step(&mut self, _now: u64) -> Action<u64> {
         if self.rng.next_u32().is_multiple_of(3) {
             Action::Transmit(self.id)
         } else {
             Action::Listen
         }
     }
-    fn receive(&mut self, heard: Option<&u64>) {
+    fn receive(&mut self, heard: Option<&u64>, _now: u64) {
         self.heard.push(heard.copied());
     }
 }
@@ -184,7 +184,7 @@ impl Ripple {
 impl RadioNode for Ripple {
     type Msg = u64;
     const WAKE_HINTS: bool = true;
-    fn step(&mut self) -> Action<u64> {
+    fn step(&mut self, _now: u64) -> Action<u64> {
         match self.holding.take() {
             Some(m) if !self.relayed => {
                 self.relayed = true;
@@ -193,7 +193,7 @@ impl RadioNode for Ripple {
             _ => Action::Listen,
         }
     }
-    fn receive(&mut self, heard: Option<&u64>) {
+    fn receive(&mut self, heard: Option<&u64>, _now: u64) {
         if let Some(m) = heard {
             self.receptions.push(*m);
             if !self.relayed {
@@ -201,7 +201,7 @@ impl RadioNode for Ripple {
             }
         }
     }
-    fn wake_hint(&self) -> u64 {
+    fn wake_hint(&self, _now: u64) -> u64 {
         if self.holding.is_some() && !self.relayed {
             0 // about to relay
         } else {

@@ -9,7 +9,8 @@
 
 use radio_labeling::broadcast::session::{Scheme, Session};
 use radio_labeling::graph::generators::{self, TopologyFamily};
-use radio_labeling::radio::ExecutionStats;
+use radio_labeling::radio::testing::ChaosNode;
+use radio_labeling::radio::{CounterSink, ExecutionStats, Simulator};
 use std::sync::Arc;
 
 const N: usize = 16;
@@ -52,21 +53,23 @@ fn counters_equal_trace_derived_stats_on_every_preset_and_general_scheme() {
 #[test]
 fn node_steps_count_the_frontier_each_engine_drives() {
     // `node_steps` sums the per-round frontier: a dense protocol (the
-    // unique-ID baseline declares no wake hints) steps every node every
-    // executed round, while λ's wake-hint frontier steps strictly fewer.
+    // `ChaosNode` test protocol declares no wake hints) steps every node
+    // every executed round, while λ's wake-hint frontier steps strictly
+    // fewer.
     let graph = Arc::new(generators::path(64));
     let n = graph.node_count() as u64;
-    let run = |scheme: Scheme| {
-        let session = Session::builder(scheme, Arc::clone(&graph))
-            .build()
-            .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
-        let (report, metrics) = session.run_instrumented();
-        (report, metrics.counters.expect("instrumented run"))
-    };
-    let (dense, c) = run(Scheme::UniqueIds);
-    assert!(dense.rounds_executed > 0);
-    assert_eq!(c.node_steps, dense.rounds_executed * n);
-    let (frontier, c) = run(Scheme::Lambda);
+    let mut dense = Simulator::new(Arc::clone(&graph), ChaosNode::network(64, 3))
+        .without_trace()
+        .with_metrics(Box::new(CounterSink::new()));
+    let outcome = dense.run_rounds(40);
+    assert_eq!(outcome.rounds_executed, 40);
+    let c = dense.metrics_counters().expect("counting sink");
+    assert_eq!(c.node_steps, outcome.rounds_executed * n);
+    let session = Session::builder(Scheme::Lambda, Arc::clone(&graph))
+        .build()
+        .expect("λ labels a path");
+    let (frontier, metrics) = session.run_instrumented();
+    let c = metrics.counters.expect("instrumented run");
     assert!(frontier.rounds_executed > 0);
     assert!(
         c.node_steps < frontier.rounds_executed * n,

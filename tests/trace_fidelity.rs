@@ -56,7 +56,7 @@ impl Flood {
 impl RadioNode for Flood {
     type Msg = u64;
     const WAKE_HINTS: bool = true;
-    fn step(&mut self) -> Action<u64> {
+    fn step(&mut self, _now: u64) -> Action<u64> {
         match self.holding.take() {
             Some(hop) if !self.relayed => {
                 self.relayed = true;
@@ -65,14 +65,14 @@ impl RadioNode for Flood {
             _ => Action::Listen,
         }
     }
-    fn receive(&mut self, heard: Option<&u64>) {
+    fn receive(&mut self, heard: Option<&u64>, _now: u64) {
         if let Some(hop) = heard {
             if !self.relayed {
                 self.holding = Some(hop + 1);
             }
         }
     }
-    fn wake_hint(&self) -> u64 {
+    fn wake_hint(&self, _now: u64) -> u64 {
         if self.holding.is_some() && !self.relayed {
             0
         } else {
