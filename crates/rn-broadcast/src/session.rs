@@ -868,9 +868,10 @@ impl Session {
 
     /// Audits the wake-hint contract of every node over one full execution:
     /// at every reachable state (including the initial one), every node
-    /// advertising `wake_hint() == h > 0` is cloned and its next
-    /// `min(h, horizon)` elided `step`/`receive(None)` pairs are replayed,
-    /// verifying they are Listen-only and (for nodes implementing
+    /// advertising `wake_hint(now) == h > 0` at its local round is cloned
+    /// and its next `min(h, horizon)` elided `step`/`receive(None)` pairs
+    /// are replayed on that clock, verifying they are Listen-only and (for
+    /// nodes implementing
     /// [`RadioNode::state_digest`]) leave the state bit-identical.
     ///
     /// The execution is driven round by round under the session's configured

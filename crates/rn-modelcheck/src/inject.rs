@@ -105,6 +105,11 @@ pub fn check_corrupted_point(graph: &Arc<Graph>, scheme: Scheme) -> Option<Viola
 /// two quiet rounds and then retransmits — but its `wake_hint` promises
 /// Listen-only dormancy straight across the ticking countdown and the
 /// transmission itself. Every engine's audit must refuse it.
+///
+/// Unlike the real protocols it ignores the local round it is passed and
+/// ticks its own countdown, on purpose: the ticking state is a second
+/// broken promise (state drift) beside the suppressed transmission, and
+/// the audit must report the first one it meets.
 #[derive(Debug, Clone)]
 pub struct BadHintNode {
     informed: bool,

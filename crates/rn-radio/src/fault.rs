@@ -21,6 +21,9 @@
 //! Rounds are 1-based, matching [`crate::trace::RoundRecord::round`]. The
 //! fault schedule lives entirely in the harness: nodes still never see the
 //! global round number, so injecting faults cannot leak it to a protocol.
+//! A node sees only its local round (see [`crate::RadioNode`]), which a
+//! late wake starts at 1 and a jam pauses — exactly the count of rounds
+//! the node ran, which it could keep itself.
 //!
 //! # Determinism
 //!

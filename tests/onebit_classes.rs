@@ -7,6 +7,7 @@ use radio_labeling::broadcast::session::{RunSpec, Scheme, Session};
 use radio_labeling::graph::generators;
 use radio_labeling::labeling::onebit;
 use radio_labeling::labeling::LabelingError;
+use radio_labeling::radio::{Engine, FaultPlan};
 use std::sync::Arc;
 
 #[test]
@@ -116,4 +117,41 @@ fn schemes_reject_out_of_class_graphs() {
         onebit::grid_onebit(&generators::cycle(12), 3, 4, 0),
         Err(LabelingError::UnsupportedGraphClass { .. })
     ));
+}
+
+#[test]
+fn delay_relay_wake_hints_pass_the_audit() {
+    // The model checker audits the general schemes; the 1-bit delay relay
+    // is audited here, from every source, on both engines, with and
+    // without a late wake and a jam shifting some nodes' local clocks.
+    let cases = [3, 4, 7, 12].map(|n| (Scheme::OneBitCycle, generators::cycle(n)));
+    let grids = [(2, 3), (3, 3), (3, 5)].map(|(rows, cols)| {
+        (
+            Scheme::OneBitGrid { rows, cols },
+            generators::grid(rows, cols),
+        )
+    });
+    for (scheme, g) in cases.into_iter().chain(grids) {
+        let g = Arc::new(g);
+        let n = g.node_count();
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::none().late_wake(n - 1, 3).jam(1, 2, 2),
+        ];
+        for source in 0..n {
+            for engine in [Engine::ListenerCentric, Engine::EventDriven] {
+                for plan in &plans {
+                    let audit = Session::builder(scheme, Arc::clone(&g))
+                        .source(source)
+                        .engine(engine)
+                        .faults(plan.clone())
+                        .build()
+                        .expect("in-class graph")
+                        .audit_wake_hints()
+                        .unwrap_or_else(|v| panic!("{} n = {n}: {v}", scheme.name()));
+                    assert!(audit.hints_audited > 0);
+                }
+            }
+        }
+    }
 }
