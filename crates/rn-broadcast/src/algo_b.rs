@@ -20,7 +20,73 @@
 
 use crate::messages::{BMessage, SourceMessage};
 use rn_labeling::{Label, Labeling};
-use rn_radio::{Action, RadioNode};
+use rn_radio::{hint_until, Action, RadioNode};
+
+/// What one of Algorithm B's rules 3–5 makes an informed node send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BRule {
+    /// µ: two rounds after first receiving it (`x1`), or two rounds after
+    /// sending it when a "stay" came in between.
+    Data,
+    /// "stay": one round after first receiving µ (`x2`).
+    Stay,
+}
+
+/// The local rounds of the events Algorithm B's rules 3–5 read. Shared by
+/// [`BNode`] and the bundle broadcast of [`crate::multi::MultiNode`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BClock {
+    /// The local round in which the node first received µ (`None` for the
+    /// source and for uninformed nodes).
+    pub(crate) informed_at: Option<u64>,
+    /// The local round in which the node last transmitted µ.
+    pub(crate) last_tx_at: Option<u64>,
+    /// The local round in which the node last received "stay".
+    pub(crate) stay_at: Option<u64>,
+}
+
+impl BClock {
+    /// The rule an informed node with bits `x1 x2` follows in local round
+    /// `now`, if any. Each rule compares the age of an event, `now` minus
+    /// its timestamp, with 1 or 2.
+    pub(crate) fn rule(&self, now: u64, x1: bool, x2: bool) -> Option<BRule> {
+        let age = |at: Option<u64>| at.map(|t| now - t);
+        match age(self.informed_at) {
+            // Lines 9-12.
+            Some(2) => x1.then_some(BRule::Data),
+            // Lines 13-16.
+            Some(1) => x2.then_some(BRule::Stay),
+            // Lines 17-19.
+            _ => (age(self.last_tx_at) == Some(2) && age(self.stay_at) == Some(1))
+                .then_some(BRule::Data),
+        }
+    }
+
+    /// The first local round after `now` in which [`rule`](Self::rule) may
+    /// fire, or `None` when only a reception can make one fire.
+    pub(crate) fn next_rule_round(&self, now: u64, x1: bool, x2: bool) -> Option<u64> {
+        let retransmit = self
+            .last_tx_at
+            .filter(|&t| self.stay_at == Some(t + 1))
+            .map(|t| t + 2);
+        [
+            self.informed_at.filter(|_| x2).map(|t| t + 1),
+            self.informed_at.filter(|_| x1).map(|t| t + 2),
+            retransmit,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&t| t > now)
+        .min()
+    }
+
+    /// Folds the three timestamps into `d`.
+    pub(crate) fn digest_into(&self, d: rn_radio::Digest) -> rn_radio::Digest {
+        d.opt(self.informed_at)
+            .opt(self.last_tx_at)
+            .opt(self.stay_at)
+    }
+}
 
 /// The per-node state machine of Algorithm B.
 #[derive(Debug, Clone)]
@@ -31,13 +97,7 @@ pub struct BNode {
     sourcemsg: Option<SourceMessage>,
     /// Whether this node has ever sent or received any message.
     ever_acted: bool,
-    /// The local round in which the node first received µ (`None` for the
-    /// source and for uninformed nodes).
-    informed_at: Option<u64>,
-    /// The local round in which the node last transmitted µ.
-    last_tx_at: Option<u64>,
-    /// The local round in which the node last received "stay".
-    stay_at: Option<u64>,
+    clock: BClock,
 }
 
 impl BNode {
@@ -49,9 +109,7 @@ impl BNode {
             x2: label.x2(),
             sourcemsg,
             ever_acted: false,
-            informed_at: None,
-            last_tx_at: None,
-            stay_at: None,
+            clock: BClock::default(),
         }
     }
 
@@ -81,32 +139,9 @@ impl BNode {
         self.sourcemsg
     }
 
-    /// The first local round after `now` in which a rule of
-    /// [`step`](RadioNode::step) may fire, or `None` when only a reception
-    /// can make one fire. Every rule fires one or two rounds after a
-    /// recorded event, or in the source's first round.
-    fn next_rule_round(&self, now: u64) -> Option<u64> {
-        if self.sourcemsg.is_some() && !self.ever_acted {
-            return Some(now + 1);
-        }
-        let stay_rule = self
-            .last_tx_at
-            .filter(|&t| self.stay_at == Some(t + 1))
-            .map(|t| t + 2);
-        [
-            self.informed_at.filter(|_| self.x2).map(|t| t + 1),
-            self.informed_at.filter(|_| self.x1).map(|t| t + 2),
-            stay_rule,
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|&t| t > now)
-        .min()
-    }
-
     fn transmit_data(&mut self, now: u64) -> Action<BMessage> {
         self.ever_acted = true;
-        self.last_tx_at = Some(now);
+        self.clock.last_tx_at = Some(now);
         Action::Transmit(BMessage::Data(
             self.sourcemsg.expect("only informed nodes transmit µ"),
         ))
@@ -127,45 +162,37 @@ impl RadioNode for BNode {
             return Action::Listen;
         }
         // Lines 8-20: the node received µ before this round (or is the source
-        // after its initial transmission). Each rule compares the age of an
-        // event, `now` minus its timestamp, with 1 or 2.
-        let age = |at: Option<u64>| at.map(|t| now - t);
-        if age(self.informed_at) == Some(2) {
-            // Lines 9-12.
-            if self.x1 {
-                return self.transmit_data(now);
-            }
-        } else if age(self.informed_at) == Some(1) {
-            // Lines 13-16.
-            if self.x2 {
+        // after its initial transmission).
+        match self.clock.rule(now, self.x1, self.x2) {
+            Some(BRule::Data) => self.transmit_data(now),
+            Some(BRule::Stay) => {
                 self.ever_acted = true;
-                return Action::Transmit(BMessage::Stay);
+                Action::Transmit(BMessage::Stay)
             }
-        } else if age(self.last_tx_at) == Some(2) && age(self.stay_at) == Some(1) {
-            // Lines 17-19.
-            return self.transmit_data(now);
+            None => Action::Listen,
         }
-        Action::Listen
     }
 
     /// `step` changes nothing unless a rule fires and `receive(None)`
-    /// returns at once, so the node sleeps until its next rule round, or
-    /// until it hears something when none is pending.
+    /// returns at once, so the node sleeps until its next rule round — the
+    /// source's first round, or one of rules 3–5 — or until it hears
+    /// something when none is pending.
     fn wake_hint(&self, now: u64) -> u64 {
-        self.next_rule_round(now)
-            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+        let next = if self.sourcemsg.is_some() && !self.ever_acted {
+            Some(now + 1)
+        } else {
+            self.clock.next_rule_round(now, self.x1, self.x2)
+        };
+        hint_until(next, now)
     }
 
     fn state_digest(&self) -> u64 {
-        rn_radio::Digest::new(0xB)
+        let d = rn_radio::Digest::new(0xB)
             .flag(self.x1)
             .flag(self.x2)
             .opt(self.sourcemsg)
-            .flag(self.ever_acted)
-            .opt(self.informed_at)
-            .opt(self.last_tx_at)
-            .opt(self.stay_at)
-            .finish()
+            .flag(self.ever_acted);
+        self.clock.digest_into(d).finish()
     }
 
     fn receive(&mut self, heard: Option<&BMessage>, now: u64) {
@@ -176,13 +203,13 @@ impl RadioNode for BNode {
                 if self.sourcemsg.is_none() {
                     // Lines 5-7.
                     self.sourcemsg = Some(*m);
-                    self.informed_at = Some(now);
+                    self.clock.informed_at = Some(now);
                 }
             }
             BMessage::Stay => {
                 if self.sourcemsg.is_some() {
                     self.ever_acted = true;
-                    self.stay_at = Some(now);
+                    self.clock.stay_at = Some(now);
                 }
                 // Line 5: an uninformed node ignores "stay" and stays
                 // uninformed.

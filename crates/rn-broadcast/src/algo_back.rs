@@ -12,7 +12,7 @@
 use crate::ack_engine::{AckExtra, BackEngine, EngineAction};
 use crate::messages::{Phase, SourceMessage, TaggedMessage, TaggedPayload};
 use rn_labeling::{Label, Labeling};
-use rn_radio::{Action, RadioNode};
+use rn_radio::{hint_until, Action, RadioNode};
 
 /// The per-node state machine of Algorithm B_ack.
 #[derive(Debug, Clone)]
@@ -101,9 +101,7 @@ impl RadioNode for BackNode {
     /// the node sleeps until its engine's next rule round, or until its
     /// next reception when none is pending.
     fn wake_hint(&self, now: u64) -> u64 {
-        self.engine
-            .next_rule_round(now)
-            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+        hint_until(self.engine.next_rule_round(now), now)
     }
 
     fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {

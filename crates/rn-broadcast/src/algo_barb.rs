@@ -33,7 +33,7 @@
 use crate::ack_engine::{AckExtra, BackEngine, EngineAction};
 use crate::messages::{Phase, SourceMessage, TaggedMessage, TaggedPayload};
 use rn_labeling::{lambda_arb, Label, Labeling};
-use rn_radio::{Action, RadioNode};
+use rn_radio::{hint_until, Action, RadioNode};
 
 /// The per-node state machine of Algorithm B_arb.
 #[derive(Debug, Clone)]
@@ -358,7 +358,7 @@ impl RadioNode for ArbNode {
         if self.bookkeeping_due() {
             return 0;
         }
-        [
+        let next = [
             self.phase1.next_rule_round(now),
             self.phase2.next_rule_round(now),
             self.phase3.next_rule_round(now),
@@ -368,8 +368,8 @@ impl RadioNode for ArbNode {
         ]
         .into_iter()
         .flatten()
-        .min()
-        .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+        .min();
+        hint_until(next, now)
     }
 
     fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {

@@ -17,7 +17,7 @@
 
 use crate::messages::{BMessage, SourceMessage};
 use rn_labeling::{Label, Labeling};
-use rn_radio::{Action, RadioNode};
+use rn_radio::{hint_until, Action, RadioNode};
 
 /// The per-node state machine of the delay-relay algorithm.
 #[derive(Debug, Clone)]
@@ -115,8 +115,7 @@ impl RadioNode for DelayRelayNode {
         if self.is_source && !self.source_sent {
             return 0;
         }
-        self.relay_at
-            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+        hint_until(self.relay_at, now)
     }
 
     fn state_digest(&self) -> u64 {

@@ -36,11 +36,12 @@
 //! [`MultiNode::has_message`] so the harness can report per-message
 //! completion rounds.
 
+use crate::algo_b::{BClock, BRule};
 use crate::messages::{MessageBundle, MultiMessage, SourceMessage};
 use rn_labeling::collection::{CollectionPlan, TokenPayload};
 use rn_labeling::multi::MultiLambdaScheme;
 use rn_labeling::Labeling;
-use rn_radio::{Action, RadioNode};
+use rn_radio::{hint_until, Action, RadioNode};
 use std::sync::Arc;
 
 /// The per-node state machine of the multi-broadcast algorithm.
@@ -66,12 +67,9 @@ pub struct MultiNode {
     /// The bundle, once assembled (coordinator) or heard (everyone else):
     /// the broadcast phase's "sourcemsg".
     bundle: Option<MessageBundle>,
-    // Algorithm B state, mirroring `BNode` field for field: the local
-    // rounds of the first bundle, the last bundle transmission and the
-    // last "stay".
-    informed_at: Option<u64>,
-    last_tx_at: Option<u64>,
-    stay_at: Option<u64>,
+    /// Algorithm B's event rounds, as in `BNode`: the first bundle, the
+    /// last bundle transmission and the last "stay".
+    clock: BClock,
 }
 
 impl MultiNode {
@@ -119,9 +117,7 @@ impl MultiNode {
                     received: vec![None; k],
                     held: 0,
                     bundle: None,
-                    informed_at: None,
-                    last_tx_at: None,
-                    stay_at: None,
+                    clock: BClock::default(),
                 }
             })
             .collect();
@@ -152,23 +148,16 @@ impl MultiNode {
 
     /// The first local round after `now` in which `step` may act, or
     /// `None` when only a reception can make it act: the next collection
-    /// slot, the coordinator's opening round, and the rounds Algorithm B's
-    /// rules fire in (as in `BNode`).
+    /// slot, the coordinator's opening round, or an Algorithm B rule.
     fn next_rule_round(&self, now: u64) -> Option<u64> {
-        let stay_rule = self
-            .last_tx_at
-            .filter(|&t| self.stay_at == Some(t + 1))
-            .map(|t| t + 2);
         [
             self.slots.get(self.next_slot).map(|&(round, _)| round),
             self.coordinator_start.map(|t| t + 1),
-            self.informed_at.filter(|_| self.x2).map(|t| t + 1),
-            self.informed_at.filter(|_| self.x1).map(|t| t + 2),
-            stay_rule,
         ]
         .into_iter()
         .flatten()
         .filter(|&t| t > now)
+        .chain(self.clock.next_rule_round(now, self.x1, self.x2))
         .min()
     }
 
@@ -189,7 +178,7 @@ impl MultiNode {
     }
 
     fn transmit_bundle(&mut self, now: u64) -> Action<MultiMessage> {
-        self.last_tx_at = Some(now);
+        self.clock.last_tx_at = Some(now);
         Action::Transmit(MultiMessage::Bundle(
             self.bundle
                 .clone()
@@ -255,19 +244,11 @@ impl RadioNode for MultiNode {
         if self.bundle.is_none() {
             return Action::Listen;
         }
-        let age = |at: Option<u64>| at.map(|t| now - t);
-        if age(self.informed_at) == Some(2) {
-            if self.x1 {
-                return self.transmit_bundle(now);
-            }
-        } else if age(self.informed_at) == Some(1) {
-            if self.x2 {
-                return Action::Transmit(MultiMessage::Stay);
-            }
-        } else if age(self.last_tx_at) == Some(2) && age(self.stay_at) == Some(1) {
-            return self.transmit_bundle(now);
+        match self.clock.rule(now, self.x1, self.x2) {
+            Some(BRule::Data) => self.transmit_bundle(now),
+            Some(BRule::Stay) => Action::Transmit(MultiMessage::Stay),
+            None => Action::Listen,
         }
-        Action::Listen
     }
 
     /// A node changes state only when it transmits or hears something, so
@@ -275,8 +256,7 @@ impl RadioNode for MultiNode {
     /// its one collection slot sleeps through the whole wait — or until it
     /// hears something when none is pending.
     fn wake_hint(&self, now: u64) -> u64 {
-        self.next_rule_round(now)
-            .map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+        hint_until(self.next_rule_round(now), now)
     }
 
     fn receive(&mut self, heard: Option<&MultiMessage>, now: u64) {
@@ -300,13 +280,13 @@ impl RadioNode for MultiNode {
             MultiMessage::Bundle(bundle) => {
                 if self.bundle.is_none() {
                     self.bundle = Some(Arc::clone(bundle));
-                    self.informed_at = Some(now);
+                    self.clock.informed_at = Some(now);
                 }
                 self.absorb_bundle(bundle);
             }
             MultiMessage::Stay => {
                 if self.bundle.is_some() {
-                    self.stay_at = Some(now);
+                    self.clock.stay_at = Some(now);
                 }
                 // A node without the bundle ignores "stay", like B's
                 // uninformed nodes.
@@ -341,10 +321,7 @@ impl RadioNode for MultiNode {
                 d = d.word(u64::from(j)).word(m);
             }
         }
-        d.opt(self.informed_at)
-            .opt(self.last_tx_at)
-            .opt(self.stay_at)
-            .finish()
+        self.clock.digest_into(d).finish()
     }
 }
 

@@ -45,7 +45,7 @@ pub use audit::{audit_wake_hints, HintViolationKind, WakeHintAudit, WakeHintViol
 pub use digest::Digest;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use message::RadioMessage;
-pub use node::{Action, RadioNode};
+pub use node::{hint_until, Action, RadioNode};
 pub use scratch::RoundScratch;
 pub use simulator::{Engine, RunOutcome, Simulator, StopCondition};
 pub use stats::ExecutionStats;

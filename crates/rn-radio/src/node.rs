@@ -139,6 +139,14 @@ pub trait RadioNode {
     }
 }
 
+/// The [`RadioNode::wake_hint`] of a node that, asked in local round `now`,
+/// next acts in local round `next`: `next − now − 1`, or `u64::MAX` when
+/// `next` is `None` (only a reception can make it act). A `next` at or
+/// before `now` gives 0 — wake in the next round.
+pub fn hint_until(next: Option<u64>, now: u64) -> u64 {
+    next.map_or(u64::MAX, |t| t.saturating_sub(now + 1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +159,13 @@ mod tests {
         assert!(!l.is_transmit());
         assert_eq!(t.message(), Some(&5));
         assert_eq!(l.message(), None);
+    }
+
+    #[test]
+    fn hint_until_counts_the_rounds_in_between() {
+        assert_eq!(hint_until(Some(8), 4), 3);
+        assert_eq!(hint_until(Some(5), 4), 0);
+        assert_eq!(hint_until(Some(4), 4), 0);
+        assert_eq!(hint_until(None, 4), u64::MAX);
     }
 }
