@@ -13,12 +13,12 @@
 //! (torus, hypercube, caterpillar, lollipop, star-of-cliques, clustered
 //! G(n, p), unit-disk, degree-capped), drawn through
 //! `TopologyFamily::generate` so the benches measure exactly the instances
-//! the scenario sweeps run on. Algorithm B declares wake hints, so the fast
-//! engine drives it along its frontier and elides the quiet tail; so do
-//! B_ack and B_arb, which run on the path too (λ_ack and λ_arb labels).
-//! Two hint-less protocols — the k = 4 multi-broadcast and all-to-all
-//! gossip — cover the fast engine's dense mode, where every node is driven
-//! every round. Every run executes `2n` rounds — the active broadcast wave plus
+//! the scenario sweeps run on. B_ack and B_arb run on the path too (λ_ack
+//! and λ_arb labels), and the k = 4 multi-broadcast and all-to-all gossip
+//! on G(n, p). Every one of these protocols declares wake hints, so the
+//! fast engine drives it along its frontier and elides the quiet tail; a
+//! multi or gossip relay sleeps until its collection slot. Every run
+//! executes `2n` rounds — the active broadcast wave plus
 //! the quiet tail — because the paper's protocols spend most of a long
 //! execution in rounds with very few (often zero) transmitters: the
 //! listener-centric engine scans every listener's whole neighbourhood even
