@@ -15,7 +15,7 @@
 //! `TopologyFamily::generate` so the benches measure exactly the instances
 //! the scenario sweeps run on. B_ack and B_arb run on the path too (λ_ack
 //! and λ_arb labels), and the k = 4 multi-broadcast and all-to-all gossip
-//! on G(n, p). Every one of these protocols declares wake hints, so the
+//! on G(n, p). Every one of these protocols gives wake hints, so the
 //! fast engine drives it along its frontier and elides the quiet tail; a
 //! multi or gossip relay sleeps until its collection slot. Every run
 //! executes `2n` rounds — the active broadcast wave plus

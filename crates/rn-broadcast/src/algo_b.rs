@@ -150,7 +150,6 @@ impl BNode {
 
 impl RadioNode for BNode {
     type Msg = BMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<BMessage> {
         if !self.ever_acted && self.sourcemsg.is_some() {

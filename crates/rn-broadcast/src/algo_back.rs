@@ -87,7 +87,6 @@ impl BackNode {
 
 impl RadioNode for BackNode {
     type Msg = TaggedMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<TaggedMessage> {
         match self.engine.step(now) {

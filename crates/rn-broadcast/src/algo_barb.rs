@@ -317,7 +317,6 @@ impl ArbNode {
 
 impl RadioNode for ArbNode {
     type Msg = TaggedMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<TaggedMessage> {
         self.advance_phases(now);

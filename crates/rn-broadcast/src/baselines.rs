@@ -114,7 +114,6 @@ impl SlottedNode {
 
 impl RadioNode for SlottedNode {
     type Msg = SlottedMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<SlottedMessage> {
         match (self.sourcemsg, self.source_round(now)) {

@@ -79,7 +79,6 @@ impl DelayRelayNode {
 
 impl RadioNode for DelayRelayNode {
     type Msg = BMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<BMessage> {
         if self.is_source && !self.source_sent {

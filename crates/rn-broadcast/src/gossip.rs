@@ -62,7 +62,6 @@ impl GossipNode {
 
 impl RadioNode for GossipNode {
     type Msg = <MultiNode as RadioNode>::Msg;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<Self::Msg> {
         self.0.step(now)

@@ -189,7 +189,6 @@ impl MultiNode {
 
 impl RadioNode for MultiNode {
     type Msg = MultiMessage;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, now: u64) -> Action<MultiMessage> {
         // Collection phase: fire this node's scheduled relays. In a

@@ -49,10 +49,10 @@
 use crate::algo_b::BNode;
 use crate::algo_back::BackNode;
 use crate::algo_barb::ArbNode;
-use crate::baselines::{SlottedMessage, SlottedNode};
+use crate::baselines::SlottedNode;
 use crate::delay_relay::DelayRelayNode;
 use crate::gossip::GossipNode;
-use crate::messages::{BMessage, SourceMessage, TaggedMessage, TaggedPayload};
+use crate::messages::SourceMessage;
 use crate::multi::MultiNode;
 use crate::verify;
 use rn_graph::{Graph, NodeId};
@@ -312,16 +312,17 @@ pub enum StopPolicy {
 /// Whether a run records an [`rn_radio::Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TracePolicy {
-    /// Record the trace and derive [`RunReport::informed_rounds`] and the
-    /// full [`ExecutionStats`] from it (the default).
+    /// Record the trace and derive the full [`ExecutionStats`] from it
+    /// (the default). [`RunReport::informed_rounds`] come from node state
+    /// after each round, under both policies.
     #[default]
     Recorded,
     /// Skip trace recording. A recorded trace costs memory in proportion
     /// to the channel's activity (one event per transmission, reception,
     /// collision and fault), and skipping it also lets the fast engine
-    /// elide provably quiet spans. Informed rounds are then tracked from
-    /// node state after each round — identical for every scheme in this
-    /// crate — and the statistics carry only the round count.
+    /// elide provably quiet spans. Informed rounds are tracked from node
+    /// state exactly as under [`Recorded`](TracePolicy::Recorded); the
+    /// statistics carry only the round count.
     Disabled,
 }
 
@@ -1079,12 +1080,6 @@ impl Session {
         metrics: Option<&mut RunMetrics>,
     ) -> (RunReport, Option<TraceShape>) {
         let record = self.trace == TracePolicy::Recorded || want_shape;
-        // Informed rounds come from the recorded trace when the protocol's
-        // payloads show who is informed, otherwise from node state after
-        // every round: the nodes the engine says the round changed, or all
-        // of them when it cannot say. Skipping that scan whenever the trace
-        // can answer keeps it off the traced hot path.
-        let track_online = !record || P::TRACE_PAYLOAD.is_none();
         let round_timer = metrics.is_some().then(|| SpanTimer::start("round_loop"));
         let labeling = prepared.labeling();
         // A multi-message run reports its build-time source set, whatever
@@ -1127,14 +1122,15 @@ impl Session {
             P::network(&prepared.plan, spec.source, spec.message)
         };
 
-        // Round 0 is the initial state: nodes informed before round 1 (the
-        // sources) get round 0, exactly as the trace-based accounting
-        // credits the source.
-        let mut watch = Watch::default();
-        if track_online {
-            watch.online = vec![None; nodes.len()];
-            watch.track(&nodes, None, 0);
-        }
+        // Informed rounds come from node state after every round: the nodes
+        // the engine says the round changed, or all of them when it cannot
+        // say. Round 0 is the initial state: nodes informed before round 1
+        // (the sources) get round 0.
+        let mut watch = Watch {
+            online: vec![None; nodes.len()],
+            ..Watch::default()
+        };
+        watch.track(&nodes, None, 0);
         P::observe(&nodes, 0, &mut report, &mut watch);
 
         // The per-round scratch is borrowed from the session's pool and
@@ -1161,9 +1157,7 @@ impl Session {
         }
         let outcome = sim.run_until(self.stop_condition(), |s| {
             let round = s.current_round();
-            if track_online {
-                watch.track(s.nodes(), s.active_nodes(), round);
-            }
+            watch.track(s.nodes(), s.active_nodes(), round);
             P::observe(s.nodes(), round, &mut report, &mut watch)
         });
         self.scratch_pool
@@ -1176,15 +1170,7 @@ impl Session {
         });
 
         report.rounds_executed = outcome.rounds_executed;
-        report.informed_rounds = match P::TRACE_PAYLOAD {
-            Some(is_payload) if record => verify::first_payload_rounds(
-                sim.trace(),
-                report.node_count,
-                report.source,
-                is_payload,
-            ),
-            _ => watch.online,
-        };
+        report.informed_rounds = watch.online;
         report.stats = if record {
             ExecutionStats::from_trace(sim.trace())
         } else {
@@ -1263,13 +1249,6 @@ trait Protocol: RadioNode + Clone {
     /// scheme that owns the labeling and the collection plan.
     type Plan;
 
-    /// Whether a trace message carries the source message, so that informed
-    /// rounds can be read off a recorded trace. `None` where they come from
-    /// node state instead: B_arb relays µ inside several message kinds, and
-    /// a multi-message node is informed only once it holds all k messages,
-    /// which relays, tokens, bundles and overhearing all contribute to.
-    const TRACE_PAYLOAD: Option<fn(&Self::Msg) -> bool> = None;
-
     /// Whether [`observe`](Self::observe) decides the completion round;
     /// otherwise it is the round by which every node was informed.
     const OBSERVES_COMPLETION: bool = false;
@@ -1308,8 +1287,7 @@ trait Protocol: RadioNode + Clone {
 /// the changed nodes.
 #[derive(Default)]
 struct Watch {
-    /// The first round each node was seen informed; empty when the run's
-    /// trace answers instead.
+    /// The first round each node was seen informed.
     online: Vec<Option<u64>>,
     /// Per all-nodes check, the first node not yet seen to pass it.
     cursors: Vec<usize>,
@@ -1369,7 +1347,6 @@ impl Watch {
 
 impl Protocol for BNode {
     type Plan = Labeling;
-    const TRACE_PAYLOAD: Option<fn(&BMessage) -> bool> = Some(|m| matches!(m, BMessage::Data(_)));
 
     fn labeling(plan: &Labeling) -> &Labeling {
         plan
@@ -1386,8 +1363,6 @@ impl Protocol for BNode {
 
 impl Protocol for BackNode {
     type Plan = Labeling;
-    const TRACE_PAYLOAD: Option<fn(&TaggedMessage) -> bool> =
-        Some(|m| matches!(m.payload, TaggedPayload::Data(_)));
 
     fn labeling(plan: &Labeling) -> &Labeling {
         plan
@@ -1448,7 +1423,6 @@ impl Protocol for ArbNode {
 
 impl Protocol for SlottedNode {
     type Plan = Labeling;
-    const TRACE_PAYLOAD: Option<fn(&SlottedMessage) -> bool> = Some(|_| true);
 
     fn labeling(plan: &Labeling) -> &Labeling {
         plan
@@ -1471,7 +1445,6 @@ impl Protocol for SlottedNode {
 
 impl Protocol for DelayRelayNode {
     type Plan = Labeling;
-    const TRACE_PAYLOAD: Option<fn(&BMessage) -> bool> = Some(|m| matches!(m, BMessage::Data(_)));
 
     fn labeling(plan: &Labeling) -> &Labeling {
         plan
@@ -2002,8 +1975,30 @@ mod tests {
         }
     }
 
+    /// Informed rounds read off a recorded trace, independently of node
+    /// state: `nodes` run for `rounds` rounds under `plan` on a bare
+    /// reference-engine simulator, and each node counts as informed from
+    /// the first round it heard a message that `is_payload` says carries
+    /// the source message.
+    fn trace_informed_rounds<N: RadioNode>(
+        graph: &Graph,
+        nodes: Vec<N>,
+        plan: &FaultPlan,
+        source: NodeId,
+        rounds: u64,
+        is_payload: fn(&N::Msg) -> bool,
+    ) -> Vec<Option<u64>> {
+        let mut sim = Simulator::new(graph.clone(), nodes)
+            .with_engine(Engine::ListenerCentric)
+            .with_faults(plan);
+        sim.run_rounds(rounds);
+        verify::first_payload_rounds(sim.trace(), graph.node_count(), source, is_payload)
+    }
+
     #[test]
     fn disabled_trace_still_tracks_informed_rounds() {
+        use crate::baselines::SlottedMessage;
+        use crate::messages::{BMessage, TaggedMessage, TaggedPayload};
         let workloads = [
             ("grid-4x5", generators::grid(4, 5), 7),
             ("path-16", generators::path(16), 0),
@@ -2012,22 +2007,69 @@ mod tests {
             ("star-12-leaf", generators::star(12), 5),
             ("gnp-24", generators::gnp_connected(24, 0.12, 9).unwrap(), 3),
         ];
+        let schemes = [
+            Scheme::Lambda,
+            Scheme::LambdaAck,
+            Scheme::UniqueIds,
+            Scheme::SquareColoring,
+        ];
+        let mut cases: Vec<(String, Scheme, Graph, NodeId, FaultPlan)> = Vec::new();
         for (name, g, source) in workloads {
-            let with_trace = Session::builder(Scheme::Lambda, g.clone())
+            for scheme in schemes {
+                cases.push((name.into(), scheme, g.clone(), source, FaultPlan::none()));
+            }
+        }
+        cases.push((
+            "cycle-10".into(),
+            Scheme::OneBitCycle,
+            generators::cycle(10),
+            4,
+            FaultPlan::none(),
+        ));
+        let crash_and_jam = FaultPlan::none().crash(12, 3).jam(2, 2, 3);
+        for scheme in schemes {
+            let (g, plan) = (generators::grid(4, 5), crash_and_jam.clone());
+            cases.push(("grid-4x5-faulted".into(), scheme, g, 7, plan));
+        }
+
+        for (name, scheme, g, source, plan) in cases {
+            let name = format!("{name}/{}", scheme.name());
+            let recorded_session = Session::builder(scheme, g.clone())
                 .source(source)
+                .faults(plan.clone())
                 .build()
-                .unwrap()
-                .run();
-            let without = Session::builder(Scheme::Lambda, g)
+                .unwrap();
+            let with_trace = recorded_session.run();
+            let without = Session::builder(scheme, g.clone())
                 .source(source)
+                .faults(plan.clone())
                 .trace(TracePolicy::Disabled)
                 .build()
                 .unwrap()
                 .run();
-            assert_eq!(
-                with_trace.informed_rounds, without.informed_rounds,
-                "{name}"
-            );
+            let rounds = with_trace.rounds_executed;
+            let witnessed = match &recorded_session.template {
+                Template::B(p) => {
+                    let is_data: fn(&BMessage) -> bool = |m| matches!(m, BMessage::Data(_));
+                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                }
+                Template::Back(p) => {
+                    let is_data: fn(&TaggedMessage) -> bool =
+                        |m| matches!(m.payload, TaggedPayload::Data(_));
+                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                }
+                Template::Slotted(p) => {
+                    let any: fn(&SlottedMessage) -> bool = |_| true;
+                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, any)
+                }
+                Template::DelayRelay(p) => {
+                    let is_data: fn(&BMessage) -> bool = |m| matches!(m, BMessage::Data(_));
+                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                }
+                _ => unreachable!("{name}: no trace payload predicate"),
+            };
+            assert_eq!(with_trace.informed_rounds, witnessed, "{name}: recorded");
+            assert_eq!(without.informed_rounds, witnessed, "{name}: disabled");
             assert_eq!(
                 with_trace.completion_round, without.completion_round,
                 "{name}"

@@ -131,7 +131,6 @@ impl BadHintNode {
 
 impl RadioNode for BadHintNode {
     type Msg = u64;
-    const WAKE_HINTS: bool = true;
 
     fn step(&mut self, _now: u64) -> Action<u64> {
         if let Some(c) = self.countdown {

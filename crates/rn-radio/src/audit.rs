@@ -211,7 +211,6 @@ mod tests {
 
     impl RadioNode for DelayedTalker {
         type Msg = u64;
-        const WAKE_HINTS: bool = true;
         fn step(&mut self, now: u64) -> Action<u64> {
             if self.transmit_at == Some(now) {
                 self.transmit_at = None;

@@ -76,22 +76,9 @@ pub trait RadioNode {
     /// Observe the outcome of listening in local round `now`.
     fn receive(&mut self, heard: Option<&Self::Msg>, now: u64);
 
-    /// Whether this protocol type gives wake hints, i.e. overrides
-    /// [`wake_hint`](RadioNode::wake_hint) to return positive values.
-    ///
-    /// It selects how the fast engine ([`Engine::EventDriven`](crate::Engine))
-    /// drives the protocol: `false` (the default) drives every node every
-    /// round, with no wake queue and nothing elided; `true` drives only the
-    /// wake-hint frontier and lets a trace-free run elide provably quiet
-    /// spans. It is a property of the type, not a tuning knob: set it
-    /// exactly when `wake_hint` is overridden. Debug builds panic if a type
-    /// that leaves it `false` returns a positive hint, since that hint would
-    /// never be honoured.
-    const WAKE_HINTS: bool = false;
-
     /// How many upcoming rounds this node is guaranteed to be *dormant*,
-    /// as a hint to the fast engine's frontier mode (read only when the
-    /// type declares [`WAKE_HINTS`](RadioNode::WAKE_HINTS)). `now` is the
+    /// as a hint to the fast engine ([`Engine::EventDriven`](crate::Engine)),
+    /// which drives only the nodes whose hints have run out. `now` is the
     /// local round the node has just run, so a node waiting for local round
     /// `t` returns `t − now − 1`.
     ///
@@ -108,9 +95,10 @@ pub trait RadioNode {
     /// always safe; the engine counts the span in global rounds, which a
     /// jam can only make end sooner in local rounds.
     ///
-    /// The default of `0` makes no promise at all — the node is driven
-    /// every round, exactly like the reference engine drives it — so any
-    /// protocol is correct without implementing this. Override it only
+    /// The default of `0` makes no promise at all: the node is due again in
+    /// the next round, so it is driven every round, exactly like the
+    /// reference engine drives it, and any protocol is correct without
+    /// implementing this. Override it only
     /// where the frozen-state contract genuinely holds; the two-engine
     /// equivalence suite and the `rn-modelcheck` wake-hint audit catch a
     /// hint that overpromises.

@@ -36,7 +36,7 @@ use rn_graph::NodeId;
 #[derive(Debug, Default)]
 pub struct RoundScratch {
     /// Nodes that transmitted this round, in the order the decide pass drove
-    /// them (node order for a dense protocol, due order on a frontier).
+    /// them (due-list order).
     pub(crate) transmitters: Vec<NodeId>,
     /// Generation stamp per node; `hit_count`/`last_sender` entries are valid
     /// only where `stamp[v] == generation`.

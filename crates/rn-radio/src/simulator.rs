@@ -80,36 +80,32 @@
 //! counters, so a node that only waits for a local round is frozen until
 //! then and can park on the frontier below.
 //!
-//! # Dense or frontier driving
+//! # Frontier driving
 //!
-//! Which nodes the decide pass drives is a property of the protocol type,
-//! [`RadioNode::WAKE_HINTS`], fixed at compile time so each monomorphisation
-//! is a single loop with no per-node branch:
+//! The decide pass drives only the **active frontier**. Nodes advertise
+//! dormancy through [`RadioNode::wake_hint`] — a *frozen-state* promise that
+//! their next `h` rounds would be silent listening with no state change —
+//! and the engine keeps a wake queue (`next_wake` array + lazily-deleted
+//! min-heap, with a swap buffer that bypasses the heap for next-round
+//! wakes). Each round only the due nodes (hints expired, jam-interval
+//! starts, late-wake rounds) are stepped, and a dormant listener is touched
+//! only when a transmitter marks it — woken exactly when it decodes a
+//! message. A protocol that keeps the default hint of 0 is due again every
+//! round, so it is driven every round, exactly as the reference engine
+//! drives it. With tracing off, [`Simulator::run_until`] additionally
+//! **elides provably quiet spans**: when the earliest pending wake is
+//! `k > 1` rounds away, no node can act in between (dormant nodes are
+//! frozen, jammers are forced awake), so the clock jumps while the
+//! quiet-streak arithmetic advances exactly as if the rounds had run.
+//! [`Simulator::active_nodes`] names the nodes a round may have changed
+//! (the driven ones and the dormant ones that decoded), so a harness that
+//! watches node state can skip the rest.
 //!
-//! * **Dense** (`WAKE_HINTS = false`, the default): every node is driven
-//!   every round. No wake queue exists and nothing is elided.
-//! * **Frontier** (`WAKE_HINTS = true`): nodes advertise dormancy through
-//!   [`RadioNode::wake_hint`] — a *frozen-state* promise that their next `h`
-//!   rounds would be silent listening with no state change — and the engine
-//!   keeps a wake queue (`next_wake` array + lazily-deleted min-heap, with a
-//!   swap buffer that bypasses the heap for next-round wakes). Each round
-//!   only the **active frontier** is driven: due nodes (hints expired,
-//!   jam-interval starts, late-wake rounds) are stepped, and a dormant
-//!   listener is touched only when a transmitter marks it — woken exactly
-//!   when it decodes a message. With tracing off, [`Simulator::run_until`]
-//!   additionally **elides provably quiet spans**: when the earliest pending
-//!   wake is `k > 1` rounds away, no node can act in between (dormant nodes
-//!   are frozen, jammers are forced awake), so the clock jumps while the
-//!   quiet-streak arithmetic advances exactly as if the rounds had run.
-//!   [`Simulator::active_nodes`] names the nodes a round may have changed
-//!   (the driven ones and the dormant ones that decoded), so a harness
-//!   that watches node state can skip the rest.
-//!
-//! Either way the observe pass is the same whether or not a trace is
-//! recording. Recording only appends an event at each outcome the passes
-//! already reach — a transmission or jam in decide, a delivery, drop or
-//! collision in observe, plus a marker for each node the fault plan holds
-//! inert — and sorts the round's events by node. It costs memory in
+//! The observe pass is the same whether or not a trace is recording.
+//! Recording only appends an event at each outcome the passes already
+//! reach — a transmission or jam in decide, a delivery, drop or collision
+//! in observe, plus a marker for each node the fault plan holds inert — and
+//! sorts the round's events by node. It costs memory in
 //! proportion to the channel's activity, not to `n`, and it turns elision
 //! off, because the trace needs a record (and its inert markers) for every
 //! round. Traces, observations, `rounds_executed`, quiet detection and fault
@@ -143,18 +139,17 @@ pub enum Engine {
     /// can replay any workload on both engines and compare traces.
     ListenerCentric,
     /// The fast engine (the default): only transmitters' CSR neighbour
-    /// slices are walked each round, and a protocol that declares
-    /// [`RadioNode::WAKE_HINTS`] is driven along its wake-hint frontier,
-    /// with [`Simulator::run_until`] batch-advancing the clock over
-    /// provably quiet stretches when tracing is off. Traces, observations,
+    /// slices are walked each round, only the wake-hint frontier is driven,
+    /// and [`Simulator::run_until`] batch-advances the clock over provably
+    /// quiet stretches when tracing is off. Traces, observations,
     /// outcomes and fault application are bit-identical to the reference
     /// engine (see the module docs for the contract).
     #[default]
     EventDriven,
 }
 
-/// Wake-queue bookkeeping of [`Engine::EventDriven`]'s frontier mode; stays
-/// empty for a dense protocol. Message-agnostic, but deliberately kept on
+/// Wake-queue bookkeeping of [`Engine::EventDriven`]'s frontier. Message-
+/// agnostic, but deliberately kept on
 /// the [`Simulator`] rather than inside the pooled [`RoundScratch`]: scratch
 /// instances migrate across simulations, while a wake queue is meaningful
 /// only for the run that seeded it.
@@ -218,25 +213,14 @@ impl EventState {
 
     /// Queues node `v`, just driven in `round` (its local round `now`),
     /// for the round its post-step or post-receive [`RadioNode::wake_hint`]
-    /// names (frontier mode; `u64::MAX` parks it until a reception wakes
-    /// it). The hint counts local rounds and the queue global ones; a jam
-    /// inside the span only wakes the node early, and jammers are driven
-    /// anyway. A dense protocol keeps no queue and its hint must stay 0,
-    /// which debug builds check: a positive hint from a type that does not
-    /// declare [`RadioNode::WAKE_HINTS`] would silently never be honoured.
+    /// names (`u64::MAX` parks it until a reception wakes it; the default
+    /// hint of 0 makes it due again next round). The hint counts local
+    /// rounds and the queue global ones; a jam inside the span only wakes
+    /// the node early, and jammers are driven anyway.
     #[inline]
     fn reschedule<N: RadioNode>(&mut self, node: &N, v: NodeId, round: u64, now: u64) {
-        if N::WAKE_HINTS {
-            let wake = round.saturating_add(1).saturating_add(node.wake_hint(now));
-            self.schedule(v, round, wake);
-        } else {
-            debug_assert!(
-                node.wake_hint(now) == 0,
-                "node {v} returned wake hint {} but its protocol type does not declare \
-                 RadioNode::WAKE_HINTS",
-                node.wake_hint(now)
-            );
-        }
+        let wake = round.saturating_add(1).saturating_add(node.wake_hint(now));
+        self.schedule(v, round, wake);
     }
 }
 
@@ -245,8 +229,8 @@ impl EventState {
 ///
 /// `now` is the node's local round. Returns `(decoded, rx_faulted, event)`:
 /// whether the node was actually
-/// handed a message (`receive(Some(_))` — the fast engine's frontier mode
-/// wakes dormant listeners exactly on this), whether a receive-side fault was
+/// handed a message (`receive(Some(_))` — the fast engine wakes dormant
+/// listeners exactly on this), whether a receive-side fault was
 /// consumed (drop or corruption, decodable or not — the engines' `rx_faults`
 /// counter), and the trace event describing the outcome (`None` when
 /// `record` is off; the message is cloned only for the trace).
@@ -352,7 +336,7 @@ pub struct RunOutcome {
     /// Whether the run ended because a user predicate returned true.
     pub predicate_satisfied: bool,
     /// Whether the run ended because the network went quiet (only possible
-    /// with [`StopCondition::QuietOrCap`]).
+    /// with [`StopCondition::QuietOrCap`] or [`StopCondition::QuietFor`]).
     pub went_quiet: bool,
 }
 
@@ -381,8 +365,7 @@ pub struct Simulator<N: RadioNode> {
     /// empty [`FaultPlan`] never compiles to `Some`).
     faults: Option<CompiledFaults>,
     /// Wake-queue state of [`Engine::EventDriven`], created on its first
-    /// round (empty for a dense protocol); `None` under the reference
-    /// engine.
+    /// round; `None` under the reference engine.
     event: Option<EventState>,
     /// Installed metrics sink, `None` in the common uninstrumented case:
     /// every per-round reporting block sits behind this one `Option` test,
@@ -535,16 +518,16 @@ impl<N: RadioNode> Simulator<N> {
         local_round(self.faults.as_ref(), v, round)
     }
 
-    /// The nodes whose state the last executed round may have changed: in
-    /// [`Engine::EventDriven`]'s frontier mode, the nodes it drove plus the
-    /// dormant nodes that decoded a message. Every other node's state is
-    /// what it was before that round, and elided rounds change no node, so
-    /// a harness that watches node state needs to look only at these.
-    /// `None` — any node may have changed — for a dense protocol, under
-    /// the reference engine, and before the first round.
+    /// The nodes whose state the last executed round may have changed:
+    /// under [`Engine::EventDriven`], the nodes it drove plus the dormant
+    /// nodes that decoded a message. Every other node's state is what it was
+    /// before that round, and elided rounds change no node, so a harness
+    /// that watches node state needs to look only at these. `None` — any
+    /// node may have changed — under the reference engine and before the
+    /// first round.
     pub fn active_nodes(&self) -> Option<&[NodeId]> {
         match &self.event {
-            Some(st) if N::WAKE_HINTS && self.engine == Engine::EventDriven => Some(&st.due),
+            Some(st) if self.engine == Engine::EventDriven => Some(&st.due),
             _ => None,
         }
     }
@@ -726,35 +709,34 @@ impl<N: RadioNode> Simulator<N> {
         transmitter_count
     }
 
-    /// Creates the fast engine's wake-queue state on its first round. A
-    /// dense protocol gets an empty state and no queue at all. A frontier
-    /// protocol has every node due in the next round (or at its late-wake
-    /// round, if it starts asleep), and every jam interval registers a
-    /// forced wake at its first in-range round so elision can never skip a
-    /// channel-occupying jammer.
+    /// Creates the fast engine's wake-queue state on its first round: every
+    /// node is due in the next round (or at its late-wake round, if it
+    /// starts asleep), and every jam interval registers a forced wake at its
+    /// first in-range round so elision can never skip a channel-occupying
+    /// jammer.
     fn init_event_state(&mut self) {
-        let mut st = EventState::default();
-        if N::WAKE_HINTS {
-            let n = self.graph.node_count();
-            let base = self.round;
-            let faults = self.faults.as_ref();
-            st.next_wake = vec![0; n];
-            st.enqueued_for = vec![0; n];
-            st.due_stamp = vec![0; n];
-            st.heap = BinaryHeap::with_capacity(n);
-            st.due = Vec::with_capacity(n);
-            for v in 0..n {
-                let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
-                st.next_wake[v] = wake;
-                st.enqueued_for[v] = wake;
-                st.heap.push(Reverse((wake, v)));
-            }
-            if let Some(f) = faults {
-                for &(v, first, last) in f.jam_intervals() {
-                    let w = first.max(base + 1);
-                    if w <= last {
-                        st.fault_wakes.push(Reverse((w, v)));
-                    }
+        let n = self.graph.node_count();
+        let base = self.round;
+        let faults = self.faults.as_ref();
+        let mut st = EventState {
+            next_wake: vec![0; n],
+            enqueued_for: vec![0; n],
+            due_stamp: vec![0; n],
+            heap: BinaryHeap::with_capacity(n),
+            due: Vec::with_capacity(n),
+            ..EventState::default()
+        };
+        for v in 0..n {
+            let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
+            st.next_wake[v] = wake;
+            st.enqueued_for[v] = wake;
+            st.heap.push(Reverse((wake, v)));
+        }
+        if let Some(f) = faults {
+            for &(v, first, last) in f.jam_intervals() {
+                let w = first.max(base + 1);
+                if w <= last {
+                    st.fault_wakes.push(Reverse((w, v)));
                 }
             }
         }
@@ -762,10 +744,9 @@ impl<N: RadioNode> Simulator<N> {
     }
 
     /// One round of the fast engine (see the module docs for the three
-    /// passes and the two driving modes). A dense protocol drives `0..n`;
-    /// a frontier protocol assembles the due list from the wake queues,
-    /// drives only those nodes, and wakes a dormant listener exactly when
-    /// it decodes a message. A recording trace appends an event at each
+    /// passes and the frontier): it assembles the due list from the wake
+    /// queues, drives only those nodes, and wakes a dormant listener exactly
+    /// when it decodes a message. A recording trace appends an event at each
     /// outcome of the same passes, so the per-node events come out
     /// byte-identical to the reference engine's.
     fn step_round_event_driven(&mut self) -> usize {
@@ -784,55 +765,52 @@ impl<N: RadioNode> Simulator<N> {
         let st = self.event.as_mut().expect("created above");
         let nodes = &mut self.nodes[..n];
 
-        // Due assembly (frontier mode): the next-round swap buffer, then
-        // the wake heap, then forced jam wake-ups — deduplicated through
-        // `due_stamp` and validated against `next_wake` (a heap entry whose
-        // round no longer matches is stale and drops here).
-        if N::WAKE_HINTS {
-            st.due.clear();
-            st.touched.clear();
-            if st.due_next_round == round {
-                for i in 0..st.due_next.len() {
-                    let v = st.due_next[i];
-                    if st.next_wake[v] == round && st.due_stamp[v] != round {
-                        st.due_stamp[v] = round;
-                        st.due.push(v);
-                    }
-                }
-            }
-            st.due_next.clear();
-            while let Some(&Reverse((w, v))) = st.heap.peek() {
-                if w > round {
-                    break;
-                }
-                st.heap.pop();
-                if st.next_wake[v] == w && st.due_stamp[v] != round {
-                    st.due_stamp[v] = round;
-                    st.due.push(v);
-                }
-            }
-            while let Some(&Reverse((w, v))) = st.fault_wakes.peek() {
-                if w > round {
-                    break;
-                }
-                st.fault_wakes.pop();
-                if st.due_stamp[v] != round {
+        // Due assembly: the next-round swap buffer, then the wake heap,
+        // then forced jam wake-ups — deduplicated through `due_stamp` and
+        // validated against `next_wake` (a heap entry whose round no longer
+        // matches is stale and drops here).
+        st.due.clear();
+        st.touched.clear();
+        if st.due_next_round == round {
+            for i in 0..st.due_next.len() {
+                let v = st.due_next[i];
+                if st.next_wake[v] == round && st.due_stamp[v] != round {
                     st.due_stamp[v] = round;
                     st.due.push(v);
                 }
             }
         }
-        // The driven set: `st.due[..driven]` in frontier mode, `0..n` in
-        // dense mode. Its size is the frontier the metrics sink reports.
-        let driven = if N::WAKE_HINTS { st.due.len() } else { n };
+        st.due_next.clear();
+        while let Some(&Reverse((w, v))) = st.heap.peek() {
+            if w > round {
+                break;
+            }
+            st.heap.pop();
+            if st.next_wake[v] == w && st.due_stamp[v] != round {
+                st.due_stamp[v] = round;
+                st.due.push(v);
+            }
+        }
+        while let Some(&Reverse((w, v))) = st.fault_wakes.peek() {
+            if w > round {
+                break;
+            }
+            st.fault_wakes.pop();
+            if st.due_stamp[v] != round {
+                st.due_stamp[v] = round;
+                st.due.push(v);
+            }
+        }
+        // The driven set is `st.due[..driven]`; its size is the frontier
+        // the metrics sink reports.
+        let driven = st.due.len();
 
         // Decide: only the driven nodes act. An inert (crashed/asleep) node
         // is never stepped; a jamming node's protocol is suspended and it
         // occupies a transmitter slot with the JAMMER sentinel instead of a
-        // message. In frontier mode a crashed node parks forever, an asleep
-        // one sleeps until its wake round, a jammer stays due while its
-        // interval lasts, and a transmitter reschedules by its post-step
-        // hint.
+        // message. A crashed node parks forever, an asleep one sleeps until
+        // its wake round, a jammer stays due while its interval lasts, and a
+        // transmitter reschedules by its post-step hint.
         self.tx_messages.clear();
         scratch.transmitters.clear();
         // The round's trace events, appended at each outcome below and
@@ -840,16 +818,14 @@ impl<N: RadioNode> Simulator<N> {
         // never allocated) with tracing off.
         let mut events: Vec<(NodeId, NodeEvent<N::Msg>)> = Vec::new();
         for i in 0..driven {
-            let v = if N::WAKE_HINTS { st.due[i] } else { i };
+            let v = st.due[i];
             if let Some(f) = faults {
                 if let Some(kind) = f.inert_kind(v, round) {
-                    if N::WAKE_HINTS {
-                        let wake = match kind {
-                            FaultKind::Crashed => u64::MAX,
-                            _ => f.wake_round(v).max(round + 1),
-                        };
-                        st.schedule(v, round, wake);
-                    }
+                    let wake = match kind {
+                        FaultKind::Crashed => u64::MAX,
+                        _ => f.wake_round(v).max(round + 1),
+                    };
+                    st.schedule(v, round, wake);
                     continue;
                 }
                 if f.is_jamming(v, round) {
@@ -859,9 +835,7 @@ impl<N: RadioNode> Simulator<N> {
                     if record_trace {
                         events.push((v, NodeEvent::Faulted(FaultKind::Jamming)));
                     }
-                    if N::WAKE_HINTS {
-                        st.schedule(v, round, round + 1);
-                    }
+                    st.schedule(v, round, round + 1);
                     continue;
                 }
             }
@@ -883,9 +857,9 @@ impl<N: RadioNode> Simulator<N> {
 
         // Mark: only the transmitters' CSR neighbour slices are walked; each
         // neighbour's (hit_count, last_sender) entry is claimed for this
-        // round by stamping it with the current generation. In frontier
-        // mode, the first hit on a node outside the due list records it as
-        // a wake-by-reception candidate.
+        // round by stamping it with the current generation. The first hit on
+        // a node outside the due list records it as a wake-by-reception
+        // candidate.
         for ti in 0..scratch.transmitters.len() {
             let t = scratch.transmitters[ti];
             for &w in self.graph.neighbors(t) {
@@ -895,28 +869,27 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.stamp[w] = generation;
                     scratch.hit_count[w] = 1;
                     scratch.last_sender[w] = t;
-                    if N::WAKE_HINTS && st.due_stamp[w] != round {
+                    if st.due_stamp[w] != round {
                         st.touched.push(w);
                     }
                 }
             }
         }
 
-        // Observe: the driven listeners plus (in frontier mode) the touched
-        // set cover every node whose state can change or whose channel was
-        // busy this round. Driven listeners observe their outcome and
-        // reschedule by their post-receive hint; a touched (dormant) node's
-        // `receive(None)` is a no-op under the wake-hint contract, so it is
-        // woken only by an actual decoded delivery. Fault handling: an inert
-        // node is deaf (no `receive`), a jammer observes nothing, a sole
-        // jamming "sender" is an undecodable collision, and receive-side
-        // Drop/Corrupt faults rewrite a successful reception. A marked
-        // listener that decodes nothing observed a collision of
-        // `hit_count` transmitters (jammers included).
+        // Observe: the driven listeners plus the touched set cover every node
+        // whose state can change or whose channel was busy this round. Driven
+        // listeners observe their outcome and reschedule by their post-receive
+        // hint; a touched (dormant) node's `receive(None)` is a no-op under the
+        // wake-hint contract, so it is woken only by an actual decoded
+        // delivery. Fault handling: an inert node is deaf (no `receive`), a
+        // jammer observes nothing, a sole jamming "sender" is an undecodable
+        // collision, and receive-side Drop/Corrupt faults rewrite a successful
+        // reception. A marked listener that decodes nothing observed a
+        // collision of `hit_count` transmitters (jammers included).
         let rx_window = faults.map_or(&[][..], |f| f.rx_window(round));
         let (mut deliveries, mut collisions, mut rx_faults) = (0u64, 0u64, 0u64);
         for i in 0..driven {
-            let v = if N::WAKE_HINTS { st.due[i] } else { i };
+            let v = st.due[i];
             if let Some(f) = faults {
                 if f.inert_kind(v, round).is_some() {
                     continue;
@@ -1026,15 +999,14 @@ impl<N: RadioNode> Simulator<N> {
         transmitter_count
     }
 
-    /// With tracing off under [`Engine::EventDriven`]'s frontier mode, the
-    /// number of upcoming rounds that are provably silent: no protocol
-    /// wake, pending next-round entry, or forced jam wake falls inside
-    /// them, so no node can transmit and no node state can change (dormant
-    /// nodes are frozen by the wake-hint contract). Returns 0 under the
-    /// reference engine, for a dense protocol, and whenever a trace is
-    /// recording, which needs every round materialised.
+    /// With tracing off under [`Engine::EventDriven`], the number of
+    /// upcoming rounds that are provably silent: no protocol wake, pending
+    /// next-round entry, or forced jam wake falls inside them, so no node
+    /// can transmit and no node state can change (dormant nodes are frozen
+    /// by the wake-hint contract). Returns 0 under the reference engine and
+    /// whenever a trace is recording, which needs every round materialised.
     fn provably_quiet_rounds(&mut self) -> u64 {
-        if !N::WAKE_HINTS || self.engine != Engine::EventDriven || self.record_trace {
+        if self.engine != Engine::EventDriven || self.record_trace {
             return 0;
         }
         let round = self.round;
@@ -1067,16 +1039,15 @@ impl<N: RadioNode> Simulator<N> {
     /// Runs until the stop condition is met or `predicate` (evaluated after
     /// each round, with harness-level omniscience) returns true.
     ///
-    /// Under [`Engine::EventDriven`] with tracing off, a protocol that
-    /// declares [`RadioNode::WAKE_HINTS`] has its provably quiet spans
-    /// elided: the round counter and the quiet-streak arithmetic advance
-    /// exactly as if the silent rounds had run, but the predicate is not
-    /// re-evaluated inside a span — it already returned false after the last
-    /// executed round and no node state changes during the span, so any
-    /// predicate that is a function of node states (as harness predicates
-    /// are) cannot flip. A predicate that reads the round counter itself
-    /// would observe the jump; pair such predicates with the reference
-    /// engine or a recorded trace.
+    /// Under [`Engine::EventDriven`] with tracing off, provably quiet spans
+    /// (every node parked by its wake hint) are elided: the round counter and
+    /// the quiet-streak arithmetic advance exactly as if the silent rounds had
+    /// run, but the predicate is not re-evaluated inside a span — it already
+    /// returned false after the last executed round and no node state changes
+    /// during the span, so any predicate that is a function of node states (as
+    /// harness predicates are) cannot flip. A predicate that reads the round
+    /// counter itself would observe the jump; pair such predicates with the
+    /// reference engine or a recorded trace.
     pub fn run_until<P>(&mut self, stop: StopCondition, mut predicate: P) -> RunOutcome
     where
         P: FnMut(&Self) -> bool,
@@ -1111,7 +1082,7 @@ impl<N: RadioNode> Simulator<N> {
                     };
                 }
             }
-            // Silent-span elision (frontier mode, tracing off): jump
+            // Silent-span elision (fast engine, tracing off): jump
             // the clock over rounds in which provably nothing happens,
             // clamped so the quiet threshold and the cap trigger at exactly
             // the same round they would if every round ran.
@@ -1160,7 +1131,9 @@ mod tests {
 
     /// Test protocol: node 0 ("source") transmits `42` in its first round and
     /// then stays silent; everyone else listens forever and remembers what it
-    /// heard.
+    /// heard. It keeps the default wake hint of 0, so it is driven every
+    /// round.
+    #[derive(Clone, PartialEq)]
     struct OneShot {
         is_source: bool,
         sent: bool,
@@ -1631,7 +1604,6 @@ mod tests {
 
     impl RadioNode for Pulse {
         type Msg = u64;
-        const WAKE_HINTS: bool = true;
         fn step(&mut self, _now: u64) -> Action<u64> {
             if self.is_source && !self.sent {
                 self.sent = true;
@@ -1762,7 +1734,6 @@ mod tests {
 
     impl RadioNode for Metronome {
         type Msg = u64;
-        const WAKE_HINTS: bool = true;
         fn step(&mut self, now: u64) -> Action<u64> {
             if now.is_multiple_of(self.period) {
                 Action::Transmit(now)
@@ -1816,7 +1787,6 @@ mod tests {
 
     impl RadioNode for Relay {
         type Msg = u64;
-        const WAKE_HINTS: bool = true;
         fn step(&mut self, _now: u64) -> Action<u64> {
             match self.pending.take() {
                 Some(m) => {
@@ -1843,6 +1813,28 @@ mod tests {
         }
     }
 
+    /// Steps `sim` for `rounds` rounds and checks after each that every
+    /// node whose state changed is among the active nodes. Returns the
+    /// smallest active set seen.
+    fn assert_active_nodes_cover_changes<N: RadioNode + Clone + PartialEq>(
+        sim: &mut Simulator<N>,
+        rounds: u64,
+    ) -> usize {
+        let mut smallest = usize::MAX;
+        for round in 1..=rounds {
+            let before = sim.nodes().to_vec();
+            sim.step_round();
+            let active = sim.active_nodes().expect("the fast engine");
+            for (v, (now, was)) in sim.nodes().iter().zip(&before).enumerate() {
+                if now != was {
+                    assert!(active.contains(&v), "round {round}: node {v} changed");
+                }
+            }
+            smallest = smallest.min(active.len());
+        }
+        smallest
+    }
+
     #[test]
     fn active_nodes_cover_every_node_a_round_changes() {
         let n = 8;
@@ -1855,56 +1847,20 @@ mod tests {
             .collect();
         let mut sim = Simulator::new(generators::path(n), nodes).without_trace();
         assert_eq!(sim.active_nodes(), None, "no round executed yet");
-        let mut smallest = n;
-        for round in 1..=n as u64 + 2 {
-            let before = sim.nodes().to_vec();
-            sim.step_round();
-            let active = sim.active_nodes().expect("frontier protocol");
-            for (v, (now, was)) in sim.nodes().iter().zip(&before).enumerate() {
-                if now != was {
-                    assert!(active.contains(&v), "round {round}: node {v} changed");
-                }
-            }
-            smallest = smallest.min(active.len());
-        }
+        let smallest = assert_active_nodes_cover_changes(&mut sim, n as u64 + 2);
         // Round 1 drives everyone; later rounds only the relay wave.
         assert!(smallest <= 3, "the active set never shrank: {smallest}");
 
-        // A dense protocol, or the reference engine: any node may change.
-        let mut dense = one_shot_sim(generators::path(3));
-        dense.step_round();
-        assert_eq!(dense.active_nodes(), None);
+        // A hint-0 protocol is driven every round, and every listener's
+        // state changes every round.
+        let mut every_round = one_shot_sim(generators::path(3));
+        let smallest = assert_active_nodes_cover_changes(&mut every_round, 4);
+        assert_eq!(smallest, 3, "a hint-0 protocol is driven every round");
+
+        // The reference engine: any node may change.
         let mut reference = pulse_sim(generators::path(3), Engine::ListenerCentric);
         reference.step_round();
         assert_eq!(reference.active_nodes(), None);
-    }
-
-    /// [`Pulse`] without the [`RadioNode::WAKE_HINTS`] declaration: its
-    /// hints would never be honoured, and debug builds must say so.
-    struct UndeclaredPulse(Pulse);
-
-    impl RadioNode for UndeclaredPulse {
-        type Msg = u64;
-        fn step(&mut self, now: u64) -> Action<u64> {
-            self.0.step(now)
-        }
-        fn receive(&mut self, heard: Option<&u64>, now: u64) {
-            self.0.receive(heard, now);
-        }
-        fn wake_hint(&self, now: u64) -> u64 {
-            self.0.wake_hint(now)
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "does not declare RadioNode::WAKE_HINTS")]
-    fn dense_mode_rejects_an_undeclared_wake_hint() {
-        let nodes = (0..3)
-            .map(|v| UndeclaredPulse(Pulse::new(v == 0)))
-            .collect();
-        let mut sim = Simulator::new(generators::path(3), nodes).without_trace();
-        sim.run_rounds(2);
     }
 
     #[test]

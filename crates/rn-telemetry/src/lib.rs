@@ -60,9 +60,9 @@ pub struct RoundMetrics {
     /// Largest single protocol message this round, in bits.
     pub max_message_bits: u64,
     /// Engine frontier size: nodes the engine actually evaluated this
-    /// round. Under the reference engine and for a dense protocol this is
-    /// every node; the fast engine's frontier mode reports its wake-hint
-    /// due set. Engine-specific
+    /// round. Under the reference engine this is every node; the fast
+    /// engine reports its wake-hint due set (every node that is not inert,
+    /// for a protocol whose hints are all 0). Engine-specific
     /// by design — sidecar material, never a report column.
     pub frontier: u64,
 }

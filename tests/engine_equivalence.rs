@@ -2,8 +2,8 @@
 //!
 //! The fast engine (`Engine::EventDriven`) rewrote delivery from "every
 //! listener scans its neighbourhood" to "every transmitter pushes along its
-//! CSR row", and drives a protocol that declares wake hints along its
-//! wake-hint frontier with silent-round elision; the original algorithm is
+//! CSR row", and drives every protocol along its wake-hint frontier with
+//! silent-round elision; the original algorithm is
 //! retained verbatim as `Simulator::step_round_reference` (selected with
 //! `Engine::ListenerCentric`). These tests replay seeded topologies under
 //! every `Scheme` — and under an adversarial pseudo-random protocol at the
@@ -313,8 +313,8 @@ fn gossip_raw_traces_identical_across_engines() {
 
 // The adversarial pseudo-random protocol lives in `rn_radio::testing`
 // (shared with the in-crate fault suites); this file used to carry its own
-// copy. ChaosNode declares no wake hints, so it also pins the fast engine's
-// dense mode.
+// copy. ChaosNode keeps the default wake hint of 0, so it also pins the
+// fast engine driving every node every round.
 
 #[test]
 fn raw_traces_and_observations_identical_under_chaos() {
@@ -461,9 +461,9 @@ fn chaos_traces_and_observations_identical_under_faults() {
 
 #[test]
 fn chaos_without_trace_agrees_across_engines() {
-    // Tracing off is where the fast engine elides quiet spans for a
-    // hinting protocol; the chaos protocol declares no hints, so it runs
-    // densely, every round, with identical outcomes and observation logs.
+    // Tracing off is where the fast engine elides quiet spans; the chaos
+    // protocol's hints are all 0, so every node is due every round and
+    // nothing is elided, with identical outcomes and observation logs.
     for (label, graph, _) in workloads() {
         let graph = Arc::new(graph);
         let n = graph.node_count();

@@ -183,7 +183,6 @@ impl Ripple {
 
 impl RadioNode for Ripple {
     type Msg = u64;
-    const WAKE_HINTS: bool = true;
     fn step(&mut self, _now: u64) -> Action<u64> {
         match self.holding.take() {
             Some(m) if !self.relayed => {

@@ -52,10 +52,10 @@ fn counters_equal_trace_derived_stats_on_every_preset_and_general_scheme() {
 
 #[test]
 fn node_steps_count_the_frontier_each_engine_drives() {
-    // `node_steps` sums the per-round frontier: a dense protocol (the
-    // `ChaosNode` test protocol declares no wake hints) steps every node
-    // every executed round, while λ's wake-hint frontier steps strictly
-    // fewer.
+    // `node_steps` sums the per-round frontier: a protocol whose wake
+    // hints are all 0 (the `ChaosNode` test protocol keeps the default) is
+    // due again every round, so it steps every node every executed round,
+    // while λ's wake-hint frontier steps strictly fewer.
     let graph = Arc::new(generators::path(64));
     let n = graph.node_count() as u64;
     let mut dense = Simulator::new(Arc::clone(&graph), ChaosNode::network(64, 3))

@@ -1,6 +1,6 @@
 //! Trace fidelity across the simulator engines, on every topology preset.
 //!
-//! For a protocol that declares wake hints, the fast engine skips quiet
+//! For a protocol that gives wake hints, the fast engine skips quiet
 //! nodes in its decide pass and — with tracing off — elides whole silent
 //! spans; with tracing **on** it must still materialise every round exactly
 //! as the listener-centric reference engine does. These
@@ -55,7 +55,6 @@ impl Flood {
 
 impl RadioNode for Flood {
     type Msg = u64;
-    const WAKE_HINTS: bool = true;
     fn step(&mut self, _now: u64) -> Action<u64> {
         match self.holding.take() {
             Some(hop) if !self.relayed => {
