@@ -5,7 +5,8 @@
 //! listener-centric reference engine (`Engine::ListenerCentric` — the
 //! original delivery algorithm, verbatim) and the fast engine
 //! (`Engine::EventDriven`). Results, including the fast engine's speedup
-//! over the reference, go to `BENCH_simulator.json` at the workspace root.
+//! over the reference, go to `BENCH_simulator.json` at the workspace root
+//! (or to `BENCH_OUT`, read relative to that root).
 //!
 //! Workloads: Algorithm B (λ labels) on the original ladder — a path
 //! (n = 10 000), a uniform random tree, and G(n, p) graphs of average
@@ -30,8 +31,8 @@
 //! * `--quick` (or `BENCH_QUICK=1`) — CI smoke: n = 2 000, 1 sample;
 //! * `--test` — one tiny iteration, no JSON (cargo's bench-test mode).
 //!
-//! The custom harness (not criterion) exists because the emitter needs to
-//! run after all measurements and write one consolidated file.
+//! The harness is custom because the emitter needs to run after all
+//! measurements and write one consolidated file.
 
 use rn_broadcast::algo_b::BNode;
 use rn_broadcast::algo_back::BackNode;
@@ -272,15 +273,11 @@ fn emit_json(measurements: &[Measurement], cfg: &Config) -> std::io::Result<std:
          \"workloads\": [\n{entries}\n  ]\n}}\n",
         cfg.quick
     );
-    let out = std::env::var("BENCH_OUT").map_or_else(
-        |_| {
-            // crates/rn-bench -> workspace root
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_simulator.json")
-        },
-        Into::into,
-    );
+    // cargo runs a bench from its package directory, so a relative
+    // `BENCH_OUT` is taken from the workspace root, like the default.
+    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_simulator.json".into()));
     std::fs::write(&out, json)?;
     Ok(out.canonicalize().unwrap_or(out))
 }

@@ -23,7 +23,8 @@
 //! workload: for each workload present in both files at the same `n`, the
 //! two per-engine `*_rounds_per_sec` rates must not regress by more than
 //! the threshold (default 25%). Exit `1` on regression, `2` on unusable
-//! inputs, `0` otherwise.
+//! inputs or a usage error (an unknown option, a missing value, options of
+//! both modes; reported before any file is read), `0` otherwise.
 
 use rn_experiments::Table;
 use rn_telemetry::{render_prometheus, RunCounters};
@@ -342,43 +343,68 @@ fn print_help() {
     );
 }
 
+/// What one invocation asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Help,
+    /// Render a sidecar, with the Prometheus exposition when set.
+    Report(String, bool),
+    /// Compare a committed and a fresh bench file under a threshold (%).
+    BenchGuard(String, String, f64),
+}
+
+/// Parses the arguments after the program name. `--help` returns at once;
+/// an unknown option, a stray path, or an option of the other mode is an
+/// error.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let (mut prometheus, mut guard, mut threshold) = (false, None, None);
+    let mut paths = Vec::new();
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--prometheus" => prometheus = true,
+            "--bench-guard" => {
+                let (Some(committed), Some(fresh)) = (it.next(), it.next()) else {
+                    return Err("--bench-guard requires two BENCH json paths".into());
+                };
+                guard = Some((committed, fresh));
+            }
+            "--threshold" => {
+                let pct = it.next().and_then(|v| v.parse().ok()).filter(|v| *v >= 0.0);
+                threshold = Some(pct.ok_or("--threshold requires a non-negative percentage")?);
+            }
+            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
+            _ => paths.push(arg),
+        }
+    }
+    let usage = "expected <sidecar.jsonl> [--prometheus] or --bench-guard A B [--threshold PCT]";
+    match (guard, paths.as_slice()) {
+        (Some((committed, fresh)), []) if !prometheus => Ok(Command::BenchGuard(
+            committed,
+            fresh,
+            threshold.unwrap_or(25.0),
+        )),
+        (None, [path]) if threshold.is_none() => Ok(Command::Report(path.clone(), prometheus)),
+        _ => Err(usage.into()),
+    }
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
-        print_help();
-        std::process::exit(2);
-    }
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print_help();
-        return;
-    }
-    if let Some(at) = argv.iter().position(|a| a == "--bench-guard") {
-        let (Some(committed), Some(fresh)) = (argv.get(at + 1), argv.get(at + 2)) else {
-            eprintln!("error: --bench-guard requires two BENCH json paths (try --help)");
-            std::process::exit(2);
-        };
-        let threshold = match argv.iter().position(|a| a == "--threshold") {
-            Some(t) => match argv.get(t + 1).and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => v,
-                _ => {
-                    eprintln!("error: --threshold requires a non-negative percentage");
-                    std::process::exit(2);
-                }
-            },
-            None => 25.0,
-        };
-        std::process::exit(run_bench_guard(committed, fresh, threshold));
-    }
-    let prometheus = argv.iter().any(|a| a == "--prometheus");
-    let paths: Vec<&String> = argv.iter().filter(|a| !a.starts_with("--")).collect();
-    let [path] = paths.as_slice() else {
-        eprintln!("error: exactly one sidecar path expected (try --help)");
-        std::process::exit(2);
-    };
-    match std::fs::read_to_string(path) {
-        Ok(text) => render_report(&accumulate(&text), prometheus),
+    match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Help) => print_help(),
+        Ok(Command::BenchGuard(committed, fresh, threshold)) => {
+            std::process::exit(run_bench_guard(&committed, &fresh, threshold));
+        }
+        Ok(Command::Report(path, prometheus)) => match std::fs::read_to_string(&path) {
+            Ok(text) => render_report(&accumulate(&text), prometheus),
+            Err(e) => {
+                eprintln!("error: reading {path}: {e}");
+                std::process::exit(2);
+            }
+        },
         Err(e) => {
-            eprintln!("error: reading {path}: {e}");
+            eprintln!("error: {e} (try --help)");
             std::process::exit(2);
         }
     }
@@ -410,6 +436,41 @@ mod tests {
             scratch_reused: 16,
             scratch_fresh: 17,
         }
+    }
+
+    fn parse(argv: &str) -> Result<Command, String> {
+        parse_args(argv.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn unknown_options_and_mixed_modes_are_rejected() {
+        for argv in [
+            "sweep.jsonl --prometeus",
+            "--no-such-option sweep.jsonl",
+            "--bench-guard a.json b.json --thresold 30",
+            "--bench-guard a.json",
+            "--bench-guard a.json b.json --threshold -1",
+            "--bench-guard a.json b.json sweep.jsonl",
+            "--bench-guard a.json b.json --prometheus",
+            "sweep.jsonl --threshold 30",
+            "a.jsonl b.jsonl",
+        ] {
+            assert!(parse(argv).is_err(), "{argv}");
+        }
+    }
+
+    #[test]
+    fn both_modes_parse_in_any_order() {
+        let report = Ok(Command::Report("s.jsonl".into(), true));
+        assert_eq!(parse("s.jsonl --prometheus"), report);
+        assert_eq!(parse("--prometheus s.jsonl"), report);
+        let guard = |pct| Ok(Command::BenchGuard("a.json".into(), "b.json".into(), pct));
+        assert_eq!(parse("--bench-guard a.json b.json"), guard(25.0));
+        assert_eq!(
+            parse("--threshold 75 --bench-guard a.json b.json"),
+            guard(75.0)
+        );
+        assert_eq!(parse("s.jsonl --help"), Ok(Command::Help));
     }
 
     #[test]

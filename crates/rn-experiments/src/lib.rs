@@ -55,7 +55,17 @@ impl ExperimentConfig {
         }
     }
 
-    /// The full configuration used by the `repro` binary and the benches.
+    /// The grid `repro --quick` runs (and `tests/golden_repro.rs` pins):
+    /// sizes 8–64, two seeds.
+    pub fn quick() -> Self {
+        ExperimentConfig {
+            sizes: vec![8, 16, 32, 64],
+            seeds: vec![1, 2],
+            threads: rn_radio::batch::default_threads(),
+        }
+    }
+
+    /// The full configuration the `repro` binary runs by default.
     pub fn full() -> Self {
         ExperimentConfig {
             sizes: vec![8, 16, 32, 64, 128, 256, 512],

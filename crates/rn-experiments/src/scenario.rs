@@ -29,8 +29,8 @@ use crate::Table;
 use rn_broadcast::session::{RunReport, RunSpec, Scheme, Session, TracePolicy};
 use rn_graph::generators::TopologyFamily;
 use rn_graph::{Graph, GraphError};
-use rn_labeling::LabelingError;
-use rn_radio::Engine;
+use rn_labeling::{Label, LabelingError};
+use rn_radio::{Engine, FaultPlan};
 use rn_telemetry::RunMetrics;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -640,68 +640,70 @@ fn run_point(
         for (preset_index, fspec) in fault_specs.iter().enumerate() {
             // A fault plan never changes the labeling, so the histograms
             // count each labeling once (under the first preset only).
-            let count_labels = preset_index == 0;
-            if *fspec == FaultSpec::None {
-                for &session_source in session_sources {
-                    let session = Session::builder(scheme, Arc::clone(graph))
-                        .source(session_source)
-                        .trace(trace)
-                        .engine(spec.engine)
-                        .build()
-                        .map_err(label_err)?;
-                    if count_labels {
-                        label_lengths.push((
-                            scheme.name(),
-                            session
-                                .labeling()
-                                .labels()
-                                .iter()
-                                .map(rn_labeling::Label::len)
-                                .collect(),
-                        ));
+            let first_preset = preset_index == 0;
+            // Builds one session from `source` under `plan`, runs `specs`
+            // on it and records every run. `count_labels` adds the
+            // session's labeling to the histograms; `certify` runs the
+            // static preflight on each report.
+            let mut run_session = |source, plan, specs: &[RunSpec], count_labels, certify| {
+                let session = Session::builder(scheme, Arc::clone(graph))
+                    .source(source)
+                    .trace(trace)
+                    .engine(spec.engine)
+                    .faults(plan)
+                    .build()
+                    .map_err(label_err)?;
+                if count_labels {
+                    let lengths = session.labeling().labels().iter().map(Label::len);
+                    label_lengths.push((scheme.name(), lengths.collect()));
+                }
+                // The point itself is one parallel job, so the inner batch
+                // runs inline (threads = 1); parallelism lives at the
+                // instance level.
+                let (reports, run_metrics) =
+                    execute_specs(&session, specs, telemetry.is_some()).map_err(label_err)?;
+                for (report, metrics) in reports.iter().zip(&run_metrics) {
+                    let mut record = SweepRecord::from_report(instance, report, fspec);
+                    if certify {
+                        let cert = rn_analyze::analyze_and_cross_check(&session, report).map_err(
+                            |findings| SweepError::Static {
+                                family: family.name().to_string(),
+                                scheme: scheme.name(),
+                                n: actual_n,
+                                detail: findings
+                                    .iter()
+                                    .map(std::string::ToString::to_string)
+                                    .collect::<Vec<_>>()
+                                    .join("; "),
+                            },
+                        )?;
+                        record.predicted_completion_round = cert.completion_round;
                     }
+                    if let Some(t) = telemetry {
+                        t.point(&record, metrics.as_ref());
+                    }
+                    records.push(record);
+                }
+                Ok::<(), SweepError>(())
+            };
+            if *fspec == FaultSpec::None {
+                // The 1-bit delay-relay schemes are outside the analyzer's
+                // scope (rn_analyze reports them Unsupported), so the
+                // preflight skips them rather than failing the sweep.
+                let certify = spec.verify_static
+                    && !matches!(scheme, Scheme::OneBitCycle | Scheme::OneBitGrid { .. });
+                for &source in session_sources {
                     // A multi-message run (multi_lambda, gossip) ignores the
                     // per-spec source (its source *set* is fixed at build
                     // time), so fanning the spread sources out would only
                     // duplicate identical rows: it runs once.
                     let one_run = scheme.is_multi_message();
                     let specs: Vec<RunSpec> = if one_run || session_sources.len() > 1 {
-                        vec![RunSpec::new(session_source, 7)]
+                        vec![RunSpec::new(source, 7)]
                     } else {
                         source_nodes.iter().map(|&s| RunSpec::new(s, 7)).collect()
                     };
-                    // The point itself is one parallel job, so the inner
-                    // batch runs inline (threads = 1); parallelism lives at
-                    // the instance level.
-                    let (reports, run_metrics) =
-                        execute_specs(&session, &specs, telemetry.is_some()).map_err(label_err)?;
-                    // The 1-bit delay-relay schemes are outside the
-                    // analyzer's scope (rn_analyze reports them
-                    // Unsupported), so the preflight skips them rather than
-                    // failing the sweep.
-                    let in_scope =
-                        !matches!(scheme, Scheme::OneBitCycle | Scheme::OneBitGrid { .. });
-                    for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let mut record = SweepRecord::from_report(instance, report, fspec);
-                        if spec.verify_static && in_scope {
-                            let cert = rn_analyze::analyze_and_cross_check(&session, report)
-                                .map_err(|findings| SweepError::Static {
-                                    family: family.name().to_string(),
-                                    scheme: scheme.name(),
-                                    n: actual_n,
-                                    detail: findings
-                                        .iter()
-                                        .map(std::string::ToString::to_string)
-                                        .collect::<Vec<_>>()
-                                        .join("; "),
-                                })?;
-                            record.predicted_completion_round = cert.completion_round;
-                        }
-                        if let Some(t) = telemetry {
-                            t.point(&record, metrics.as_ref());
-                        }
-                        records.push(record);
-                    }
+                    run_session(source, FaultPlan::none(), &specs, first_preset, certify)?;
                 }
             } else {
                 // Faulted runs: the resolved plan is source-aware (it never
@@ -711,46 +713,17 @@ fn run_point(
                 // the analyzer certifies the fault-free timeline, which a
                 // perturbing fault is *supposed* to diverge from (the
                 // `analyze --faults` gate asserts exactly that divergence).
-                let run_sources: Vec<usize> = if scheme.is_multi_message() {
-                    vec![source_nodes[0]]
+                let run_sources = if scheme.is_multi_message() {
+                    &source_nodes[..1]
                 } else {
-                    source_nodes.clone()
+                    &source_nodes
                 };
-                for &run_source in &run_sources {
-                    let plan = fspec.resolve(actual_n, seed, run_source);
-                    let session = Session::builder(scheme, Arc::clone(graph))
-                        .source(run_source)
-                        .trace(trace)
-                        .engine(spec.engine)
-                        .faults(plan)
-                        .build()
-                        .map_err(label_err)?;
-                    if count_labels
-                        && (scheme.labeling_depends_on_source() || run_source == run_sources[0])
-                    {
-                        label_lengths.push((
-                            scheme.name(),
-                            session
-                                .labeling()
-                                .labels()
-                                .iter()
-                                .map(rn_labeling::Label::len)
-                                .collect(),
-                        ));
-                    }
-                    let (reports, run_metrics) = execute_specs(
-                        &session,
-                        &[RunSpec::new(run_source, 7)],
-                        telemetry.is_some(),
-                    )
-                    .map_err(label_err)?;
-                    for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let record = SweepRecord::from_report(instance, report, fspec);
-                        if let Some(t) = telemetry {
-                            t.point(&record, metrics.as_ref());
-                        }
-                        records.push(record);
-                    }
+                for &source in run_sources {
+                    let count_labels = first_preset
+                        && (scheme.labeling_depends_on_source() || source == run_sources[0]);
+                    let plan = fspec.resolve(actual_n, seed, source);
+                    let specs = [RunSpec::new(source, 7)];
+                    run_session(source, plan, &specs, count_labels, false)?;
                 }
             }
         }

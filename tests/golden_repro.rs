@@ -4,9 +4,9 @@
 //! headline output, and a refactor of the harness underneath them — the
 //! instance registry, the sweep fan-out — must leave them byte-identical.
 //! This test runs `experiments::run_all` on the `repro --quick` grid
-//! (sizes {8, 16, 32, 64}, seeds {1, 2}) and hashes each table — title,
-//! headers, every cell and every note — into one row of
-//! `tests/golden/repro_digests.txt`.
+//! (`ExperimentConfig::quick`: sizes {8, 16, 32, 64}, seeds {1, 2}) and
+//! hashes each table — title, headers, every cell and every note — into
+//! one row of `tests/golden/repro_digests.txt`.
 //!
 //! E8 times the labeling constructions with a wall clock, so its row
 //! digests only the deterministic `family`, `n` and `m` columns.
@@ -23,15 +23,6 @@ const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/repro_digests.txt"
 );
-
-/// The grid `repro --quick` runs.
-fn quick_config() -> ExperimentConfig {
-    ExperimentConfig {
-        sizes: vec![8, 16, 32, 64],
-        seeds: vec![1, 2],
-        threads: 2,
-    }
-}
 
 /// Columns of E8 that do not depend on the wall clock.
 const E8_DETERMINISTIC_COLUMNS: usize = 3;
@@ -70,7 +61,7 @@ fn row(t: &Table) -> String {
 #[test]
 fn repro_digests_match_the_golden_file() {
     let actual: Vec<String> = std::iter::once("# table rows digest".to_string())
-        .chain(run_all(&quick_config()).iter().map(row))
+        .chain(run_all(&ExperimentConfig::quick()).iter().map(row))
         .collect();
     let actual = actual.join("\n") + "\n";
     let golden = std::fs::read_to_string(GOLDEN_PATH).expect("golden file is committed");
