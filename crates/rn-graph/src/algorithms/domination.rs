@@ -14,7 +14,7 @@
 //! order yields a minimal set, but different minimal sets can lead to
 //! different broadcast schedules. [`DominationScratch`] runs the same
 //! reduction on reusable working memory, so a caller reducing once per stage
-//! pays for the stage's sets and their degrees, not for `n`.
+//! pays for the stage's sets and the candidates' degrees, not for `n`.
 
 use crate::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -104,11 +104,12 @@ pub fn dominator_count(g: &Graph, set: &[NodeId], target: NodeId) -> usize {
 /// targets dominated, trying candidates in the given [`ReductionOrder`]. The
 /// result is inclusion-minimal regardless of order.
 ///
-/// Runs in `O(n + k log k + Σ_{c∈candidates} deg(c) + Σ_{t∈targets} deg(t))`
-/// for `k = |candidates|`. The `O(n)` term is this one-shot form allocating a
-/// fresh [`DominationScratch`]; callers that reduce many sets on one graph
-/// keep a scratch and call [`DominationScratch::minimal_dominating_subset`],
-/// which drops that term.
+/// Runs in `O(n + k log k + |targets| + Σ_{c∈candidates} deg(c))` for
+/// `k = |candidates|`: only the candidates' adjacency rows are read, never
+/// the targets'. The `O(n)` term is this one-shot form allocating a fresh
+/// [`DominationScratch`]; callers that reduce many sets on one graph keep a
+/// scratch and call [`DominationScratch::minimal_dominating_subset`], which
+/// drops that term.
 pub fn minimal_dominating_subset(
     g: &Graph,
     candidates: &[NodeId],
@@ -121,28 +122,30 @@ pub fn minimal_dominating_subset(
 
 /// Reusable working memory for [`minimal_dominating_subset`].
 ///
-/// A reduction needs three per-node arrays: membership in the current set,
-/// membership in the target set, and, per target, how many set members
-/// dominate it (`cover`). Allocating and clearing them per call costs `O(n)`,
-/// which dominates when the sets are small — as they are at every stage of
-/// the §2.1 construction. The scratch keeps them across calls and guards
-/// them with a **generation stamp**, the idiom of the simulator's round
-/// scratch: each reduction bumps `generation`, a node is in the set (a
-/// target) only while its `in_set` (`is_target`) stamp equals the current
-/// generation, and `cover[t]` is valid only for current targets. Entries
-/// from earlier reductions are never read, so nothing is ever cleared.
+/// A reduction needs two per-node arrays: membership in the current set,
+/// and, per target, how many set members dominate it (`cover`). Allocating
+/// and clearing them per call costs `O(n)`, which dominates when the sets
+/// are small — as they are at every stage of the §2.1 construction. The
+/// scratch keeps them across calls and guards them with a **generation
+/// stamp**, the idiom of the simulator's round scratch: each reduction bumps
+/// `generation`, and a node is in the set only while its `in_set` stamp
+/// equals the current generation. A target's stamp and its cover share one
+/// word, `slot = generation << 32 | cover`, so with `tag = generation << 32`
+/// a node is a current target iff `slot >= tag` (older stamps are smaller)
+/// and has cover 1 iff `slot == tag + 1`; a cover never reaches `2^32`, as
+/// no degree does (CSR offsets are `u32`). Entries from earlier reductions
+/// are never read as current, so nothing is cleared until the 32-bit
+/// generation wraps.
 #[derive(Debug)]
 pub struct DominationScratch {
     /// `in_set[v] == generation` iff `v` is in the current set.
-    in_set: Vec<u64>,
-    /// `is_target[v] == generation` iff `v` is a target of the current
-    /// reduction.
-    is_target: Vec<u64>,
-    /// Number of current set members adjacent to each current target.
-    cover: Vec<u32>,
-    /// The current reduction's stamp: strictly increasing and never 0, so
-    /// a zeroed entry never reads as current.
-    generation: u64,
+    in_set: Vec<u32>,
+    /// `generation << 32 | cover[v]` for a current target `v`; smaller for
+    /// every other node.
+    slot: Vec<u64>,
+    /// The current reduction's stamp: never 0 during a reduction, so a
+    /// zeroed entry never reads as current.
+    generation: u32,
 }
 
 impl DominationScratch {
@@ -151,8 +154,7 @@ impl DominationScratch {
     pub fn for_nodes(n: usize) -> Self {
         DominationScratch {
             in_set: vec![0; n],
-            is_target: vec![0; n],
-            cover: vec![0; n],
+            slot: vec![0; n],
             generation: 0,
         }
     }
@@ -161,10 +163,12 @@ impl DominationScratch {
     /// `targets`, exactly as [`minimal_dominating_subset`] does, reusing this
     /// scratch. Returns `None` if `candidates` does not dominate `targets`.
     ///
-    /// Runs in `O(k log k + Σ_{c∈candidates} deg(c) + Σ_{t∈targets} deg(t))`
-    /// for `k = |candidates|`, independent of `n` once the scratch covers
-    /// the graph. After a successful call, [`cover`](Self::cover) reports
-    /// how many members of the result dominate each target.
+    /// Runs in `O(k log k + |targets| + Σ_{c∈candidates} deg(c))` for
+    /// `k = |candidates|`, independent of `n` once the scratch covers the
+    /// graph: each distinct candidate's row is read to count the cover, once
+    /// for its removal test and, if it is removed, once more; no target's row
+    /// is read. After a successful call, [`cover`](Self::cover) reports how
+    /// many members of the result dominate each target.
     pub fn minimal_dominating_subset(
         &mut self,
         g: &Graph,
@@ -175,23 +179,33 @@ impl DominationScratch {
         let n = g.node_count();
         if self.in_set.len() < n {
             self.in_set.resize(n, 0);
-            self.is_target.resize(n, 0);
-            self.cover.resize(n, 0);
+            self.slot.resize(n, 0);
+        }
+        if self.generation == u32::MAX {
+            self.in_set.fill(0);
+            self.slot.fill(0);
+            self.generation = 0;
         }
         self.generation += 1;
         let gen = self.generation;
-        for &c in candidates {
-            self.in_set[c] = gen;
-        }
-        // cover[t] = number of current set members adjacent to t; a target
-        // with none means the candidates do not dominate the targets.
+        let tag = u64::from(gen) << 32;
         for &t in targets {
-            self.is_target[t] = gen;
-            let dominators = g.neighbors(t).iter().filter(|&&w| self.in_set[w] == gen);
-            self.cover[t] = u32::try_from(dominators.count()).expect("degree fits in u32");
-            if self.cover[t] == 0 {
-                return None;
+            self.slot[t] = tag;
+        }
+        // cover[t] = number of set members adjacent to t: each distinct
+        // candidate adds 1 along its own row to the targets it meets.
+        for &c in candidates {
+            if self.in_set[c] != gen {
+                self.in_set[c] = gen;
+                for &t in g.neighbors(c) {
+                    let slot = &mut self.slot[t];
+                    *slot += u64::from(*slot >= tag);
+                }
             }
+        }
+        // A target no candidate met is undominated.
+        if targets.iter().any(|&t| self.slot[t] == tag) {
+            return None;
         }
 
         let mut trial: Vec<NodeId> = candidates.to_vec();
@@ -205,24 +219,24 @@ impl DominationScratch {
             }
         }
 
+        let sole = tag + 1;
         for &c in &trial {
-            // c is removable iff every target neighbour of c is covered by at
-            // least one other set member (a target t blocks removal iff
-            // cover[t] == 1, i.e. c is its only dominator).
+            // c is removable iff no target neighbour of c has cover 1, i.e.
+            // has c as its only dominator.
             if self.in_set[c] != gen {
                 continue;
             }
-            let removable = g
-                .neighbors(c)
+            let row = g.neighbors(c);
+            if row
                 .iter()
-                .all(|&t| self.is_target[t] != gen || self.cover[t] >= 2);
-            if removable {
-                self.in_set[c] = 0;
-                for &t in g.neighbors(c) {
-                    if self.is_target[t] == gen {
-                        self.cover[t] -= 1;
-                    }
-                }
+                .fold(false, |blocked, &t| blocked | (self.slot[t] == sole))
+            {
+                continue;
+            }
+            self.in_set[c] = 0;
+            for &t in row {
+                let slot = &mut self.slot[t];
+                *slot -= u64::from(*slot >= tag);
             }
         }
 
@@ -240,11 +254,9 @@ impl DominationScratch {
     /// [`minimal_dominating_subset`](Self::minimal_dominating_subset) call
     /// that had `t` among its targets.
     pub fn cover(&self, t: NodeId) -> usize {
-        debug_assert_eq!(
-            self.is_target[t], self.generation,
-            "{t} is not a current target"
-        );
-        self.cover[t] as usize
+        let tag = u64::from(self.generation) << 32;
+        debug_assert!(self.slot[t] >= tag, "{t} is not a current target");
+        (self.slot[t] - tag) as usize
     }
 }
 
@@ -289,6 +301,122 @@ pub fn greedy_dominating_set(g: &Graph) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::generators;
+    use rand::Rng;
+
+    /// The oracle for [`DominationScratch`]: the same reduction with
+    /// per-call arrays, counting each target's dominators from the
+    /// target's own row. Returns the minimal set and each target's cover.
+    fn target_side_reduction(
+        g: &Graph,
+        candidates: &[NodeId],
+        targets: &[NodeId],
+        order: ReductionOrder,
+    ) -> Option<(Vec<NodeId>, Vec<usize>)> {
+        let n = g.node_count();
+        let mut in_set = vec![false; n];
+        for &c in candidates {
+            in_set[c] = true;
+        }
+        let mut is_target = vec![false; n];
+        let mut cover = vec![0usize; n];
+        for &t in targets {
+            is_target[t] = true;
+            cover[t] = g.neighbors(t).iter().filter(|&&w| in_set[w]).count();
+            if cover[t] == 0 {
+                return None;
+            }
+        }
+        let mut trial = candidates.to_vec();
+        trial.sort_unstable();
+        match order {
+            ReductionOrder::Forward => {}
+            ReductionOrder::Reverse => trial.reverse(),
+            ReductionOrder::Random(seed) => {
+                trial.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            }
+        }
+        for &c in &trial {
+            let row = g.neighbors(c);
+            if in_set[c] && row.iter().all(|&t| !is_target[t] || cover[t] >= 2) {
+                in_set[c] = false;
+                for &t in row {
+                    if is_target[t] {
+                        cover[t] -= 1;
+                    }
+                }
+            }
+        }
+        let set = (0..n).filter(|&v| in_set[v]).collect();
+        Some((set, targets.iter().map(|&t| cover[t]).collect()))
+    }
+
+    /// A random graph on `n` nodes with about `n * avg / 2` edges; it may
+    /// be disconnected and have isolated nodes.
+    fn random_graph(n: usize, avg: usize, rng: &mut rand::rngs::StdRng) -> Graph {
+        let mut edges: Vec<(NodeId, NodeId)> = (0..n * avg / 2)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        Graph::from_edges(n, &edges).expect("valid edges")
+    }
+
+    #[test]
+    fn scratch_matches_the_target_side_oracle() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2019);
+        let mut scratch = DominationScratch::for_nodes(0);
+        let (mut dominated, mut undominated) = (0, 0);
+        for round in 0..60 {
+            let n = rng.gen_range(2..60usize);
+            let g = if round % 2 == 0 {
+                random_graph(n, rng.gen_range(1..8usize), &mut rng)
+            } else {
+                generators::gnp_connected(n, 0.2, round).unwrap()
+            };
+            for _ in 0..8 {
+                // Candidates drawn with replacement, so some repeat.
+                let k = rng.gen_range(1..=n);
+                let candidates: Vec<NodeId> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+                // Targets: the candidates' neighbourhood (which may contain
+                // candidates), some candidates themselves and, half the
+                // time, random nodes that may be undominated.
+                let mut targets = neighborhood_of_set(&g, &candidates);
+                targets.retain(|_| rng.gen_bool(0.8));
+                targets.extend(candidates.iter().copied().filter(|_| rng.gen_bool(0.3)));
+                if rng.gen_bool(0.5) {
+                    targets.extend((0..3).map(|_| rng.gen_range(0..n)));
+                }
+                for order in [
+                    ReductionOrder::Forward,
+                    ReductionOrder::Reverse,
+                    ReductionOrder::Random(rng.gen_range(0..u64::MAX)),
+                ] {
+                    let expected = target_side_reduction(&g, &candidates, &targets, order);
+                    let actual =
+                        scratch.minimal_dominating_subset(&g, &candidates, &targets, order);
+                    match expected {
+                        None => {
+                            assert_eq!(actual, None, "{candidates:?} -> {targets:?}");
+                            undominated += 1;
+                        }
+                        Some((set, cover)) => {
+                            assert_eq!(actual.as_ref(), Some(&set), "{order:?}");
+                            let got: Vec<usize> =
+                                targets.iter().map(|&t| scratch.cover(t)).collect();
+                            assert_eq!(got, cover, "{order:?}");
+                            dominated += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            dominated > 100 && undominated > 100,
+            "{dominated} / {undominated}"
+        );
+    }
 
     #[test]
     fn neighborhood_of_set_basic() {
@@ -432,6 +560,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn scratch_clears_its_stamps_when_the_generation_wraps() {
+        let g = generators::grid(4, 4);
+        let candidates: Vec<usize> = g.nodes().collect();
+        let targets: Vec<usize> = g.nodes().collect();
+        let order = ReductionOrder::Forward;
+        let expected = minimal_dominating_subset(&g, &candidates, &targets, order);
+        let mut scratch = DominationScratch::for_nodes(16);
+        scratch.generation = u32::MAX - 2;
+        for _ in 0..4 {
+            let actual = scratch.minimal_dominating_subset(&g, &candidates, &targets, order);
+            assert_eq!(actual, expected, "generation {}", scratch.generation);
+        }
+        assert_eq!(scratch.generation, 2);
     }
 
     #[test]

@@ -80,26 +80,31 @@ pub fn labels_from_construction(g: &Graph, construction: &SequenceConstruction) 
     let mut x1 = vec![false; n];
     let mut x2 = vec![false; n];
 
-    // x1 = 1 iff v ∈ DOM_i for some i.
+    // x1 = 1 iff v ∈ DOM_i for some i. Each node is also stamped with the
+    // stage it joins NEW (0: never, as for the source).
+    let mut new_stage = vec![0usize; n];
     for stage in construction.stages() {
         for &v in &stage.dom {
             x1[v] = true;
+        }
+        for &w in &stage.new {
+            new_stage[w] = stage.index;
         }
     }
 
     // x2: for each i, for each v ∈ DOM_{i+1} ∩ DOM_i, pick one w ∈ NEW_i
     // adjacent to v and set x2(w) = 1. We pick the smallest such w, which
-    // keeps the scheme deterministic; the paper allows any choice.
+    // keeps the scheme deterministic; the paper allows any choice. Rows are
+    // sorted, so it is the first neighbour of v stamped i.
     for window in construction.stages().windows(2) {
         let cur = &window[0]; // stage i
         let next = &window[1]; // stage i + 1
         for &v in &next.dom {
             if cur.dom.binary_search(&v).is_ok() {
-                let w = cur
-                    .new
+                let w = *g
+                    .neighbors(v)
                     .iter()
-                    .copied()
-                    .find(|&w| g.has_edge(v, w))
+                    .find(|&&w| new_stage[w] == cur.index)
                     .expect("minimality of DOM_i gives v a private NEW_i neighbour");
                 x2[w] = true;
             }

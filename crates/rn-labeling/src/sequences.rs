@@ -20,23 +20,28 @@
 //!
 //! # Cost
 //!
-//! The construction is incremental: no stage does `O(n)` work. It keeps an
-//! `informed` and an `in_frontier` bitmap and derives
+//! The construction is incremental: no stage does `O(n)` work, and no
+//! stage reads a frontier node's adjacency row. It keeps one state byte per
+//! node (untouched, in a frontier, informed) and derives
 //! `FRONTIER_i = (FRONTIER_{i−1} \ NEW_{i−1}) ∪ (Γ(NEW_{i−1}) ∩ UNINF_i)`,
-//! and it reduces `DOM_i` on one reusable
-//! [`DominationScratch`], which also yields each frontier node's dominator
-//! count, hence `NEW_i`. With `C_i = DOM_{i−1} ∪ NEW_{i−1}`, stage `i` costs
+//! and it reduces `DOM_i` on one reusable [`DominationScratch`], which
+//! counts each frontier node's dominators from the candidates' rows and so
+//! also yields `NEW_i`. With `C_i = DOM_{i−1} ∪ NEW_{i−1}`, stage `i` costs
 //!
-//! `O(|C_i| log |C_i| + |FRONTIER_i| log |FRONTIER_i| + Σ_{v∈C_i} deg(v) + Σ_{t∈FRONTIER_i} deg(t))`,
+//! `O(|C_i| log |C_i| + |FRONTIER_i| log |FRONTIER_i| + Σ_{c∈C_i} deg(c))`
 //!
-//! and the whole build costs `O(n + m)` (connectivity check and bitmaps)
-//! plus the sum of those stage costs. Memory is `O(n)` plus the stored
-//! sets, `Σ_i (|FRONTIER_i| + |DOM_i| + |NEW_i|)`; `INF_i` and `UNINF_i` are
-//! not materialised.
+//! (the rows of `NEW_{i−1} ⊆ C_i` also grow the frontier), and the whole
+//! build costs `O(n)` for the state bytes plus the sum of those stage
+//! costs. [`SequenceConstruction::adjacency_reads`] counts the row entries
+//! read. There is no separate connectivity pass: `FRONTIER_i` is empty
+//! while `UNINF_i` is not exactly when `INF_i` is a union of components,
+//! and the build then returns [`LabelingError::NotConnected`]. Memory is
+//! `O(n)` plus the stored sets, `Σ_i (|FRONTIER_i| + |DOM_i| + |NEW_i|)`;
+//! `INF_i` and `UNINF_i` are not materialised.
 
 use crate::error::LabelingError;
 use rn_graph::algorithms::{
-    is_connected, is_minimal_dominating_set, neighborhood_of_set, DominationScratch, ReductionOrder,
+    is_minimal_dominating_set, neighborhood_of_set, DominationScratch, ReductionOrder,
 };
 use rn_graph::{Graph, NodeId};
 
@@ -63,6 +68,7 @@ pub struct Stage {
 pub struct SequenceConstruction {
     source: NodeId,
     stages: Vec<Stage>,
+    adjacency_reads: u64,
 }
 
 impl SequenceConstruction {
@@ -72,6 +78,11 @@ impl SequenceConstruction {
     /// order yields a valid construction (the paper allows any minimal
     /// subset), and the choice only matters for the ablation experiment.
     pub fn build(g: &Graph, source: NodeId, order: ReductionOrder) -> Result<Self, LabelingError> {
+        // Where each node stands in the construction so far.
+        const UNTOUCHED: u8 = 0;
+        const IN_FRONTIER: u8 = 1;
+        const INFORMED: u8 = 2;
+
         let n = g.node_count();
         if n == 0 {
             return Err(LabelingError::EmptyGraph);
@@ -82,22 +93,19 @@ impl SequenceConstruction {
                 node_count: n,
             });
         }
-        if !is_connected(g) {
-            return Err(LabelingError::NotConnected);
-        }
 
         let mut scratch = DominationScratch::for_nodes(n);
-        let mut informed = vec![false; n];
-        // Set once a node joins a frontier; read only for uninformed nodes.
-        let mut in_frontier = vec![false; n];
-        informed[source] = true;
+        let mut state = vec![UNTOUCHED; n];
+        state[source] = INFORMED;
         // |UNINF_i| of the last stage built.
         let mut uninformed = n - 1;
+        let degree_sum = |set: &[NodeId]| set.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
 
         // Stage 1: DOM_1 = {s} and FRONTIER_1 = NEW_1 = Γ(s).
         let frontier1 = neighborhood_of_set(g, &[source]);
+        let mut adjacency_reads = g.degree(source) as u64;
         for &v in &frontier1 {
-            in_frontier[v] = true;
+            state[v] = IN_FRONTIER;
         }
         let mut stages = vec![Stage {
             index: 1,
@@ -112,7 +120,7 @@ impl SequenceConstruction {
             let index = prev.index + 1;
             // INF_i = INF_{i-1} ∪ NEW_{i-1}; UNINF_i = UNINF_{i-1} \ NEW_{i-1}.
             for &v in &prev.new {
-                informed[v] = true;
+                state[v] = INFORMED;
             }
             uninformed -= prev.new.len();
 
@@ -122,15 +130,21 @@ impl SequenceConstruction {
                 .frontier
                 .iter()
                 .copied()
-                .filter(|&v| !informed[v])
+                .filter(|&v| state[v] == IN_FRONTIER)
                 .collect();
             for &v in &prev.new {
                 for &w in g.neighbors(v) {
-                    if !informed[w] && !in_frontier[w] {
-                        in_frontier[w] = true;
+                    if state[w] == UNTOUCHED {
+                        state[w] = IN_FRONTIER;
                         frontier.push(w);
                     }
                 }
+            }
+            adjacency_reads += degree_sum(&prev.new);
+            if frontier.is_empty() && uninformed > 0 {
+                // An uninformed node remains, yet none is adjacent to an
+                // informed one: INF_i is a union of components.
+                return Err(LabelingError::NotConnected);
             }
             frontier.sort_unstable();
 
@@ -143,6 +157,9 @@ impl SequenceConstruction {
                 .minimal_dominating_subset(g, &candidates, &frontier, order)
                 .expect("Lemma 2.5: DOM_{i-1} ∪ NEW_{i-1} dominates FRONTIER_i");
             debug_assert!(is_minimal_dominating_set(g, &dom, &frontier) || frontier.is_empty());
+            // The reduction reads each candidate's row twice (cover count,
+            // removal test) and a removed candidate's once more (decrement).
+            adjacency_reads += 3 * degree_sum(&candidates) - degree_sum(&dom);
 
             // NEW_i = frontier nodes adjacent to exactly one node of DOM_i.
             let new: Vec<NodeId> = frontier
@@ -166,12 +183,25 @@ impl SequenceConstruction {
             });
         }
 
-        Ok(SequenceConstruction { source, stages })
+        Ok(SequenceConstruction {
+            source,
+            stages,
+            adjacency_reads,
+        })
     }
 
     /// The source node the construction was built for.
     pub fn source(&self) -> NodeId {
         self.source
+    }
+
+    /// How many adjacency-row entries the build read: a deterministic
+    /// measure of its work, one add per row scanned. Stage `i` reads the
+    /// rows of `NEW_{i−1}` to grow the frontier and the rows of
+    /// `C_i = DOM_{i−1} ∪ NEW_{i−1}` in the reduction, never a frontier
+    /// node's row.
+    pub fn adjacency_reads(&self) -> u64 {
+        self.adjacency_reads
     }
 
     /// All stages, `stages()[0]` being stage 1.
@@ -271,6 +301,58 @@ mod tests {
             SequenceConstruction::build(&disconnected, 0, ReductionOrder::Forward).unwrap_err(),
             LabelingError::NotConnected
         );
+    }
+
+    #[test]
+    fn disconnected_graphs_are_rejected_by_every_construction() {
+        use crate::{gossip, lambda, lambda_ack, lambda_arb, multi};
+        let small_component = Graph::from_edges(6, &[(0, 1), (2, 3), (3, 4), (4, 5)]).unwrap();
+        let isolated_node = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+        for g in [small_component, isolated_node, Graph::empty(2)] {
+            let n = g.node_count();
+            for s in 0..n {
+                for order in [ReductionOrder::Forward, ReductionOrder::Random(3)] {
+                    assert_eq!(
+                        SequenceConstruction::build(&g, s, order),
+                        Err(LabelingError::NotConnected),
+                        "n = {n}, source {s}"
+                    );
+                }
+                assert_eq!(
+                    lambda::construct(&g, s).unwrap_err(),
+                    LabelingError::NotConnected
+                );
+                assert_eq!(
+                    lambda_ack::construct(&g, s).unwrap_err(),
+                    LabelingError::NotConnected
+                );
+                assert_eq!(
+                    lambda_arb::construct_with_coordinator(&g, s, ReductionOrder::Forward)
+                        .unwrap_err(),
+                    LabelingError::NotConnected
+                );
+                assert_eq!(
+                    multi::construct(&g, &[s]).unwrap_err(),
+                    LabelingError::NotConnected
+                );
+                assert_eq!(
+                    multi::construct_with_coordinator(&g, &[0], s).unwrap_err(),
+                    LabelingError::NotConnected
+                );
+                assert_eq!(
+                    gossip::construct_with_coordinator(&g, s).unwrap_err(),
+                    LabelingError::NotConnected
+                );
+            }
+            assert_eq!(
+                lambda_arb::construct(&g).unwrap_err(),
+                LabelingError::NotConnected
+            );
+            assert_eq!(
+                gossip::construct(&g).unwrap_err(),
+                LabelingError::NotConnected
+            );
+        }
     }
 
     #[test]

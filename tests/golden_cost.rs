@@ -12,12 +12,20 @@
 //! Instances: path, random tree and sparse G(n, p) (average degree 4),
 //! seed 1, at n ∈ {256, 512}.
 //!
+//! The file's second block pins the cost of the §2.1 construction behind
+//! every λ-family labeling: `SequenceConstruction::adjacency_reads` from
+//! source 0, on the same instances plus `clustered_gnp`, whose dense
+//! clusters keep large frontiers alive for many stages.
+//!
 //! A row may only change together with a deliberate change to what a run
 //! costs; the failure message prints each changed row as it now reads, for
 //! updating the file in that same change.
 
 use radio_labeling::broadcast::session::{Scheme, Session, TracePolicy};
+use radio_labeling::graph::algorithms::ReductionOrder;
 use radio_labeling::graph::generators::TopologyFamily;
+use radio_labeling::graph::Graph;
+use radio_labeling::labeling::sequences::SequenceConstruction;
 use radio_labeling::radio::RunCounters;
 use std::sync::Arc;
 
@@ -34,6 +42,13 @@ const FAMILIES: [TopologyFamily; 3] = [
 
 const SIZES: [usize; 2] = [256, 512];
 
+/// The construction rows add a dense family to [`FAMILIES`].
+const CLUSTERED: TopologyFamily = TopologyFamily::ClusteredGnp {
+    clusters: 6,
+    p_in: 0.6,
+    p_out: 0.01,
+};
+
 /// The counters of one instrumented, untraced run from source 0.
 fn counters(family: TopologyFamily, n: usize, scheme: Scheme) -> RunCounters {
     let graph = Arc::new(family.generate(n, 1).expect("cost families generate"));
@@ -43,6 +58,15 @@ fn counters(family: TopologyFamily, n: usize, scheme: Scheme) -> RunCounters {
         .unwrap_or_else(|e| panic!("{}/{n}/{}: {e}", family.name(), scheme.name()));
     let (_, metrics) = session.run_instrumented();
     metrics.counters.expect("instrumented runs count")
+}
+
+/// The instance of a construction row and its §2.1 construction from
+/// source 0.
+fn construction(family: TopologyFamily, n: usize) -> (Graph, SequenceConstruction) {
+    let graph = family.generate(n, 1).expect("cost families generate");
+    let c = SequenceConstruction::build(&graph, 0, ReductionOrder::Forward)
+        .unwrap_or_else(|e| panic!("{}/{n}: {e}", family.name()));
+    (graph, c)
 }
 
 fn actual_rows() -> Vec<String> {
@@ -59,6 +83,17 @@ fn actual_rows() -> Vec<String> {
                     c.harness_visits
                 ));
             }
+        }
+    }
+    rows.push("# <family>/<n>/construction adjacency_reads".to_string());
+    for family in FAMILIES.into_iter().chain([CLUSTERED]) {
+        for n in SIZES {
+            let (_, c) = construction(family, n);
+            rows.push(format!(
+                "{}/{n}/construction {}",
+                family.name(),
+                c.adjacency_reads()
+            ));
         }
     }
     rows
@@ -112,5 +147,54 @@ fn cost_grows_linearly_on_a_path() {
                 scheme.name()
             );
         }
+    }
+}
+
+#[test]
+fn construction_reads_grow_linearly_on_sparse_families() {
+    // Stage i reads the rows of NEW_{i−1} and of C_i = DOM_{i−1} ∪ NEW_{i−1};
+    // on these families that is O(n + m) over the whole build.
+    for family in FAMILIES {
+        let (_, small) = construction(family, 256);
+        let (_, large) = construction(family, 512);
+        let (a, b) = (small.adjacency_reads(), large.adjacency_reads());
+        assert!(a > 0, "{}: counted nothing", family.name());
+        assert!(
+            b as f64 <= 2.2 * a as f64,
+            "{}: adjacency_reads grew from {a} at n = 256 to {b} at n = 512",
+            family.name()
+        );
+    }
+}
+
+#[test]
+fn construction_never_reads_frontier_rows_on_dense_clusters() {
+    // On clustered_gnp a frontier node stays in FRONTIER_i for many stages,
+    // so counting each one's dominators from its own row would read
+    // Σ_i Σ_{t∈FRONTIER_i} deg(t) entries, several times 2m. The build
+    // counts them from the candidates' rows instead and stays under
+    // BOUND · (2m + n). Swapping the candidate rows of the cover count for
+    // the frontier rows would break that bound, as the second assert checks.
+    const BOUND: f64 = 4.5;
+    for n in SIZES {
+        let (g, c) = construction(CLUSTERED, n);
+        let budget = BOUND * (2 * g.edge_count() + g.node_count()) as f64;
+        let reads = c.adjacency_reads();
+        assert!(
+            reads as f64 <= budget,
+            "n = {n}: {reads} adjacency reads, over {budget}"
+        );
+        let degree_sum = |set: &[usize]| set.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
+        let (mut candidate_rows, mut frontier_rows) = (0, 0);
+        for w in c.stages().windows(2) {
+            // C_i = DOM_{i−1} ∪ NEW_{i−1}, two disjoint sets.
+            candidate_rows += degree_sum(&w[0].dom) + degree_sum(&w[0].new);
+            frontier_rows += degree_sum(&w[1].frontier);
+        }
+        let frontier_side = reads - candidate_rows + frontier_rows;
+        assert!(
+            frontier_side as f64 > budget,
+            "n = {n}: a frontier-side count ({frontier_side}) would also fit in {budget}"
+        );
     }
 }
