@@ -168,13 +168,14 @@ fn construction_reads_grow_linearly_on_sparse_families() {
 }
 
 #[test]
-fn construction_never_reads_frontier_rows_on_dense_clusters() {
+fn construction_reads_stay_bounded_on_dense_clusters() {
     // On clustered_gnp a frontier node stays in FRONTIER_i for many stages,
     // so counting each one's dominators from its own row would read
-    // Σ_i Σ_{t∈FRONTIER_i} deg(t) entries, several times 2m. The build
-    // counts them from the candidates' rows instead and stays under
-    // BOUND · (2m + n). Swapping the candidate rows of the cover count for
-    // the frontier rows would break that bound, as the second assert checks.
+    // Σ_i Σ_{t∈FRONTIER_i} deg(t) entries, a multiple of 2m that grows with
+    // n. The build counts them from the candidates' rows instead and stays
+    // under BOUND · (2m + n). Swapping the candidate rows of the cover
+    // count for the frontier rows would break that bound, as the second
+    // assert checks.
     const BOUND: f64 = 4.5;
     for n in SIZES {
         let (g, c) = construction(CLUSTERED, n);
