@@ -107,14 +107,15 @@ pub fn is_proper_coloring(g: &Graph, coloring: &[usize]) -> bool {
 pub fn square_graph(g: &Graph) -> Graph {
     let n = g.node_count();
     let mut b = GraphBuilder::new(n);
+    // `row_of[w] == u` once w is in u's row: a pair joined by many two-hop
+    // paths becomes one edge.
+    let mut row_of = vec![usize::MAX; n];
     for u in 0..n {
         for &v in g.neighbors(u) {
-            if u < v {
-                b.add_edge_idempotent(u, v).expect("valid edge");
-            }
-            for &w in g.neighbors(v) {
-                if u < w {
-                    b.add_edge_idempotent(u, w).expect("valid edge");
+            for &w in std::iter::once(&v).chain(g.neighbors(v)) {
+                if u < w && row_of[w] != u {
+                    row_of[w] = u;
+                    b.add_edge(u, w).expect("valid edge");
                 }
             }
         }

@@ -4,6 +4,7 @@
 //! experiment harness uses these checks both to validate generators and to
 //! repair (augment) random graphs that come out disconnected.
 
+use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -60,16 +61,17 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
     components
 }
 
-/// A minimal set of extra edges that connects the graph: one edge linking a
-/// representative of each component to a representative of the first
-/// component. Returns an empty list if the graph is already connected.
-pub fn connecting_edges(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let comps = connected_components(g);
+/// Connects `g` with the fewest extra edges, the repair the random
+/// generators apply to a disconnected sample: one edge from node 0 to the
+/// smallest node of every other component. Returns the connected graph and
+/// the number of edges added (0, with `g` itself, when `g` is connected).
+pub fn connect(g: Graph) -> Result<(Graph, usize), GraphError> {
+    let comps = connected_components(&g);
     if comps.len() <= 1 {
-        return Vec::new();
+        return Ok((g, 0));
     }
-    let anchor = comps[0][0];
-    comps[1..].iter().map(|c| (anchor, c[0])).collect()
+    let extra: Vec<(NodeId, NodeId)> = comps[1..].iter().map(|c| (0, c[0])).collect();
+    Ok((g.with_extra_edges(&extra)?, extra.len()))
 }
 
 #[cfg(test)]
@@ -113,26 +115,25 @@ mod tests {
     }
 
     #[test]
-    fn connecting_edges_empty_for_connected() {
+    fn connect_leaves_a_connected_graph_alone() {
         let g = generators::complete(4);
-        assert!(connecting_edges(&g).is_empty());
+        assert_eq!(connect(g.clone()).unwrap(), (g, 0));
+        assert_eq!(connect(Graph::empty(0)).unwrap(), (Graph::empty(0), 0));
     }
 
     #[test]
-    fn connecting_edges_connects_the_graph() {
+    fn connect_links_node_zero_to_each_other_component() {
         let g = Graph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]).unwrap();
-        let extra = connecting_edges(&g);
-        assert_eq!(extra.len(), 2);
-        let g2 = g.with_extra_edges(&extra).unwrap();
-        assert!(is_connected(&g2));
+        let (g2, added) = connect(g).unwrap();
+        assert_eq!(added, 2);
+        let expected = [(0, 1), (2, 3), (4, 5), (0, 2), (0, 4)];
+        assert_eq!(g2, Graph::from_edges(6, &expected).unwrap());
     }
 
     #[test]
-    fn connecting_edges_on_fully_isolated_nodes() {
-        let g = Graph::empty(4);
-        let extra = connecting_edges(&g);
-        assert_eq!(extra.len(), 3);
-        let g2 = g.with_extra_edges(&extra).unwrap();
+    fn connect_on_fully_isolated_nodes() {
+        let (g2, added) = connect(Graph::empty(4)).unwrap();
+        assert_eq!(added, 3);
         assert!(is_connected(&g2));
     }
 }

@@ -9,7 +9,7 @@
 //!   degree never exceeds a cap Δ, the bounded-degree regime in which the
 //!   paper's `O(n)` round bounds are tight up to constants.
 
-use crate::algorithms::connectivity::{connecting_edges, is_connected};
+use crate::algorithms::connectivity::connect;
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use rand::Rng;
@@ -74,13 +74,7 @@ pub fn clustered_gnp(
             }
         }
     }
-    let g = b.try_build()?;
-    if is_connected(&g) {
-        Ok(g)
-    } else {
-        let extra = connecting_edges(&g);
-        g.with_extra_edges(&extra)
-    }
+    Ok(connect(b.try_build()?)?.0)
 }
 
 /// Connected random graph with maximum degree at most `max_degree`: a

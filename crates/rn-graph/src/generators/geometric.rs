@@ -9,7 +9,7 @@
 //! G(n, p)), so the experiment suite can run on "deployment-shaped" networks
 //! and not just combinatorial families.
 
-use crate::algorithms::connectivity::{connecting_edges, is_connected};
+use crate::algorithms::connectivity::connect;
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use rand::Rng;
@@ -62,14 +62,7 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
             }
         }
     }
-    let g = b.try_build()?;
-    let (graph, repair_edges) = if is_connected(&g) {
-        (g, 0)
-    } else {
-        let extra = connecting_edges(&g);
-        let count = extra.len();
-        (g.with_extra_edges(&extra)?, count)
-    };
+    let (graph, repair_edges) = connect(b.try_build()?)?;
     Ok(UnitDiskInstance {
         graph,
         positions,

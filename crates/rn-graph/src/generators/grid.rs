@@ -45,8 +45,8 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
             let v = i * cols + j;
             let right = i * cols + (j + 1) % cols;
             let down = ((i + 1) % rows) * cols + j;
-            b.add_edge_idempotent(v, right).expect("torus edge");
-            b.add_edge_idempotent(v, down).expect("torus edge");
+            b.add_edge(v, right).expect("torus edge");
+            b.add_edge(v, down).expect("torus edge");
         }
     }
     b.build()

@@ -4,7 +4,7 @@
 //! All generators take an explicit seed and are fully deterministic for a
 //! given seed, which keeps every experiment reproducible.
 
-use crate::algorithms::connectivity::{connecting_edges, is_connected};
+use crate::algorithms::connectivity::{connect, is_connected};
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use rand::seq::SliceRandom;
@@ -37,13 +37,7 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
             }
         }
     }
-    let g = b.try_build()?;
-    if is_connected(&g) {
-        Ok(g)
-    } else {
-        let extra = connecting_edges(&g);
-        g.with_extra_edges(&extra)
-    }
+    Ok(connect(b.try_build()?)?.0)
 }
 
 /// Connected random bipartite graph with sides of size `a` and `b`: each
@@ -134,7 +128,7 @@ pub fn random_regularish(n: usize, target_degree: usize, seed: u64) -> Result<Gr
     order.shuffle(&mut rng);
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
-        b.add_edge_idempotent(order[i], order[(i + 1) % n])
+        b.add_edge(order[i], order[(i + 1) % n])
             .expect("cycle edge");
     }
     let target_edges = n * target_degree / 2;

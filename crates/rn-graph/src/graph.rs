@@ -221,20 +221,22 @@ impl Graph {
 
 /// Incremental, validating builder for [`Graph`].
 ///
-/// Rejects self-loops, duplicate edges and out-of-range endpoints as they
-/// are added, so a successful [`build`](GraphBuilder::build) always yields a
-/// valid simple graph.
+/// Rejects self-loops and out-of-range endpoints as they are added, and
+/// duplicate edges when the rows are packed: [`try_build`](Self::try_build)
+/// sorts every row anyway, so a repeated edge costs nothing to spot there.
+/// A successful build therefore always yields a valid simple graph.
 ///
 /// ```
-/// use rn_graph::GraphBuilder;
+/// use rn_graph::{GraphBuilder, GraphError};
 ///
 /// let mut b = GraphBuilder::new(3);
 /// b.add_edge(0, 1)?;
 /// b.add_edge(1, 2)?;
-/// assert!(b.add_edge(1, 1).is_err());          // self-loop
-/// b.add_edge_idempotent(0, 1)?;                // duplicate: ignored
-/// let g = b.build();
-/// assert_eq!(g.edge_count(), 2);
+/// assert!(b.add_edge(1, 1).is_err()); // self-loop: rejected at once
+/// assert_eq!(b.clone().try_build()?.edge_count(), 2);
+///
+/// b.add_edge(2, 1)?; // duplicate: rejected when packed
+/// assert_eq!(b.try_build(), Err(GraphError::DuplicateEdge { u: 1, v: 2 }));
 /// # Ok::<(), rn_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -257,7 +259,7 @@ impl GraphBuilder {
         self.adj.len()
     }
 
-    /// Number of edges added so far.
+    /// Number of edges added so far, duplicates included.
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -269,8 +271,7 @@ impl GraphBuilder {
 
     /// Adds the undirected edge `{u, v}`.
     ///
-    /// Rejects out-of-range endpoints, self-loops and duplicate edges —
-    /// and, the moment the total degree would cross the `u32` CSR offset
+    /// Rejects out-of-range endpoints and self-loops — and, the moment the total degree would cross the `u32` CSR offset
     /// limit, [`GraphError::TooLarge`]: checking here (not only in
     /// [`try_build`](Self::try_build)) stops the incremental random
     /// generators at the limit instead of letting them accumulate an
@@ -292,9 +293,6 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.adj[u].contains(&v) {
-            return Err(GraphError::DuplicateEdge { u, v });
-        }
         let total_degree = 2 * (self.edge_count + 1);
         if u32::try_from(total_degree).is_err() {
             return Err(GraphError::TooLarge { total_degree });
@@ -305,19 +303,14 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Adds the edge if it is not already present, ignoring duplicates.
-    ///
-    /// Still rejects self-loops and out-of-range endpoints.
-    pub fn add_edge_idempotent(&mut self, u: NodeId, v: NodeId) -> Result<&mut Self, GraphError> {
-        match self.add_edge(u, v) {
-            Ok(_) | Err(GraphError::DuplicateEdge { .. }) => Ok(self),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Finalises the builder into an immutable [`Graph`], packing the
     /// per-node lists straight into CSR form (sorted rows, one flat neighbour
     /// array, `u32` row offsets).
+    ///
+    /// Returns [`GraphError::DuplicateEdge`] `{ u, v }` with `u < v` if an
+    /// edge was added twice (in either orientation): it is the smallest
+    /// repeated neighbour `v` of the first row `u` that has one, found as
+    /// two equal neighbours side by side once the row is sorted.
     ///
     /// Returns [`GraphError::TooLarge`] if the total degree exceeds
     /// `u32::MAX` (an adjacency structure of over 4 billion entries — beyond
@@ -334,8 +327,13 @@ impl GraphBuilder {
         let mut neighbors = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(self.adj.len() + 1);
         offsets.push(0u32);
-        for ns in &mut self.adj {
+        for (u, ns) in self.adj.iter_mut().enumerate() {
             ns.sort_unstable();
+            // A repeat of {u, w} with w < u would already have shown in the
+            // earlier row w, so here v > u.
+            if let Some(pair) = ns.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(GraphError::DuplicateEdge { u, v: pair[0] });
+            }
             neighbors.extend_from_slice(ns);
             offsets.push(neighbors.len() as u32);
         }
@@ -350,8 +348,9 @@ impl GraphBuilder {
     /// closed-form generators whose sizes cannot approach the CSR limit.
     ///
     /// # Panics
-    /// Panics if the total degree exceeds `u32::MAX`; size-fallible callers
-    /// should use [`try_build`](Self::try_build) instead.
+    /// Panics if an edge was added twice or the total degree exceeds
+    /// `u32::MAX`; fallible callers should use
+    /// [`try_build`](Self::try_build) instead.
     pub fn build(self) -> Graph {
         self.try_build()
             .unwrap_or_else(|e| panic!("{e} (use try_build to handle this as an error)"))
@@ -443,29 +442,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn builder_rejects_duplicate_edges_both_orientations() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).unwrap();
-        assert_eq!(
-            b.add_edge(0, 1).unwrap_err(),
-            GraphError::DuplicateEdge { u: 0, v: 1 }
-        );
-        assert_eq!(
-            b.add_edge(1, 0).unwrap_err(),
-            GraphError::DuplicateEdge { u: 1, v: 0 }
-        );
+    fn builder_with(n: usize, edges: &[(NodeId, NodeId)]) -> GraphBuilder {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in edges {
+            b.add_edge(u, v).unwrap();
+        }
+        b
     }
 
     #[test]
-    fn builder_idempotent_edge_insertion() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge_idempotent(0, 1).unwrap();
-        b.add_edge_idempotent(1, 0).unwrap();
-        b.add_edge_idempotent(0, 1).unwrap();
-        assert!(b.add_edge_idempotent(2, 2).is_err());
-        let g = b.build();
-        assert_eq!(g.edge_count(), 1);
+    fn builder_rejects_duplicate_edges_both_orientations() {
+        for edges in [[(0, 1), (0, 1)], [(0, 1), (1, 0)]] {
+            assert_eq!(
+                builder_with(3, &edges).try_build(),
+                Err(GraphError::DuplicateEdge { u: 0, v: 1 }),
+                "{edges:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge (0, 1)")]
+    fn builder_build_panics_on_a_duplicate_edge() {
+        builder_with(3, &[(1, 0), (0, 1)]).build();
+    }
+
+    #[test]
+    fn builder_reports_the_duplicate_of_the_first_row_that_has_one() {
+        // Rows 0 and 1 are clean; row 2 repeats 4 (and row 3 repeats 5).
+        let edges = [(0, 1), (3, 5), (4, 2), (1, 2), (5, 3), (2, 4), (2, 3)];
+        assert_eq!(
+            builder_with(6, &edges).try_build(),
+            Err(GraphError::DuplicateEdge { u: 2, v: 4 })
+        );
     }
 
     #[test]
