@@ -72,8 +72,9 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
 }
 
 /// Convenience wrapper returning only the graph, with a radius chosen so the
-/// expected degree is around `target_degree` (`r ≈ sqrt(target/(π n))`,
-/// clamped to a sensible range).
+/// expected degree is around `target_degree`: `r = sqrt(target/(π n))`,
+/// capped at √2, the diagonal of the unit square. There is no lower bound,
+/// so the degree stays on target however large `n` grows.
 pub fn unit_disk_with_degree(n: usize, target_degree: f64, seed: u64) -> Result<Graph, GraphError> {
     if target_degree <= 0.0 || target_degree.is_nan() {
         return Err(GraphError::InvalidParameters {
@@ -84,7 +85,7 @@ pub fn unit_disk_with_degree(n: usize, target_degree: f64, seed: u64) -> Result<
     }
     let radius = (target_degree / (std::f64::consts::PI * n.max(1) as f64))
         .sqrt()
-        .clamp(0.01, std::f64::consts::SQRT_2);
+        .min(std::f64::consts::SQRT_2);
     Ok(unit_disk(n, radius, seed)?.graph)
 }
 
