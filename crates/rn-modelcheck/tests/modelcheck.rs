@@ -167,6 +167,18 @@ fn parse_repro_rejects_malformed_specs() {
     assert!(parse_repro("scheme=nonsense;n=2;edges=0-1").is_err());
     assert!(parse_repro("scheme=lambda;n=2;edges=0-1;faults=explode:0@1").is_err());
     assert!(parse_repro("scheme=lambda;n=2;edges=0-1;bogus=1").is_err());
+    // The graph must be simple and in range; a repeated edge is named with
+    // its smaller endpoint first, whichever orientation repeated it.
+    let err = parse_repro("scheme=lambda;n=3;edges=0-1,1-2,1-0").unwrap_err();
+    assert!(err.contains("(0, 1)"), "{err}");
+    assert!(
+        parse_repro("scheme=lambda;n=2;edges=0-0").is_err(),
+        "self-loop"
+    );
+    assert!(
+        parse_repro("scheme=lambda;n=2;edges=0-2").is_err(),
+        "out of range"
+    );
 }
 
 #[test]
