@@ -1,9 +1,9 @@
 //! Scale guard for the generators whose parameters depend on `n`.
 //!
-//! `unit_disk_with_degree` picks the radius `sqrt(target/(π n))`. A fixed
-//! lower bound on that radius (there was one, at 0.01) silently overrides
-//! the target once `n` is large: at n = 60 000 a target of 8 gave an average
-//! degree of 18.7. Ignored by default because a debug build is slow at this
+//! `unit_disk_with_degree` picks the radius `sqrt(target/(π n))`. Any fixed
+//! lower bound on that radius overrides the target once `n` is large: a
+//! floor of 0.01 turns a target of 8 into an average degree of 18.7 at
+//! n = 60 000. Ignored by default because a debug build is slow at this
 //! size; run it in release with
 //!
 //! ```text
