@@ -37,7 +37,6 @@
 use rn_broadcast::algo_b::BNode;
 use rn_broadcast::algo_back::BackNode;
 use rn_broadcast::algo_barb::ArbNode;
-use rn_broadcast::gossip::GossipNode;
 use rn_broadcast::multi::MultiNode;
 use rn_graph::generators::TopologyFamily;
 use rn_graph::{generators, Graph};
@@ -237,7 +236,7 @@ fn run_gossip_workload(name: &'static str, graph: Graph, cfg: &Config) -> Measur
         name,
         "gossip",
         Arc::clone(&graph),
-        move || GossipNode::network(&scheme, &payloads),
+        move || MultiNode::network(&scheme, &payloads),
         cfg,
     )
 }

@@ -136,6 +136,11 @@ impl BackEngine {
         self.sourcemsg = Some(payload);
     }
 
+    /// Whether this node is the source of this instance.
+    pub(crate) fn is_source(&self) -> bool {
+        self.is_source
+    }
+
     /// Whether this engine's source has been enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled

@@ -18,7 +18,6 @@ use rn_radio::{hint_until, Action, RadioNode};
 #[derive(Debug, Clone)]
 pub struct BackNode {
     engine: BackEngine,
-    is_source: bool,
 }
 
 impl BackNode {
@@ -26,7 +25,6 @@ impl BackNode {
     /// the source and `None` for everyone else.
     pub fn new(label: Label, sourcemsg: Option<SourceMessage>) -> Self {
         BackNode {
-            is_source: sourcemsg.is_some(),
             engine: BackEngine::new(
                 Phase::One,
                 label,
@@ -75,13 +73,13 @@ impl BackNode {
     /// Whether this node is the source and has heard an acknowledgement —
     /// the event bounded by Theorem 3.9.
     pub fn source_received_ack(&self) -> bool {
-        self.is_source && self.engine.first_ack_heard().is_some()
+        self.engine.is_source() && self.engine.first_ack_heard().is_some()
     }
 
     /// Whether the source has heard the chain-terminating acknowledgement
     /// (one whose tag is a round in which the source itself transmitted).
     pub fn source_received_final_ack(&self) -> bool {
-        self.is_source && self.engine.final_ack().is_some()
+        self.engine.is_source() && self.engine.final_ack().is_some()
     }
 }
 
@@ -109,7 +107,7 @@ impl RadioNode for BackNode {
 
     fn state_digest(&self) -> u64 {
         self.engine
-            .digest_into(rn_radio::Digest::new(0xBAC).flag(self.is_source))
+            .digest_into(rn_radio::Digest::new(0xBAC).flag(self.engine.is_source()))
             .finish()
     }
 }

@@ -19,12 +19,10 @@
 //! * [`multi`] — the multi-message relay protocol driving any
 //!   `rn_labeling::collection::CollectionPlan`: a collision-free collection
 //!   phase funnels every source's message to a coordinator, which then runs
-//!   Algorithm B on the bundle of all k messages (instantiated for the
-//!   k-source `multi_lambda` scheme by [`multi::MultiNode`]);
-//! * [`gossip`] — the all-to-all **gossip** protocol driving
-//!   `rn_labeling::gossip`: the same relay core on a DFS token-walk plan,
-//!   so all n messages reach the coordinator in `2(n − 1)` collision-free
-//!   rounds before the bundle broadcast;
+//!   Algorithm B on the bundle of all k messages. [`multi::MultiNode`] runs
+//!   both the k-source `multi_lambda` scheme (BFS-path plan) and
+//!   all-to-all **gossip**, its `k = n` case (DFS token-walk plan: all n
+//!   messages reach the coordinator in `2(n − 1)` collision-free rounds);
 //! * [`baselines`] — the slotted round-robin algorithms driven by the
 //!   unique-identifier and square-colouring baselines of §1.1;
 //! * [`verify`] — omniscient verification oracles used by tests and
@@ -51,15 +49,15 @@ pub mod algo_barb;
 pub mod baselines;
 pub mod common_round;
 pub mod delay_relay;
-pub mod gossip;
 pub mod messages;
 pub mod multi;
 pub mod session;
 pub mod verify;
 
-pub use gossip::GossipNode;
 pub use messages::{BMessage, MessageBundle, MultiMessage, Phase, TaggedMessage, TaggedPayload};
 pub use multi::MultiNode;
+/// The benchmark crate under `benchmark/` still names gossip's node type.
+pub use multi::MultiNode as GossipNode;
 pub use session::{
     RoundCapPolicy, RunReport, RunSpec, Scheme, Session, SessionBuilder, StopPolicy, TracePolicy,
 };

@@ -40,8 +40,8 @@ impl RadioMessage for BMessage {
 /// by-reference delivery cheap for arbitrarily large k.
 pub type MessageBundle = std::sync::Arc<Vec<(u32, SourceMessage)>>;
 
-/// Messages of the multi-message algorithms (see `crate::multi` and
-/// `crate::gossip`): the collection-phase relays (single-message BFS-path
+/// Messages of the multi-message algorithms (multi-broadcast and gossip, see
+/// `crate::multi`): the collection-phase relays (single-message BFS-path
 /// hops or accumulated DFS tokens), the broadcast-phase bundle, and the
 /// same constant-size "stay" word Algorithm B uses.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,9 +1,11 @@
 //! The multi-message relay protocol driving any
 //! [`rn_labeling::collection::CollectionPlan`]: collision-free collection
 //! to a coordinator, then the paper's Algorithm B relaying the bundle of
-//! all k messages. [`MultiNode::network`] instantiates it for the k-source
-//! [`rn_labeling::multi`] scheme (BFS-path plans); the gossip protocol of
-//! [`crate::gossip`] reuses the same state machine for DFS-token plans.
+//! all k messages. [`MultiNode::network`] instantiates it for any
+//! [`MultiLambdaScheme`]: the k-source [`rn_labeling::multi`] scheme
+//! (BFS-path plans) and all-to-all [`rn_labeling::gossip`], the `k = n`
+//! case, whose DFS token-walk plan funnels every node's message to the
+//! coordinator in `2(n − 1)` rounds.
 //!
 //! Every node runs the same [`MultiNode`] state machine; its behaviour
 //! depends only on its advice (the 2-bit λ label plus its slice of the
@@ -38,9 +40,8 @@
 
 use crate::algo_b::{BClock, BRule};
 use crate::messages::{MessageBundle, MultiMessage, SourceMessage};
-use rn_labeling::collection::{CollectionPlan, TokenPayload};
+use rn_labeling::collection::TokenPayload;
 use rn_labeling::multi::MultiLambdaScheme;
-use rn_labeling::Labeling;
 use rn_radio::{hint_until, Action, RadioNode};
 use std::sync::Arc;
 
@@ -74,30 +75,15 @@ pub struct MultiNode {
 
 impl MultiNode {
     /// Builds the protocol instances for a whole network from the scheme
-    /// and the k source payloads (`payloads[j]` is the message of
-    /// `scheme.sources()[j]`).
+    /// and the k source payloads: `scheme.sources()[j]` holds `payloads[j]`
+    /// from round 0; each node's slice of the plan becomes its relay
+    /// schedule; the plan's coordinator opens the broadcast phase when the
+    /// plan ends.
     ///
     /// # Panics
     /// Panics if `payloads.len() != scheme.k()`.
     pub fn network(scheme: &MultiLambdaScheme, payloads: &[SourceMessage]) -> Vec<MultiNode> {
-        Self::plan_network(scheme.labeling(), scheme.plan(), scheme.sources(), payloads)
-    }
-
-    /// Builds the protocol instances for any collection plan: the shared
-    /// constructor behind [`MultiNode::network`] (BFS-path plans) and
-    /// [`crate::gossip::GossipNode::network`] (DFS-token plans).
-    /// `sources[j]` holds `payloads[j]` from round 0; each node's slice of
-    /// the plan becomes its relay schedule; the plan's coordinator opens
-    /// the broadcast phase when the plan ends.
-    ///
-    /// # Panics
-    /// Panics if `payloads.len() != sources.len()`.
-    pub(crate) fn plan_network(
-        labeling: &Labeling,
-        plan: &CollectionPlan,
-        sources: &[usize],
-        payloads: &[SourceMessage],
-    ) -> Vec<MultiNode> {
+        let (labeling, plan, sources) = (scheme.labeling(), scheme.plan(), scheme.sources());
         assert_eq!(
             payloads.len(),
             sources.len(),
@@ -328,7 +314,7 @@ impl RadioNode for MultiNode {
 mod tests {
     use super::*;
     use rn_graph::generators;
-    use rn_labeling::multi;
+    use rn_labeling::{gossip, multi};
     use rn_radio::{Simulator, StopCondition};
 
     fn run_multi(
@@ -532,6 +518,114 @@ mod tests {
         assert_eq!(node.step(slot), Action::Transmit(relay));
         // Nothing else is scheduled: it sleeps until the bundle comes.
         assert_eq!(node.wake_hint(slot), u64::MAX);
+    }
+
+    /// Runs gossip — the `k = n` multi-broadcast on a DFS token-walk plan —
+    /// with `payloads[v]` as node `v`'s message.
+    fn run_gossip(
+        g: rn_graph::Graph,
+        payloads: &[SourceMessage],
+    ) -> (Simulator<MultiNode>, MultiLambdaScheme) {
+        let scheme = gossip::construct(&g).unwrap();
+        let nodes = MultiNode::network(&scheme, payloads);
+        let n = g.node_count() as u64;
+        let mut sim = Simulator::new(g, nodes);
+        sim.run_until(
+            StopCondition::QuietFor {
+                quiet: 3,
+                cap: 6 * (n + 2) + 16,
+            },
+            |s| s.nodes().iter().all(MultiNode::holds_all_messages),
+        );
+        (sim, scheme)
+    }
+
+    #[test]
+    fn gossip_every_node_learns_every_message() {
+        for g in [
+            generators::path(12),
+            generators::grid(4, 5),
+            generators::cycle(9),
+            generators::star(8),
+            generators::gnp_connected(30, 0.12, 5).unwrap(),
+        ] {
+            let n = g.node_count();
+            let payloads: Vec<u64> = (0..n as u64).map(|j| 100 + j).collect();
+            let (sim, _) = run_gossip(g, &payloads);
+            for (v, node) in sim.nodes().iter().enumerate() {
+                assert!(node.holds_all_messages(), "node {v} missing a message");
+                for (j, &p) in payloads.iter().enumerate() {
+                    assert_eq!(node.payloads()[j], Some(p), "node {v}, message {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gossip_collection_rounds_have_exactly_one_transmitter() {
+        let g = generators::gnp_connected(24, 0.15, 8).unwrap();
+        let scheme = gossip::construct(&g).unwrap();
+        let n = g.node_count();
+        let payloads: Vec<u64> = (0..n as u64).collect();
+        let nodes = MultiNode::network(&scheme, &payloads);
+        let mut sim = Simulator::new(g, nodes);
+        assert_eq!(scheme.collection_rounds(), 2 * (n as u64 - 1));
+        for round in 1..=scheme.collection_rounds() {
+            let tx = sim.step_round();
+            assert_eq!(tx, 1, "collection round {round}");
+        }
+        // The next round is the coordinator's opening bundle transmission,
+        // and by then the coordinator holds everything.
+        let r = scheme.coordinator();
+        assert!(sim.nodes()[r].holds_all_messages());
+        assert_eq!(sim.step_round(), 1);
+        let record = sim.trace().rounds.last().unwrap();
+        assert_eq!(record.transmitters(), vec![r]);
+        let first_neighbor = sim.graph().neighbors(r)[0];
+        assert!(matches!(
+            sim.trace().heard_in_round(first_neighbor, record.round),
+            Some(MultiMessage::Bundle(_))
+        ));
+    }
+
+    #[test]
+    fn gossip_completes_within_the_linear_bound() {
+        // Collection 2(n-1) + Theorem 2.9's 2n - 3 for the bundle phase.
+        for seed in 0..4u64 {
+            let g = generators::gnp_connected(26, 0.14, seed).unwrap();
+            let n = g.node_count() as u64;
+            let payloads: Vec<u64> = (0..n).collect();
+            let (sim, _) = run_gossip(g, &payloads);
+            assert!(sim.nodes().iter().all(MultiNode::holds_all_messages));
+            let bound = 2 * (n - 1) + 2 * n - 3;
+            assert!(
+                sim.current_round() <= bound + 3, // + the quiet-tail rounds
+                "seed {seed}: {} rounds > bound {bound}",
+                sim.current_round()
+            );
+        }
+    }
+
+    #[test]
+    fn gossip_nodes_next_to_the_token_absorb_messages_early() {
+        // On a star with hub coordinator, the walk is hub → leaf 1 → hub →
+        // leaf 2 → …; after three steps the hub has retransmitted the token
+        // {µ_0, µ_1}, so every leaf already holds leaf 1's message long
+        // before the final bundle — but nobody holds leaf 2's yet.
+        let g = generators::star(6);
+        let scheme = gossip::construct_with_coordinator(&g, 0).unwrap();
+        let payloads: Vec<u64> = (0..6u64).map(|j| 50 + j).collect();
+        let nodes = MultiNode::network(&scheme, &payloads);
+        let mut sim = Simulator::new(g, nodes);
+        sim.step_round(); // hub transmits its own message
+        sim.step_round(); // leaf 1 returns the token with its message added
+        sim.step_round(); // hub walks the token onward; every leaf overhears
+        for v in 2..6 {
+            assert!(sim.nodes()[v].has_message(1), "leaf {v} overheard leaf 1");
+        }
+        for v in 3..6 {
+            assert!(!sim.nodes()[v].has_message(2), "leaf 2 not yet visited");
+        }
     }
 
     #[test]

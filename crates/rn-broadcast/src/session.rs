@@ -51,13 +51,11 @@ use crate::algo_back::BackNode;
 use crate::algo_barb::ArbNode;
 use crate::baselines::SlottedNode;
 use crate::delay_relay::DelayRelayNode;
-use crate::gossip::GossipNode;
 use crate::messages::SourceMessage;
 use crate::multi::MultiNode;
 use crate::verify;
 use rn_graph::{Graph, NodeId};
 use rn_labeling::collection::CollectionPlan;
-use rn_labeling::gossip::GossipScheme;
 use rn_labeling::multi::MultiLambdaScheme;
 use rn_labeling::{
     baselines, gossip, lambda, lambda_ack, lambda_arb, multi, onebit, Labeling, LabelingError,
@@ -650,18 +648,7 @@ impl SessionBuilder {
                     spread.dedup();
                     spread
                 } else {
-                    let mut explicit = self.sources.clone();
-                    for &s in &explicit {
-                        if s >= node_count {
-                            return Err(LabelingError::SourceOutOfRange {
-                                source: s,
-                                node_count,
-                            });
-                        }
-                    }
-                    explicit.sort_unstable();
-                    explicit.dedup();
-                    explicit
+                    multi::validate_sources(&self.graph, &self.sources)?
                 }
             }
             _ => Vec::new(),
@@ -727,7 +714,6 @@ macro_rules! dispatch {
             Template::Slotted($p) => $body,
             Template::DelayRelay($p) => $body,
             Template::Multi($p) => $body,
-            Template::Gossip($p) => $body,
         }
     };
 }
@@ -1483,30 +1469,6 @@ impl Protocol for MultiNode {
     }
 }
 
-impl Protocol for GossipNode {
-    type Plan = GossipScheme;
-
-    fn labeling(plan: &GossipScheme) -> &Labeling {
-        plan.labeling()
-    }
-
-    fn collection_plan(plan: &GossipScheme) -> Option<&CollectionPlan> {
-        Some(plan.plan())
-    }
-
-    fn network(plan: &GossipScheme, _source: NodeId, message: SourceMessage) -> Vec<Self> {
-        GossipNode::network(plan, &multi_payloads(message, plan.k()))
-    }
-
-    fn is_informed(&self) -> bool {
-        self.holds_all_messages()
-    }
-
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
-        observe_messages(nodes, round, report, watch, GossipNode::has_message)
-    }
-}
-
 /// The per-message completion rounds of a multi-message run: message `j` is
 /// complete in the first observed round in which every node holds it
 /// (round 0 when it is universal from the start). Returns whether every
@@ -1590,7 +1552,6 @@ enum Template {
     Slotted(Prepared<SlottedNode>),
     DelayRelay(Prepared<DelayRelayNode>),
     Multi(Prepared<MultiNode>),
-    Gossip(Prepared<GossipNode>),
 }
 
 /// Maps each scheme to its construction and protocol.
@@ -1636,7 +1597,7 @@ fn prepare(
         Scheme::MultiLambda { .. } => Template::Multi(Prepared::build(spans, spec, || {
             multi::construct_with_coordinator(graph, sources, coordinator)
         })?),
-        Scheme::Gossip => Template::Gossip(Prepared::build(spans, spec, || {
+        Scheme::Gossip => Template::Multi(Prepared::build(spans, spec, || {
             gossip::construct_with_coordinator(graph, coordinator)
         })?),
     })

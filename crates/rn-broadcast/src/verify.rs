@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn gossip_trace_replay_agrees_with_session_report() {
-        use crate::gossip::GossipNode;
+        use crate::multi::MultiNode;
         use crate::session::{Scheme, Session};
         use rn_labeling::gossip;
 
@@ -397,7 +397,7 @@ mod tests {
         let payloads: Vec<_> = (0..sources.len() as u64)
             .map(|j| report.message + j)
             .collect();
-        let nodes = GossipNode::network(&scheme, &payloads);
+        let nodes = MultiNode::network(&scheme, &payloads);
         let mut sim = Simulator::new(g.clone(), nodes);
         sim.run_until(StopCondition::QuietFor { quiet: 3, cap: 600 }, |_| false);
 

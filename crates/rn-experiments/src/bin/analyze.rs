@@ -34,8 +34,7 @@ use rn_broadcast::session::{Scheme, Session};
 use rn_experiments::scenario::{fan_out, Instance};
 use rn_experiments::Table;
 use rn_graph::generators::TopologyFamily;
-use rn_graph::Graph;
-use rn_labeling::label::{Label, Labeling};
+use rn_modelcheck::corrupt_labeling;
 use rn_radio::FaultPlan;
 use rn_telemetry::json;
 use std::sync::Arc;
@@ -134,56 +133,6 @@ struct PointOutcome {
     simulated: Option<u64>,
     bound: Option<u64>,
     findings: Vec<Finding>,
-}
-
-/// Seeds one deterministic label corruption appropriate to the scheme and
-/// returns the corrupted labeling plus a description of what was broken.
-fn corrupt_labeling(session: &Session, graph: &Graph) -> (Labeling, String) {
-    let mut labels = session.labeling().labels().to_vec();
-    let scheme = session.scheme();
-    let name = session.labeling().scheme();
-    match scheme {
-        // The baselines certify label structure directly: a duplicated id /
-        // a colour shared inside distance 2 must trip the slot checks.
-        Scheme::UniqueIds => {
-            labels[0] = Label::from_value(labels[1].value(), labels[0].len());
-            (
-                Labeling::new(labels, name),
-                "node 0 copies node 1's id".into(),
-            )
-        }
-        Scheme::SquareColoring => {
-            let u = graph.neighbors(0)[0];
-            labels[0] = Label::from_value(labels[u].value(), labels[0].len());
-            (
-                Labeling::new(labels, name),
-                format!("node 0 copies adjacent node {u}'s colour"),
-            )
-        }
-        // The coordinator-bearing schemes lose their coordinator's bits.
-        Scheme::LambdaArb | Scheme::MultiLambda { .. } | Scheme::Gossip => {
-            let r = session.coordinator();
-            labels[r] = Label::from_value(0, labels[r].len());
-            (
-                Labeling::new(labels, name),
-                format!("coordinator {r}'s label zeroed"),
-            )
-        }
-        // λ / λ_ack: strand a stratum by clearing the highest-indexed
-        // transmitter bit (the labelings are minimal, so every x1 node is
-        // load-bearing).
-        _ => {
-            let v = (0..labels.len())
-                .rev()
-                .find(|&v| labels[v].x1())
-                .expect("every labeling marks at least the source with x1");
-            labels[v] = Label::from_value(0, labels[v].len());
-            (
-                Labeling::new(labels, name),
-                format!("transmitter {v}'s label zeroed"),
-            )
-        }
-    }
 }
 
 /// Analyzes every general scheme on one instance, sharing its graph.

@@ -4,9 +4,9 @@
 //! Gossiping is the second fundamental communication task of the radio
 //! labeling literature ("Optimal-Length Labeling Schemes for Fast
 //! Deterministic Communication in Radio Networks", Gańczorz, Jurdziński &
-//! Pelc 2024); the k-source multi-broadcast of [`crate::multi`] sits between
-//! it and the paper's one-to-all broadcast. This module completes the triad
-//! with the same two-phase reduction, but a different collection plan:
+//! Pelc 2024); it is the `k = n` case of the k-source multi-broadcast of
+//! [`crate::multi`], so it builds the same [`MultiLambdaScheme`] with the
+//! source set `0..n` and a different collection plan:
 //!
 //! 1. **Collection (token walk).** A coordinator `r` is chosen (by default
 //!    the graph centre — the node of minimum eccentricity). A token walks
@@ -22,13 +22,13 @@
 //!    every graph.
 //! 2. **Broadcast.** `r` assembles the bundle of all `n` messages and runs
 //!    the paper's Algorithm B on it under the ordinary 2-bit λ labels of
-//!    `(G, r)` (reusing [`SequenceConstruction`] and
-//!    [`lambda::labels_from_construction`] verbatim). Theorem 2.9 bounds
-//!    the phase by `2n − 3` rounds, so the whole task finishes in
+//!    `(G, r)` (reusing [`crate::sequences::SequenceConstruction`] and
+//!    [`crate::lambda::labels_from_construction`] verbatim). Theorem 2.9
+//!    bounds the phase by `2n − 3` rounds, so the whole task finishes in
 //!    `≤ 4n − 5` collision-managed rounds.
 //!
 //! The λ half of the advice stays constant-length (2 bits per node, which
-//! is what the [`Labeling`] this module reports measures); the token
+//! is what the [`crate::Labeling`] this module reports measures); the token
 //! schedule is the reduction's extra advice — a node visited `σ_v` times by
 //! the tour (its spanning-tree degree) stores `O(σ_v · log n)` bits of slot
 //! rounds, `O(n log n)` over the whole network. `docs/ARCHITECTURE.md`
@@ -36,69 +36,14 @@
 
 use crate::collection::CollectionPlan;
 use crate::error::LabelingError;
-use crate::label::Labeling;
-use crate::lambda;
-use crate::sequences::SequenceConstruction;
-use rn_graph::algorithms::ReductionOrder;
+use crate::multi::{self, MultiLambdaScheme};
 use rn_graph::{Graph, NodeId};
 
 /// Name attached to labelings produced by this scheme.
 pub const SCHEME_NAME: &str = "gossip";
 
-/// Output of the gossip construction: the λ labeling of the
-/// coordinator-rooted graph plus the DFS token-walk collection plan.
-///
-/// Every node is a source; message `j` of a run is the message of node `j`.
-#[derive(Debug, Clone)]
-pub struct GossipScheme {
-    labeling: Labeling,
-    plan: CollectionPlan,
-    construction: SequenceConstruction,
-}
-
-impl GossipScheme {
-    /// The 2-bit λ labeling of `(G, coordinator)`, renamed to
-    /// [`SCHEME_NAME`].
-    pub fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    /// Number of messages in flight — one per node.
-    pub fn k(&self) -> usize {
-        self.labeling.node_count()
-    }
-
-    /// The coordinator `r`: the token walk's root and the virtual source of
-    /// the broadcast phase.
-    pub fn coordinator(&self) -> NodeId {
-        self.plan.coordinator()
-    }
-
-    /// The DFS token-walk collection plan
-    /// ([`CollectionPlan::dfs_token`]): what the relay protocol in
-    /// `rn-broadcast` drives.
-    pub fn plan(&self) -> &CollectionPlan {
-        &self.plan
-    }
-
-    /// Number of rounds of the collection phase — exactly `2(n − 1)`; the
-    /// broadcast phase starts in the following round.
-    pub fn collection_rounds(&self) -> u64 {
-        self.plan.rounds()
-    }
-
-    /// The §2.1 sequence construction of `(G, coordinator)` the λ half was
-    /// derived from (shared with the single-source λ — useful for
-    /// verification oracles).
-    pub fn construction(&self) -> &SequenceConstruction {
-        &self.construction
-    }
-
-    /// Consumes the scheme, returning the labeling.
-    pub fn into_labeling(self) -> Labeling {
-        self.labeling
-    }
-}
+/// The benchmark crate under `benchmark/` still names gossip's scheme type.
+pub type GossipScheme = MultiLambdaScheme;
 
 /// Chooses the default coordinator for gossip: the graph centre — the node
 /// of minimum eccentricity, ties broken toward the smallest id. Every node
@@ -115,43 +60,26 @@ pub fn choose_coordinator(g: &Graph) -> Result<NodeId, LabelingError> {
 
 /// Constructs the gossip scheme for `g` with the default coordinator of
 /// [`choose_coordinator`].
-pub fn construct(g: &Graph) -> Result<GossipScheme, LabelingError> {
+pub fn construct(g: &Graph) -> Result<MultiLambdaScheme, LabelingError> {
     let coordinator = choose_coordinator(g)?;
     construct_with_coordinator(g, coordinator)
 }
 
-/// Constructs the gossip scheme with an explicit coordinator.
-///
-/// The λ half reuses [`SequenceConstruction::build`] and
-/// [`lambda::labels_from_construction`] on `(g, coordinator)`; the
-/// collection plan is the DFS token walk of
-/// [`CollectionPlan::dfs_token`].
+/// Constructs the gossip scheme with an explicit coordinator: the `k = n`
+/// multi-broadcast, whose sources are `0..n` (message `j` is the message
+/// of node `j`) and whose collection plan is the DFS token walk of
+/// [`CollectionPlan::dfs_token`]. The λ half is the 2-bit λ labeling of
+/// `(g, coordinator)`, named [`SCHEME_NAME`].
 pub fn construct_with_coordinator(
     g: &Graph,
     coordinator: NodeId,
-) -> Result<GossipScheme, LabelingError> {
+) -> Result<MultiLambdaScheme, LabelingError> {
     if g.node_count() == 0 {
         return Err(LabelingError::EmptyGraph);
     }
-    if coordinator >= g.node_count() {
-        return Err(LabelingError::SourceOutOfRange {
-            source: coordinator,
-            node_count: g.node_count(),
-        });
-    }
-    // The λ machinery (also detects disconnected graphs).
-    let construction = SequenceConstruction::build(g, coordinator, ReductionOrder::Forward)?;
-    let labeling = Labeling::new(
-        lambda::labels_from_construction(g, &construction)
-            .labels()
-            .to_vec(),
-        SCHEME_NAME,
-    );
-    let plan = CollectionPlan::dfs_token(g, coordinator)?;
-    Ok(GossipScheme {
-        labeling,
-        plan,
-        construction,
+    let sources = (0..g.node_count()).collect();
+    multi::assemble(g, sources, coordinator, SCHEME_NAME, |g, _, r| {
+        CollectionPlan::dfs_token(g, r)
     })
 }
 
@@ -159,6 +87,7 @@ pub fn construct_with_coordinator(
 mod tests {
     use super::*;
     use crate::collection::TokenPayload;
+    use crate::lambda;
     use rn_graph::generators;
 
     #[test]
@@ -171,6 +100,28 @@ mod tests {
         assert_eq!(s.labeling().labels(), plain.labeling().labels());
         assert_eq!(s.coordinator(), 7);
         assert_eq!(s.k(), 20);
+    }
+
+    #[test]
+    fn scheme_is_the_multi_broadcast_with_every_node_a_source() {
+        let g = generators::cycle(9);
+        let s = construct(&g).unwrap();
+        assert_eq!(s.sources(), (0..9).collect::<Vec<_>>());
+        assert_eq!(s.k(), 9);
+        assert_eq!(s.labeling().scheme(), "gossip");
+    }
+
+    #[test]
+    fn token_walk_degenerates_to_pure_linear_cost_on_a_path() {
+        // On a path with the coordinator at the centre, per-source BFS
+        // collection (the multi plan) would cost Σ_v dist(v, r) = Θ(n²)
+        // rounds; the token walk stays exactly 2(n - 1).
+        let g = generators::path(21);
+        let scheme = construct(&g).unwrap();
+        assert_eq!(scheme.coordinator(), 10);
+        assert_eq!(scheme.collection_rounds(), 40);
+        let sum_of_distances: u64 = (0..21u64).map(|v| v.abs_diff(10)).sum();
+        assert!(scheme.collection_rounds() < sum_of_distances);
     }
 
     #[test]

@@ -44,9 +44,13 @@ pub use crate::collection::{CollectionSlot, TokenPayload};
 /// Name attached to labelings produced by this scheme.
 pub const SCHEME_NAME: &str = "multi_lambda";
 
-/// Output of the `multi_lambda` construction: the λ labeling of the
-/// coordinator-rooted graph plus the collision-free collection plan
-/// (a [`CollectionPlan::bfs_paths`] schedule).
+/// Output of a multi-message construction: the λ labeling of the
+/// coordinator-rooted graph plus the collision-free collection plan.
+///
+/// Both multi-message schemes produce it. `multi_lambda` collects along
+/// per-source BFS paths ([`CollectionPlan::bfs_paths`]); gossip is the
+/// `k = n` case, whose sources are `0..n` and whose plan is the DFS token
+/// walk ([`CollectionPlan::dfs_token`], see [`crate::gossip`]).
 #[derive(Debug, Clone)]
 pub struct MultiLambdaScheme {
     labeling: Labeling,
@@ -56,8 +60,8 @@ pub struct MultiLambdaScheme {
 }
 
 impl MultiLambdaScheme {
-    /// The 2-bit λ labeling of `(G, coordinator)`, renamed to
-    /// [`SCHEME_NAME`].
+    /// The 2-bit λ labeling of `(G, coordinator)`, renamed to the
+    /// scheme's name ([`SCHEME_NAME`] or [`crate::gossip::SCHEME_NAME`]).
     pub fn labeling(&self) -> &Labeling {
         &self.labeling
     }
@@ -78,8 +82,9 @@ impl MultiLambdaScheme {
         self.plan.coordinator()
     }
 
-    /// The full collection plan (a [`CollectionPlan::bfs_paths`] schedule):
-    /// what the relay protocol in `rn-broadcast` drives.
+    /// The full collection plan (BFS paths for `multi_lambda`, the DFS
+    /// token walk for gossip): what the relay protocol in `rn-broadcast`
+    /// drives.
     pub fn plan(&self) -> &CollectionPlan {
         &self.plan
     }
@@ -91,8 +96,9 @@ impl MultiLambdaScheme {
         self.plan.slots()
     }
 
-    /// Number of rounds of the collection phase (`Σ_j dist(s_j, r)`); the
-    /// broadcast phase starts in the following round.
+    /// Number of rounds of the collection phase (`Σ_j dist(s_j, r)` for
+    /// BFS paths, exactly `2(n − 1)` for the token walk); the broadcast
+    /// phase starts in the following round.
     pub fn collection_rounds(&self) -> u64 {
         self.plan.rounds()
     }
@@ -135,7 +141,11 @@ pub fn choose_coordinator(g: &Graph, sources: &[NodeId]) -> Result<NodeId, Label
 
 /// Validates and normalises a source set: non-empty, every entry in range,
 /// returned sorted and deduplicated.
-fn validate_sources(g: &Graph, sources: &[NodeId]) -> Result<Vec<NodeId>, LabelingError> {
+///
+/// Checks in order: [`LabelingError::EmptyGraph`], then
+/// [`LabelingError::NoSources`], then [`LabelingError::SourceOutOfRange`]
+/// for the first out-of-range entry.
+pub fn validate_sources(g: &Graph, sources: &[NodeId]) -> Result<Vec<NodeId>, LabelingError> {
     if g.node_count() == 0 {
         return Err(LabelingError::EmptyGraph);
     }
@@ -176,6 +186,28 @@ pub fn construct_with_coordinator(
     coordinator: NodeId,
 ) -> Result<MultiLambdaScheme, LabelingError> {
     let sources = validate_sources(g, sources)?;
+    // Collection schedule along the BFS tree rooted at the coordinator
+    // (parents point one hop closer to it).
+    assemble(
+        g,
+        sources,
+        coordinator,
+        SCHEME_NAME,
+        CollectionPlan::bfs_paths,
+    )
+}
+
+/// The construction shared by both multi-message schemes: checks the
+/// coordinator, labels `(g, coordinator)` with the 2-bit λ labels named
+/// `name`, and asks `plan` for the collection schedule of the (already
+/// validated) `sources`.
+pub(crate) fn assemble(
+    g: &Graph,
+    sources: Vec<NodeId>,
+    coordinator: NodeId,
+    name: &'static str,
+    plan: impl FnOnce(&Graph, &[NodeId], NodeId) -> Result<CollectionPlan, LabelingError>,
+) -> Result<MultiLambdaScheme, LabelingError> {
     if coordinator >= g.node_count() {
         return Err(LabelingError::SourceOutOfRange {
             source: coordinator,
@@ -188,12 +220,9 @@ pub fn construct_with_coordinator(
         lambda::labels_from_construction(g, &construction)
             .labels()
             .to_vec(),
-        SCHEME_NAME,
+        name,
     );
-
-    // Collection schedule along the BFS tree rooted at the coordinator
-    // (parents point one hop closer to it).
-    let plan = CollectionPlan::bfs_paths(g, &sources, coordinator)?;
+    let plan = plan(g, &sources, coordinator)?;
     Ok(MultiLambdaScheme {
         labeling,
         sources,

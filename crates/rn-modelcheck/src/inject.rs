@@ -24,13 +24,15 @@ use std::sync::Arc;
 
 /// Seeds one deterministic label corruption appropriate to the scheme and
 /// returns the corrupted labeling plus a description of what was broken.
-/// Mirrors the `analyze --corrupt` gate's seeding so the two layers catch
-/// the same defect classes.
+/// The `analyze --corrupt` gate seeds the same corruption, so the two
+/// layers catch the same defect classes.
 pub fn corrupt_labeling(session: &Session, graph: &Graph) -> (Labeling, String) {
     let mut labels = session.labeling().labels().to_vec();
     let scheme = session.scheme();
     let name = session.labeling().scheme();
     match scheme {
+        // The baselines certify label structure directly: a duplicated id /
+        // a colour shared inside distance 2 must trip the slot checks.
         Scheme::UniqueIds => {
             labels[0] = Label::from_value(labels[1].value(), labels[0].len());
             (
@@ -46,6 +48,7 @@ pub fn corrupt_labeling(session: &Session, graph: &Graph) -> (Labeling, String) 
                 format!("node 0 copies adjacent node {u}'s colour"),
             )
         }
+        // The coordinator-bearing schemes lose their coordinator's bits.
         Scheme::LambdaArb | Scheme::MultiLambda { .. } | Scheme::Gossip => {
             let r = session.coordinator();
             labels[r] = Label::from_value(0, labels[r].len());
@@ -54,6 +57,9 @@ pub fn corrupt_labeling(session: &Session, graph: &Graph) -> (Labeling, String) 
                 format!("coordinator {r}'s label zeroed"),
             )
         }
+        // λ / λ_ack: strand a stratum by clearing the highest-indexed
+        // transmitter bit (the labelings are minimal, so every x1 node is
+        // load-bearing).
         _ => {
             let v = (0..labels.len())
                 .rev()

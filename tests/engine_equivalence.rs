@@ -268,7 +268,7 @@ fn gossip_reports_agree_across_engines() {
 
 #[test]
 fn gossip_raw_traces_identical_across_engines() {
-    use radio_labeling::broadcast::gossip::GossipNode;
+    use radio_labeling::broadcast::multi::MultiNode;
     use radio_labeling::labeling::gossip;
 
     for (label, graph, _) in workloads() {
@@ -282,12 +282,12 @@ fn gossip_raw_traces_identical_across_engines() {
             cap: rounds,
         };
         let mut reference =
-            Simulator::new(Arc::clone(&graph), GossipNode::network(&scheme, &payloads))
+            Simulator::new(Arc::clone(&graph), MultiNode::network(&scheme, &payloads))
                 .with_engine(Engine::ListenerCentric);
         let b = reference.run_until(stop, |_| false);
         for &engine in &ENGINES[1..] {
             let mut sim =
-                Simulator::new(Arc::clone(&graph), GossipNode::network(&scheme, &payloads))
+                Simulator::new(Arc::clone(&graph), MultiNode::network(&scheme, &payloads))
                     .with_engine(engine);
             let a = sim.run_until(stop, |_| false);
             assert_eq!(a, b, "{label} [{engine:?}]: outcomes differ");

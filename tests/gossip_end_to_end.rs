@@ -4,7 +4,7 @@
 //! the collection phase must use exactly one transmitter per round, and
 //! the whole task must finish within a linear number of rounds.
 
-use radio_labeling::broadcast::gossip::GossipNode;
+use radio_labeling::broadcast::multi::MultiNode;
 use radio_labeling::broadcast::session::{Scheme, Session};
 use radio_labeling::broadcast::MultiMessage;
 use radio_labeling::graph::generators::TopologyFamily;
@@ -19,7 +19,7 @@ fn gossip_completes_on_every_registry_preset_with_trace_verification() {
         let n = g.node_count();
         let scheme = gossip::construct(&g).unwrap();
         let payloads: Vec<u64> = (0..n as u64).map(|j| 500 + j).collect();
-        let nodes = GossipNode::network(&scheme, &payloads);
+        let nodes = MultiNode::network(&scheme, &payloads);
         let mut sim = Simulator::new(Arc::clone(&g), nodes);
 
         // Collection: exactly one transmitter in each of the 2(n-1) rounds.
@@ -50,7 +50,7 @@ fn gossip_completes_on_every_registry_preset_with_trace_verification() {
                 quiet: 3,
                 cap: 6 * (n as u64 + 2) + 16,
             },
-            |s| s.nodes().iter().all(GossipNode::holds_all_messages),
+            |s| s.nodes().iter().all(MultiNode::holds_all_messages),
         );
         let linear_bound = 4 * n as u64 + 16;
         assert!(

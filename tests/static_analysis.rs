@@ -18,7 +18,7 @@ use radio_labeling::analyze::{analyze_and_cross_check, certify_labeled, Finding}
 use radio_labeling::broadcast::session::{Scheme, Session};
 use radio_labeling::graph::generators::TopologyFamily;
 use radio_labeling::graph::Graph;
-use radio_labeling::labeling::label::{Label, Labeling};
+use rn_modelcheck::corrupt_labeling;
 use std::sync::Arc;
 
 /// Strategy: a preset family index, a size, a seed, and a general-scheme
@@ -36,34 +36,6 @@ fn generate(idx: usize, n: usize, seed: u64) -> Graph {
     TopologyFamily::PRESETS[idx]
         .generate(n, seed)
         .expect("presets generate for every n >= 4")
-}
-
-/// Seeds one deterministic label corruption appropriate to the scheme
-/// (mirrors the `analyze --corrupt` strategies).
-fn corrupt_labeling(session: &Session, graph: &Graph) -> Labeling {
-    let mut labels = session.labeling().labels().to_vec();
-    let name = session.labeling().scheme();
-    match session.scheme() {
-        Scheme::UniqueIds => {
-            labels[0] = Label::from_value(labels[1].value(), labels[0].len());
-        }
-        Scheme::SquareColoring => {
-            let u = graph.neighbors(0)[0];
-            labels[0] = Label::from_value(labels[u].value(), labels[0].len());
-        }
-        Scheme::LambdaArb | Scheme::MultiLambda { .. } | Scheme::Gossip => {
-            let r = session.coordinator();
-            labels[r] = Label::from_value(0, labels[r].len());
-        }
-        _ => {
-            let v = (0..labels.len())
-                .rev()
-                .find(|&v| labels[v].x1())
-                .expect("every labeling marks at least the source with x1");
-            labels[v] = Label::from_value(0, labels[v].len());
-        }
-    }
-    Labeling::new(labels, name)
 }
 
 proptest! {
@@ -98,7 +70,7 @@ proptest! {
         let scheme = Scheme::GENERAL[s];
         let g = Arc::new(generate(idx, n, seed));
         let session = Session::builder(scheme, Arc::clone(&g)).build().unwrap();
-        let corrupted = corrupt_labeling(&session, &g);
+        let corrupted = corrupt_labeling(&session, &g).0;
         // The analyzer must reject the corruption — never panic, never
         // certify — and at least one finding must name a node.
         let result = certify_labeled(
