@@ -19,14 +19,18 @@
 //! - three families whose samples come out disconnected, so the connectivity
 //!   repair runs: `gnp_avg_degree:0.5`, `unit_disk:1` and `clustered_gnp`
 //!   with no cross-cluster edges. Their repair count is checked against an
-//!   independent replay of the sample.
+//!   independent replay of the sample;
+//! - `random_bipartite_connected` at (a, b, p) ∈ {(12, 15, 0.2),
+//!   (40, 60, 0.02), (2000, 2000, 2·10⁻⁴)} and seeds {1, 7}, whose sparse
+//!   samples need one cross edge per extra component; the repair count is
+//!   checked the same way.
 //!
 //! A digest may only change together with a deliberate change to the
 //! generated graphs; the failure message prints each changed row as it now
 //! reads, for updating the file in that same change.
 
 use radio_labeling::graph::algorithms::{connected_components, square_graph};
-use radio_labeling::graph::generators::{unit_disk, TopologyFamily};
+use radio_labeling::graph::generators::{random_bipartite_connected, unit_disk, TopologyFamily};
 use radio_labeling::graph::Graph;
 use radio_labeling::radio::Digest;
 use rand::rngs::StdRng;
@@ -150,6 +154,36 @@ fn repaired_rows(rows: &mut Vec<String>) {
     }
 }
 
+/// `random_bipartite_connected`'s sample: one `gen_bool(p)` per cross pair
+/// `(i, a + j)`, left node `i` in the outer loop.
+fn bipartite_sample(a: usize, b: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for i in 0..a {
+        for j in 0..b {
+            if rng.gen_bool(p) {
+                edges.push((i, a + j));
+            }
+        }
+    }
+    Graph::from_edges(a + b, &edges).expect("a cross-pair sample is simple")
+}
+
+fn bipartite_rows(rows: &mut Vec<String>) {
+    for (a, b, p) in [(12, 15, 0.2), (40, 60, 0.02), (2000, 2000, 2e-4)] {
+        for seed in SEEDS {
+            let g = random_bipartite_connected(a, b, p, seed).expect("valid parameters");
+            let repairs = repairs_of(&bipartite_sample(a, b, p, seed), &g);
+            assert!(
+                g.edges().all(|(u, v)| (u < a) != (v < a)),
+                "every edge crosses the sides"
+            );
+            let name = format!("random_bipartite_connected:{a}x{b}:p{p}/seed{seed}");
+            rows.push(row(&name, &g, true, Some(repairs)));
+        }
+    }
+}
+
 fn actual_rows() -> Vec<String> {
     let mut rows = Vec::new();
     let registry = TopologyFamily::PRESETS
@@ -174,6 +208,7 @@ fn actual_rows() -> Vec<String> {
         rows.push(row(&name, &g, false, None));
     }
     repaired_rows(&mut rows);
+    bipartite_rows(&mut rows);
     rows
 }
 
