@@ -4,7 +4,7 @@
 //! All generators take an explicit seed and are fully deterministic for a
 //! given seed, which keeps every experiment reproducible.
 
-use crate::algorithms::connectivity::{connect, is_connected};
+use crate::algorithms::connectivity::{connect, connected_components};
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use rand::seq::SliceRandom;
@@ -69,38 +69,39 @@ pub fn random_bipartite_connected(
             }
         }
     }
-    let mut g = builder.try_build()?;
-    // Repair connectivity while preserving bipartiteness: attach every
-    // component to component 0 via a cross edge.
-    while !is_connected(&g) {
-        let comps = crate::algorithms::connectivity::connected_components(&g);
-        let (first, rest) = comps.split_first().expect("at least one component");
-        let other = &rest[0];
-        // Find u in first on the left side and v in other on the right side,
-        // or vice versa.
-        let left_first = first.iter().copied().find(|&v| v < a);
-        let right_other = other.iter().copied().find(|&v| v >= a);
-        let (u, v) = match (left_first, right_other) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                let right_first = first.iter().copied().find(|&v| v >= a);
-                let left_other = other.iter().copied().find(|&v| v < a);
-                match (left_other, right_first) {
-                    (Some(u), Some(v)) => (u, v),
-                    _ => {
-                        // Both components are entirely on the same side
-                        // (isolated nodes); bridge them through any node of the
-                        // opposite side.
-                        let u = other[0];
-                        let v = if u < a { a } else { 0 };
-                        (u, v)
-                    }
-                }
+    let g = builder.try_build()?;
+    // Repair connectivity while preserving bipartiteness: merge every other
+    // component, in order of its smallest node, into node 0's component with
+    // one cross edge. Node 0 is on the left; `first_right` is the smallest
+    // right-side node (index >= a) that node 0's component holds so far.
+    let comps = connected_components(&g);
+    let smallest_right = |c: &[usize]| c.iter().copied().find(|&v| v >= a);
+    let mut first_right = smallest_right(&comps[0]);
+    // The component of node `a`, once an all-left component was joined to it.
+    let mut absorbed = None;
+    let mut extra = Vec::new();
+    for (i, comp) in comps.iter().enumerate().skip(1) {
+        if absorbed == Some(i) {
+            continue;
+        }
+        match (smallest_right(comp), first_right) {
+            (Some(v), _) => {
+                extra.push((0, v));
+                first_right = Some(first_right.map_or(v, |r| r.min(v)));
             }
-        };
-        g = g.with_extra_edges(&[(u, v)])?;
+            (None, Some(r)) => extra.push((comp[0], r)),
+            (None, None) => {
+                // This component and node 0's both lie on the left: join
+                // this one to `a`'s component, then the merged component to
+                // node 0 through `a`, the smallest right-side node.
+                extra.push((comp[0], a));
+                extra.push((0, a));
+                first_right = Some(a);
+                absorbed = comps.iter().position(|c| c.binary_search(&a).is_ok());
+            }
+        }
     }
-    Ok(g)
+    g.with_extra_edges(&extra)
 }
 
 /// Connected "near-regular" graph: a random Hamiltonian cycle plus random
