@@ -9,10 +9,12 @@
 //! * a [`SessionBuilder`] configures the graph (shared via `Arc`, never
 //!   cloned per run), source, message, and the stop / trace / round-cap
 //!   policies;
-//! * [`SessionBuilder::build`] constructs the labeling **once**; the session
-//!   owns the labeling and a template of per-node protocol state machines, so
-//!   repeated runs amortize scheme construction — the dominant pattern in the
-//!   experiment sweeps and benches;
+//! * [`SessionBuilder::build`] constructs the labeling **once** and the
+//!   session keeps that plan (the labeling, or the multi-message scheme with
+//!   its collection plan), so repeated runs amortize scheme construction —
+//!   the dominant pattern in the experiment sweeps and benches. Each run
+//!   builds its nodes from the plan: a node's initial state depends only on
+//!   its label and on whether it holds the run's message;
 //! * every run of every scheme returns the same [`RunReport`], filled by one
 //!   generic driver: a private `Protocol` trait, implemented once per node
 //!   type, says how to build the network, when a node is informed, and what
@@ -615,17 +617,18 @@ impl SessionBuilder {
         self
     }
 
-    /// Constructs the labeling and the per-node protocol templates.
+    /// Constructs the labeling, the plan every run of the session builds its
+    /// nodes from.
     ///
     /// This is the expensive step (BFS layering, sequence construction,
     /// dominating-set minimisation); every run of the returned session reuses
-    /// its output.
+    /// its output and only builds its own nodes from it.
     pub fn build(self) -> Result<Session, LabelingError> {
         // Phase spans of the build, reported later through
         // `Session::run_instrumented`: "plan_build" covers source-set and
-        // coordinator resolution, prepare() adds "labeling_construction"
-        // and "template_build". Recording them is a handful of clock reads,
-        // so it happens unconditionally.
+        // coordinator resolution, prepare() adds "labeling_construction".
+        // Recording them is a handful of clock reads, so it happens
+        // unconditionally.
         let mut build_spans = Vec::new();
         let plan_timer = SpanTimer::start("plan_build");
         let node_count = self.graph.node_count();
@@ -680,7 +683,6 @@ impl SessionBuilder {
             source,
             &sources,
             coordinator,
-            self.message,
             &mut build_spans,
         )?;
         Ok(Session {
@@ -703,17 +705,36 @@ impl SessionBuilder {
 }
 
 /// The single dispatch point from a session's [`Template`] to code generic
-/// over its protocol: `dispatch!(template, p => body)` evaluates `body` with
-/// `p` bound to the variant's typed `&Prepared<P>`.
+/// over its protocol: `dispatch!(template, P, plan => body)` evaluates
+/// `body` with `P` naming the variant's node type and `plan` bound to its
+/// `&P::Plan`.
 macro_rules! dispatch {
-    ($template:expr, $p:ident => $body:expr) => {
+    ($template:expr, $P:ident, $plan:ident => $body:expr) => {
         match $template {
-            Template::B($p) => $body,
-            Template::Back($p) => $body,
-            Template::Arb($p) => $body,
-            Template::Slotted($p) => $body,
-            Template::DelayRelay($p) => $body,
-            Template::Multi($p) => $body,
+            Template::B($plan) => {
+                type $P = BNode;
+                $body
+            }
+            Template::Back($plan) => {
+                type $P = BackNode;
+                $body
+            }
+            Template::Arb($plan) => {
+                type $P = ArbNode;
+                $body
+            }
+            Template::Slotted($plan) => {
+                type $P = SlottedNode;
+                $body
+            }
+            Template::DelayRelay($plan) => {
+                type $P = DelayRelayNode;
+                $body
+            }
+            Template::Multi($plan) => {
+                type $P = MultiNode;
+                $body
+            }
         }
     };
 }
@@ -738,10 +759,11 @@ pub struct Session {
     /// The deterministic fault schedule every run replays (empty by
     /// default); validated against the graph at build time.
     faults: FaultPlan,
+    /// The constructed plan every run builds its nodes from.
     template: Template,
     /// Wall-clock spans of the build phases ("plan_build",
-    /// "labeling_construction", "template_build"), recorded once at build
-    /// time and prepended to the [`RunMetrics`] of every
+    /// "labeling_construction"), recorded once at build time and prepended
+    /// to the [`RunMetrics`] of every
     /// [`run_instrumented`](Session::run_instrumented) call.
     build_spans: Vec<SpanRecord>,
     /// Recycled per-round simulator buffers: every run borrows a scratch
@@ -783,7 +805,7 @@ impl Session {
     /// The cached labeling this session was built with. Stable across runs:
     /// running never re-labels the session's own graph/source pair.
     pub fn labeling(&self) -> &Labeling {
-        dispatch!(&self.template, p => p.labeling())
+        dispatch!(&self.template, P, plan => <P as Protocol>::labeling(plan))
     }
 
     /// The resolved coordinator: the `111`-labeled node for λ_arb and the
@@ -803,7 +825,7 @@ impl Session {
     /// (`None` for every single-message scheme). Exposed so certificate
     /// checkers can audit the exact plan the relay protocol will drive.
     pub fn collection_plan(&self) -> Option<&CollectionPlan> {
-        dispatch!(&self.template, p => p.collection_plan())
+        dispatch!(&self.template, P, plan => <P as Protocol>::collection_plan(plan))
     }
 
     /// Runs the session with its configured source and message.
@@ -817,7 +839,8 @@ impl Session {
     /// run mode that pays for per-round metric assembly) and the returned
     /// [`RunMetrics`] carries the aggregated deterministic counters, the
     /// phase spans (build phases recorded once at build time, plus this
-    /// run's `round_loop` and `verify`), and the process peak RSS.
+    /// run's `template_build`, `round_loop` and `verify`), and the process
+    /// peak RSS.
     ///
     /// The [`RunReport`] is **identical** to what [`run`](Self::run)
     /// returns: deterministic counters never alter report contents, they
@@ -870,9 +893,10 @@ impl Session {
     /// node, round, offset into the promised span, and violation kind.
     pub fn audit_wake_hints(&self) -> Result<WakeHintAudit, WakeHintViolation> {
         let cap = self.stop_condition().cap();
-        dispatch!(&self.template, p => {
-            let mut sim = self.simulator(p.template.clone()).without_trace();
-            rn_radio::audit_wake_hints(&mut sim, cap)
+        let spec = self.own_spec();
+        dispatch!(&self.template, P, plan => {
+            let nodes = <P as Protocol>::network(plan, spec.source, spec.message);
+            rn_radio::audit_wake_hints(&mut self.simulator(nodes).without_trace(), cap)
         })
     }
 
@@ -882,8 +906,10 @@ impl Session {
     /// digests after round `r`. The digest-contract tests use this to pin
     /// determinism and the informed-transition sensitivity of the digests.
     pub fn state_digest_history(&self, rounds: u64) -> Vec<Vec<u64>> {
-        dispatch!(&self.template, p => {
-            let mut sim = self.simulator(p.template.clone()).without_trace();
+        let spec = self.own_spec();
+        dispatch!(&self.template, P, plan => {
+            let nodes = <P as Protocol>::network(plan, spec.source, spec.message);
+            let mut sim = self.simulator(nodes).without_trace();
             let mut rows = vec![sim.nodes().iter().map(RadioNode::state_digest).collect()];
             for _ in 0..rounds {
                 sim.step_round();
@@ -918,8 +944,8 @@ impl Session {
     ///
     /// When the spec forces a fresh labeling (source-dependent scheme, new
     /// source), the metrics' span list holds the *fresh* construction's
-    /// `labeling_construction`/`template_build` timings rather than the
-    /// cached build's — the spans describe the work this call actually did.
+    /// `labeling_construction` timing rather than the cached build's — the
+    /// spans describe the work this call actually did.
     ///
     /// # Errors
     /// Same contract as [`run_with`](Self::run_with).
@@ -1009,11 +1035,11 @@ impl Session {
             .with_faults(&self.faults)
     }
 
-    /// The one path every run takes: picks the template for `spec` — the
-    /// cached one, or a fresh construction when a source-dependent scheme
-    /// moves its source — and drives it. With `metrics`, the run is
-    /// instrumented and the block receives the build spans of the template
-    /// used, the run's own spans and counters, and the peak RSS.
+    /// The one path every run takes: picks the plan for `spec` — the cached
+    /// one, or a fresh construction when a source-dependent scheme moves its
+    /// source — and drives it. With `metrics`, the run is instrumented and
+    /// the block receives the build spans of the plan used, the run's own
+    /// spans and counters, and the peak RSS.
     fn execute(
         &self,
         spec: RunSpec,
@@ -1041,7 +1067,6 @@ impl Session {
                 spec.source,
                 &self.sources,
                 self.coordinator,
-                spec.message,
                 &mut spans,
             )?;
             if let Some(m) = metrics.as_deref_mut() {
@@ -1049,25 +1074,35 @@ impl Session {
             }
             &relabeled
         };
-        let out = dispatch!(template, p => self.drive(p, spec, want_shape, metrics.as_deref_mut()));
+        let out = dispatch!(template, P, plan => {
+            self.drive::<P>(plan, spec, want_shape, metrics.as_deref_mut())
+        });
         if let Some(m) = metrics {
             m.peak_rss_kb = rn_telemetry::peak_rss_kb();
         }
         Ok(out)
     }
 
-    /// Runs protocol `P` from `spec` to the stop condition and fills the
-    /// report: the one driver behind every scheme.
+    /// Builds protocol `P`'s nodes for `spec` from `plan`, runs them to the
+    /// stop condition and fills the report: the one driver behind every
+    /// scheme.
     fn drive<P: Protocol>(
         &self,
-        prepared: &Prepared<P>,
+        plan: &P::Plan,
         spec: RunSpec,
         want_shape: bool,
-        metrics: Option<&mut RunMetrics>,
+        mut metrics: Option<&mut RunMetrics>,
     ) -> (RunReport, Option<TraceShape>) {
+        let template_timer = metrics
+            .is_some()
+            .then(|| SpanTimer::start("template_build"));
+        let nodes = P::network(plan, spec.source, spec.message);
+        if let (Some(m), Some(timer)) = (metrics.as_deref_mut(), template_timer) {
+            m.spans.push(timer.stop());
+        }
         let record = self.trace == TracePolicy::Recorded || want_shape;
         let round_timer = metrics.is_some().then(|| SpanTimer::start("round_loop"));
-        let labeling = prepared.labeling();
+        let labeling = P::labeling(plan);
         // A multi-message run reports its build-time source set, whatever
         // the spec's source.
         let multi = self.scheme.is_multi_message();
@@ -1096,16 +1131,6 @@ impl Session {
             delivery_rate: 0.0,
             stalled_at: None,
             faults_injected: 0,
-        };
-        // The cached template fits a spec with its own source and message;
-        // a multi-message network ignores the source, so there only the
-        // message has to match.
-        let fits =
-            prepared.spec.message == spec.message && (multi || prepared.spec.source == spec.source);
-        let nodes = if fits {
-            prepared.template.clone()
-        } else {
-            P::network(&prepared.plan, spec.source, spec.message)
         };
 
         // Informed rounds come from node state after every round: the nodes
@@ -1504,103 +1529,54 @@ fn multi_payloads(message: SourceMessage, k: usize) -> Vec<SourceMessage> {
     (0..k as u64).map(|j| message.wrapping_add(j)).collect()
 }
 
-/// The cached output of scheme construction for protocol `P`: its plan, and
-/// a template of per-node state machines for the spec it was built for.
-struct Prepared<P: Protocol> {
-    plan: P::Plan,
-    /// The (source, message) pair the node template encodes.
-    spec: RunSpec,
-    template: Vec<P>,
-}
-
-impl<P: Protocol> Prepared<P> {
-    fn labeling(&self) -> &Labeling {
-        P::labeling(&self.plan)
-    }
-
-    fn collection_plan(&self) -> Option<&CollectionPlan> {
-        P::collection_plan(&self.plan)
-    }
-
-    /// Constructs the plan and the template for `spec`, timing each as a
-    /// phase span ("labeling_construction", "template_build").
-    fn build(
-        spans: &mut Vec<SpanRecord>,
-        spec: RunSpec,
-        construct: impl FnOnce() -> Result<P::Plan, LabelingError>,
-    ) -> Result<Self, LabelingError> {
-        let timer = SpanTimer::start("labeling_construction");
-        let plan = construct();
-        spans.push(timer.stop());
-        let plan = plan?;
-        let timer = SpanTimer::start("template_build");
-        let template = P::network(&plan, spec.source, spec.message);
-        spans.push(timer.stop());
-        Ok(Prepared {
-            plan,
-            spec,
-            template,
-        })
-    }
-}
-
-/// A session's prepared protocol, one variant per node type.
+/// A session's constructed plan, one variant per node type: what a run
+/// builds its nodes from.
 enum Template {
-    B(Prepared<BNode>),
-    Back(Prepared<BackNode>),
-    Arb(Prepared<ArbNode>),
-    Slotted(Prepared<SlottedNode>),
-    DelayRelay(Prepared<DelayRelayNode>),
-    Multi(Prepared<MultiNode>),
+    B(Labeling),
+    Back(Labeling),
+    Arb(Labeling),
+    Slotted(Labeling),
+    DelayRelay(Labeling),
+    Multi(MultiLambdaScheme),
 }
 
-/// Maps each scheme to its construction and protocol.
+/// Maps each scheme to its construction and protocol, timing the
+/// construction as the "labeling_construction" phase span.
 fn prepare(
     scheme: Scheme,
     graph: &Graph,
     source: NodeId,
     sources: &[NodeId],
     coordinator: NodeId,
-    message: SourceMessage,
     spans: &mut Vec<SpanRecord>,
 ) -> Result<Template, LabelingError> {
-    let spec = RunSpec::new(source, message);
-    Ok(match scheme {
-        Scheme::Lambda => Template::B(Prepared::build(spans, spec, || {
-            lambda::construct(graph, source).map(lambda::LambdaScheme::into_labeling)
-        })?),
-        Scheme::LambdaAck => Template::Back(Prepared::build(spans, spec, || {
-            lambda_ack::construct(graph, source).map(lambda_ack::LambdaAckScheme::into_labeling)
-        })?),
-        Scheme::LambdaArb => Template::Arb(Prepared::build(spans, spec, || {
+    let timer = SpanTimer::start("labeling_construction");
+    let template = match scheme {
+        Scheme::Lambda => Template::B(lambda::construct(graph, source)?.into_labeling()),
+        Scheme::LambdaAck => Template::Back(lambda_ack::construct(graph, source)?.into_labeling()),
+        Scheme::LambdaArb => Template::Arb(
             lambda_arb::construct_with_coordinator(
                 graph,
                 coordinator,
                 rn_graph::algorithms::ReductionOrder::Forward,
-            )
-            .map(lambda_arb::LambdaArbScheme::into_labeling)
-        })?),
-        Scheme::OneBitCycle => Template::DelayRelay(Prepared::build(spans, spec, || {
-            onebit::cycle_onebit(graph, source)
-        })?),
+            )?
+            .into_labeling(),
+        ),
+        Scheme::OneBitCycle => Template::DelayRelay(onebit::cycle_onebit(graph, source)?),
         Scheme::OneBitGrid { rows, cols } => {
-            Template::DelayRelay(Prepared::build(spans, spec, || {
-                onebit::grid_onebit(graph, rows, cols, source)
-            })?)
+            Template::DelayRelay(onebit::grid_onebit(graph, rows, cols, source)?)
         }
-        Scheme::UniqueIds => Template::Slotted(Prepared::build(spans, spec, || {
-            baselines::unique_ids(graph)
-        })?),
-        Scheme::SquareColoring => Template::Slotted(Prepared::build(spans, spec, || {
-            baselines::square_coloring(graph).map(|(labeling, _)| labeling)
-        })?),
-        Scheme::MultiLambda { .. } => Template::Multi(Prepared::build(spans, spec, || {
-            multi::construct_with_coordinator(graph, sources, coordinator)
-        })?),
-        Scheme::Gossip => Template::Multi(Prepared::build(spans, spec, || {
-            gossip::construct_with_coordinator(graph, coordinator)
-        })?),
-    })
+        Scheme::UniqueIds => Template::Slotted(baselines::unique_ids(graph)?),
+        Scheme::SquareColoring => Template::Slotted(baselines::square_coloring(graph)?.0),
+        Scheme::MultiLambda { .. } => Template::Multi(multi::construct_with_coordinator(
+            graph,
+            sources,
+            coordinator,
+        )?),
+        Scheme::Gossip => Template::Multi(gossip::construct_with_coordinator(graph, coordinator)?),
+    };
+    spans.push(timer.stop());
+    Ok(template)
 }
 
 #[cfg(test)]
@@ -1850,23 +1826,40 @@ mod tests {
 
     #[test]
     fn repeated_runs_reuse_the_cached_labeling_and_agree() {
+        // Every run builds its nodes from the session's plan, so a run from a
+        // foreign source and message must report exactly what a session
+        // built for that pair reports.
+        let (foreign_source, foreign_message) = (11, 77);
         for (n, p, seed, source, message) in [(24, 0.15, 3, 5, 9), (30, 0.12, 5, 3, 42)] {
-            let g = generators::gnp_connected(n, p, seed).unwrap();
-            let session = Session::builder(Scheme::Lambda, g)
-                .source(source)
-                .message(message)
-                .build()
-                .unwrap();
-            // The labeling is owned by the session: the same allocation is
-            // observed before, between and after the runs.
-            let labeling_before = session.labeling() as *const Labeling;
-            let a = session.run();
-            assert!(std::ptr::eq(labeling_before, session.labeling()), "n={n}");
-            let b = session.run();
-            assert!(std::ptr::eq(labeling_before, session.labeling()), "n={n}");
-            assert_eq!(a.completion_round, b.completion_round, "n={n}");
-            assert_eq!(a.informed_rounds, b.informed_rounds, "n={n}");
-            assert_eq!(a.stats, b.stats, "n={n}");
+            let g = Arc::new(generators::gnp_connected(n, p, seed).unwrap());
+            for scheme in Scheme::GENERAL {
+                let at = format!("{} n={n}", scheme.name());
+                let build = |source, message| {
+                    Session::builder(scheme, Arc::clone(&g))
+                        .source(source)
+                        .message(message)
+                        .build()
+                        .unwrap()
+                };
+                let session = build(source, message);
+                // The labeling is owned by the session: the same allocation
+                // is observed before, between and after the runs.
+                let labeling_before = session.labeling() as *const Labeling;
+                let a = session.run();
+                assert!(std::ptr::eq(labeling_before, session.labeling()), "{at}");
+                let b = session.run();
+                assert!(std::ptr::eq(labeling_before, session.labeling()), "{at}");
+                assert_eq!(a, b, "{at}");
+                let foreign = session
+                    .run_with(RunSpec::new(foreign_source, foreign_message))
+                    .unwrap();
+                assert!(std::ptr::eq(labeling_before, session.labeling()), "{at}");
+                assert_eq!(
+                    foreign,
+                    build(foreign_source, foreign_message).run(),
+                    "{at}: foreign spec"
+                );
+            }
         }
     }
 
@@ -2009,23 +2002,28 @@ mod tests {
                 .unwrap()
                 .run();
             let rounds = with_trace.rounds_executed;
+            let spec = recorded_session.own_spec();
             let witnessed = match &recorded_session.template {
-                Template::B(p) => {
+                Template::B(l) => {
+                    let nodes = BNode::network(l, spec.source, spec.message);
                     let is_data: fn(&BMessage) -> bool = |m| matches!(m, BMessage::Data(_));
-                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                    trace_informed_rounds(&g, nodes, &plan, source, rounds, is_data)
                 }
-                Template::Back(p) => {
+                Template::Back(l) => {
+                    let nodes = BackNode::network(l, spec.source, spec.message);
                     let is_data: fn(&TaggedMessage) -> bool =
                         |m| matches!(m.payload, TaggedPayload::Data(_));
-                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                    trace_informed_rounds(&g, nodes, &plan, source, rounds, is_data)
                 }
-                Template::Slotted(p) => {
+                Template::Slotted(l) => {
+                    let nodes = SlottedNode::network(l, spec.source, spec.message);
                     let any: fn(&SlottedMessage) -> bool = |_| true;
-                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, any)
+                    trace_informed_rounds(&g, nodes, &plan, source, rounds, any)
                 }
-                Template::DelayRelay(p) => {
+                Template::DelayRelay(l) => {
+                    let nodes = DelayRelayNode::network(l, spec.source, spec.message);
                     let is_data: fn(&BMessage) -> bool = |m| matches!(m, BMessage::Data(_));
-                    trace_informed_rounds(&g, p.template.clone(), &plan, source, rounds, is_data)
+                    trace_informed_rounds(&g, nodes, &plan, source, rounds, is_data)
                 }
                 _ => unreachable!("{name}: no trace payload predicate"),
             };

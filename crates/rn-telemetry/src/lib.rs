@@ -248,11 +248,6 @@ impl CounterSink {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Consumes the sink, returning the aggregate.
-    pub fn into_counters(self) -> RunCounters {
-        self.counters
-    }
 }
 
 impl MetricsSink for CounterSink {
@@ -298,7 +293,10 @@ impl MetricsSink for CounterSink {
 
 /// One timed phase of a run: a name from the fixed span vocabulary
 /// (`labeling_construction`, `template_build`, `plan_build`, `round_loop`,
-/// `verify`) and its wall-clock duration. Wall-clock is nondeterministic —
+/// `verify`) and its wall-clock duration. A session times `plan_build` and
+/// `labeling_construction` once when it is built, and `template_build` (the
+/// run's nodes, built from the cached plan), `round_loop` and `verify` in
+/// every instrumented run. Wall-clock is nondeterministic —
 /// spans go to sidecars only, never to main reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {

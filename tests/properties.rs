@@ -250,8 +250,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The `state_digest` contract, over every general scheme: the digest
-    /// history of a run is identical when recomputed from a fresh clone of
-    /// the node templates (clone-stable and deterministic across reruns),
+    /// history of a run is identical when recomputed from nodes built afresh
+    /// from the session's plan (deterministic across reruns),
     /// and the round that informs a node changes that node's digest — the
     /// informed transition is never digest-invisible.
     #[test]
@@ -272,8 +272,8 @@ proptest! {
             let rounds = report.rounds_executed;
             let history = session.state_digest_history(rounds);
             prop_assert_eq!(history.len() as u64, rounds + 1);
-            // Recomputing from a fresh template clone reproduces every
-            // digest of every node at every reachable state.
+            // Recomputing from freshly built nodes reproduces every digest
+            // of every node at every reachable state.
             let rerun = session.state_digest_history(rounds);
             prop_assert_eq!(&history, &rerun, "{} digests drifted across reruns", scheme.name());
             // Every protocol node type implements the digest hook (0 is the
