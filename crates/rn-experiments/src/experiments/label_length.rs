@@ -7,15 +7,16 @@
 //! 4/5/6 distinct labels no matter how large the network grows, while both
 //! baselines grow with Θ(log n) or Θ(log Δ).
 
-use super::{sweep_rows, CORE, SOURCE};
+use super::{single_message_schemes, sweep_rows, CORE, SOURCE};
 use crate::report::Table;
 use crate::ExperimentConfig;
-use rn_labeling::scheme::{LabelingScheme, SchemeKind};
+use rn_broadcast::session::Session;
+use std::sync::Arc;
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "max deg".into()];
-    for s in SchemeKind::ALL {
+    for s in single_message_schemes() {
         headers.push(format!("{} len", s.name()));
         headers.push(format!("{} distinct", s.name()));
     }
@@ -27,8 +28,12 @@ pub fn run(config: &ExperimentConfig) -> Table {
     sweep_rows(&mut table, &CORE, config, |i| {
         let g = &i.graph;
         let mut row = vec![g.node_count().to_string(), g.max_degree().to_string()];
-        for s in SchemeKind::ALL {
-            let l = s.assign(g, SOURCE).expect("connected workload");
+        for s in single_message_schemes() {
+            let session = Session::builder(s, Arc::clone(g))
+                .source(SOURCE)
+                .build()
+                .expect("connected workload");
+            let l = session.labeling();
             row.push(l.length().to_string());
             row.push(l.distinct_count().to_string());
         }
@@ -49,16 +54,19 @@ mod tests {
     #[test]
     fn constant_vs_growing_lengths() {
         let cfg = ExperimentConfig {
-            sizes: vec![8, 64],
+            sizes: vec![8, 64, 200],
             seeds: vec![1],
             threads: 1,
         };
         let t = run(&cfg);
-        // Columns: 3 fixed + 2 per scheme; lambda len is column 3,
-        // unique_ids len is column 3 + 2*3 = 9.
-        let lambda_lens: Vec<usize> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
-        assert!(lambda_lens.iter().all(|&l| l == 2));
-        let id_lens: Vec<usize> = t.rows.iter().map(|r| r[9].parse().unwrap()).collect();
+        // Columns: 3 fixed + 2 per scheme; the lengths of lambda,
+        // lambda_ack and lambda_arb are columns 3, 5 and 7, unique_ids len
+        // is column 3 + 2*3 = 9.
+        let lens =
+            |col: usize| -> Vec<usize> { t.rows.iter().map(|r| r[col].parse().unwrap()).collect() };
+        assert!(lens(3).iter().all(|&l| l == 2));
+        assert!(lens(5).iter().chain(&lens(7)).all(|&l| l == 3));
+        let id_lens = lens(9);
         assert!(
             id_lens.iter().any(|&l| l >= 6),
             "ids must grow with n: {id_lens:?}"

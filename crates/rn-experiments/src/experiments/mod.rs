@@ -34,6 +34,7 @@ pub mod scheme_cost;
 
 use crate::scenario::{self, Instance};
 use crate::{ExperimentConfig, Table};
+use rn_broadcast::session::Scheme;
 use rn_graph::generators::TopologyFamily;
 use rn_graph::NodeId;
 
@@ -73,6 +74,14 @@ pub const CORE: [(&str, TopologyFamily); 6] = [
 /// registry family builds as its natural hard case (the path end, the grid
 /// corner, a clique node of the barbell).
 pub const SOURCE: NodeId = 0;
+
+/// The single-message schemes of [`Scheme::GENERAL`] — the paper's λ, λ_ack
+/// and λ_arb, then the two baselines — the columns of the label tables.
+fn single_message_schemes() -> impl Iterator<Item = Scheme> {
+    Scheme::GENERAL
+        .into_iter()
+        .filter(|s| !s.is_multi_message())
+}
 
 /// Appends one row to `table` per instance of `config`'s grid over
 /// `families`, in job order: the family label, then the cells `row`

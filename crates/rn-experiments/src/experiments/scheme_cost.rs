@@ -6,16 +6,17 @@
 //! sequence of minimal-dominating-set reductions) is cheap enough for the
 //! scenario to be practical.
 
-use super::{sweep_rows, CORE, SOURCE};
+use super::{single_message_schemes, sweep_rows, CORE, SOURCE};
 use crate::report::{fmt_f64, Table};
 use crate::ExperimentConfig;
-use rn_labeling::scheme::{LabelingScheme, SchemeKind};
+use rn_broadcast::session::Session;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &ExperimentConfig) -> Table {
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "m".into()];
-    for s in SchemeKind::ALL {
+    for s in single_message_schemes() {
         headers.push(format!("{} (us)", s.name()));
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -26,13 +27,16 @@ pub fn run(config: &ExperimentConfig) -> Table {
     sweep_rows(&mut table, &CORE, config, |i| {
         let g = &i.graph;
         let mut row = vec![g.node_count().to_string(), g.edge_count().to_string()];
-        for s in SchemeKind::ALL {
+        for s in single_message_schemes() {
+            let builder = Session::builder(s, Arc::clone(g)).source(SOURCE);
+            // A build is the scheme's construction and nothing else: a
+            // session builds each run's nodes only when it runs.
             let start = Instant::now();
-            let labeling = s.assign(g, SOURCE).expect("connected workload");
+            let session = builder.build().expect("connected workload");
             let elapsed = start.elapsed().as_secs_f64() * 1e6;
             // Keep the labeling alive so the construction is not optimised
             // away.
-            std::hint::black_box(labeling.length());
+            std::hint::black_box(session.labeling().length());
             row.push(fmt_f64(elapsed));
         }
         row

@@ -52,11 +52,9 @@ pub mod lambda_ack;
 pub mod lambda_arb;
 pub mod multi;
 pub mod onebit;
-pub mod scheme;
 pub mod sequences;
 
 pub use collection::{CollectionPlan, CollectionSlot, TokenPayload};
 pub use error::LabelingError;
 pub use label::{Label, Labeling};
-pub use scheme::{LabelingScheme, SchemeKind};
 pub use sequences::SequenceConstruction;
