@@ -473,11 +473,6 @@ impl<N: RadioNode> Simulator<N> {
         self
     }
 
-    /// Removes and returns the installed metrics sink, if any.
-    pub fn take_metrics(&mut self) -> Option<Box<dyn MetricsSink + Send>> {
-        self.metrics.take()
-    }
-
     /// Snapshot of the installed sink's aggregate counters, when the sink
     /// keeps them (see [`MetricsSink::counters`]; [`rn_telemetry::CounterSink`]
     /// does, the no-op sink does not).
