@@ -805,7 +805,7 @@ impl Session {
     /// The cached labeling this session was built with. Stable across runs:
     /// running never re-labels the session's own graph/source pair.
     pub fn labeling(&self) -> &Labeling {
-        dispatch!(&self.template, P, plan => <P as Protocol>::labeling(plan))
+        dispatch!(&self.template, P, plan => P::labeling(plan))
     }
 
     /// The resolved coordinator: the `111`-labeled node for λ_arb and the
@@ -825,7 +825,7 @@ impl Session {
     /// (`None` for every single-message scheme). Exposed so certificate
     /// checkers can audit the exact plan the relay protocol will drive.
     pub fn collection_plan(&self) -> Option<&CollectionPlan> {
-        dispatch!(&self.template, P, plan => <P as Protocol>::collection_plan(plan))
+        dispatch!(&self.template, P, plan => P::collection_plan(plan))
     }
 
     /// Runs the session with its configured source and message.
@@ -893,10 +893,8 @@ impl Session {
     /// node, round, offset into the promised span, and violation kind.
     pub fn audit_wake_hints(&self) -> Result<WakeHintAudit, WakeHintViolation> {
         let cap = self.stop_condition().cap();
-        let spec = self.own_spec();
         dispatch!(&self.template, P, plan => {
-            let nodes = <P as Protocol>::network(plan, spec.source, spec.message);
-            rn_radio::audit_wake_hints(&mut self.simulator(nodes).without_trace(), cap)
+            rn_radio::audit_wake_hints(&mut self.own_simulator::<P>(plan), cap)
         })
     }
 
@@ -906,10 +904,8 @@ impl Session {
     /// digests after round `r`. The digest-contract tests use this to pin
     /// determinism and the informed-transition sensitivity of the digests.
     pub fn state_digest_history(&self, rounds: u64) -> Vec<Vec<u64>> {
-        let spec = self.own_spec();
         dispatch!(&self.template, P, plan => {
-            let nodes = <P as Protocol>::network(plan, spec.source, spec.message);
-            let mut sim = self.simulator(nodes).without_trace();
+            let mut sim = self.own_simulator::<P>(plan);
             let mut rows = vec![sim.nodes().iter().map(RadioNode::state_digest).collect()];
             for _ in 0..rounds {
                 sim.step_round();
@@ -1035,6 +1031,14 @@ impl Session {
             .with_faults(&self.faults)
     }
 
+    /// A traceless simulator of the session's own run, its nodes built from
+    /// `plan`.
+    fn own_simulator<P: Protocol>(&self, plan: &P::Plan) -> Simulator<P> {
+        let spec = self.own_spec();
+        self.simulator(P::network(plan, spec.source, spec.message))
+            .without_trace()
+    }
+
     /// The one path every run takes: picks the plan for `spec` — the cached
     /// one, or a fresh construction when a source-dependent scheme moves its
     /// source — and drives it. With `metrics`, the run is instrumented and
@@ -1093,12 +1097,10 @@ impl Session {
         want_shape: bool,
         mut metrics: Option<&mut RunMetrics>,
     ) -> (RunReport, Option<TraceShape>) {
-        let template_timer = metrics
-            .is_some()
-            .then(|| SpanTimer::start("template_build"));
+        let template_timer = SpanTimer::start("template_build");
         let nodes = P::network(plan, spec.source, spec.message);
-        if let (Some(m), Some(timer)) = (metrics.as_deref_mut(), template_timer) {
-            m.spans.push(timer.stop());
+        if let Some(m) = metrics.as_deref_mut() {
+            m.spans.push(template_timer.stop());
         }
         let record = self.trace == TracePolicy::Recorded || want_shape;
         let round_timer = metrics.is_some().then(|| SpanTimer::start("round_loop"));
