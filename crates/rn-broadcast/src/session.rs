@@ -563,10 +563,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the coordinator `r` of the λ_arb or `multi_lambda` labeling
-    /// (ignored by other schemes). Defaults: 0 for λ_arb; for
+    /// Sets the coordinator `r` of the λ_arb, `multi_lambda` or gossip
+    /// labeling (ignored by other schemes). Defaults: 0 for λ_arb; for
     /// `multi_lambda`, the node minimising the maximum distance to any
-    /// source ([`rn_labeling::multi::choose_coordinator`]).
+    /// source ([`rn_labeling::multi::choose_coordinator`]); for gossip, the
+    /// graph centre ([`rn_labeling::gossip::choose_coordinator`]). Both
+    /// defaults come from an eccentricity-bounding search that runs at most
+    /// one BFS per source, and usually a handful.
     pub fn coordinator(mut self, coordinator: NodeId) -> Self {
         self.coordinator = Some(coordinator);
         self
@@ -626,7 +629,9 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session, LabelingError> {
         // Phase spans of the build, reported later through
         // `Session::run_instrumented`: "plan_build" covers source-set and
-        // coordinator resolution, prepare() adds "labeling_construction".
+        // coordinator resolution, "coordinator" (nested in it) the
+        // coordinator choice alone, and prepare() adds
+        // "labeling_construction".
         // Recording them is a handful of clock reads, so it happens
         // unconditionally.
         let mut build_spans = Vec::new();
@@ -670,13 +675,16 @@ impl SessionBuilder {
                 });
             }
         }
+        let coordinator_timer = SpanTimer::start("coordinator");
         let coordinator = match (self.scheme, self.coordinator) {
             (_, Some(c)) => c,
             (Scheme::MultiLambda { .. }, None) => multi::choose_coordinator(&self.graph, &sources)?,
             (Scheme::Gossip, None) => gossip::choose_coordinator(&self.graph)?,
             (_, None) => 0,
         };
+        let coordinator_span = coordinator_timer.stop();
         build_spans.push(plan_timer.stop());
+        build_spans.push(coordinator_span);
         let template = prepare(
             self.scheme,
             &self.graph,
@@ -761,9 +769,9 @@ pub struct Session {
     faults: FaultPlan,
     /// The constructed plan every run builds its nodes from.
     template: Template,
-    /// Wall-clock spans of the build phases ("plan_build",
-    /// "labeling_construction"), recorded once at build time and prepended
-    /// to the [`RunMetrics`] of every
+    /// Wall-clock spans of the build phases ("plan_build", the nested
+    /// "coordinator", "labeling_construction"), recorded once at build
+    /// time and prepended to the [`RunMetrics`] of every
     /// [`run_instrumented`](Session::run_instrumented) call.
     build_spans: Vec<SpanRecord>,
     /// Recycled per-round simulator buffers: every run borrows a scratch
@@ -1609,6 +1617,7 @@ mod tests {
             );
             for phase in [
                 "plan_build",
+                "coordinator",
                 "labeling_construction",
                 "template_build",
                 "round_loop",

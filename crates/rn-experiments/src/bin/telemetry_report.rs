@@ -177,7 +177,14 @@ fn render_report(acc: &Accumulated, prometheus: bool) {
         println!("note: skipped {} unparseable line(s)", acc.skipped_lines);
     }
 
-    let total_nanos: u64 = acc.phase_nanos.iter().map(|(_, _, n)| n).sum();
+    // `coordinator` is timed inside `plan_build`; counting it again would
+    // push the shares past 100%.
+    let total_nanos: u64 = acc
+        .phase_nanos
+        .iter()
+        .filter(|(_, phase, _)| phase != "coordinator")
+        .map(|(_, _, n)| n)
+        .sum();
     let mut phases = Table::new(
         "phase breakdown (wall time across all instrumented runs)",
         &["engine", "phase", "total ms", "share"],

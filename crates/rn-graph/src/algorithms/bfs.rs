@@ -97,16 +97,131 @@ pub fn diameter(g: &Graph) -> Option<usize> {
 }
 
 /// Radius of a connected graph (`None` if disconnected or empty): the minimum
-/// eccentricity over all nodes.
+/// eccentricity over all nodes, the [`Centre::eccentricity`] of the
+/// all-nodes [`centre`].
 pub fn radius(g: &Graph) -> Option<usize> {
-    if g.node_count() == 0 {
+    let all: Vec<NodeId> = g.nodes().collect();
+    centre(g, &all).map(|c| c.eccentricity)
+}
+
+/// The centre of a graph relative to a source set S: the node minimising
+/// f(v) = max_{s∈S} d(s, v), as found by [`centre`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Centre {
+    /// The smallest-index node among the minimisers of f.
+    pub node: NodeId,
+    /// f(node): the largest distance from `node` to a source.
+    pub eccentricity: usize,
+    /// BFS passes the search ran; at most the number of distinct sources.
+    pub bfs_passes: usize,
+}
+
+/// Finds the [`Centre`] of `g` relative to `sources`: the smallest-index
+/// node v minimising f(v) = max_{s∈S} d(s, v). With every node a source, f
+/// is the eccentricity and the centre's value is the [`radius`].
+///
+/// The search bounds f instead of running one BFS per source (Takes and
+/// Kosters, "Computing the eccentricity distribution of large graphs",
+/// Algorithms 6(1), 2013, adapted to a source set). A BFS from a source w
+/// gives f(w) exactly, and for every v the bounds
+/// `max(f(w) − d(w,v), d(w,v)) ≤ f(v) ≤ f(w) + d(w,v)`. A node whose lower
+/// bound cannot beat the best exact value found (on value, then index)
+/// leaves the candidate set. Roots are drawn only from the sources not yet
+/// searched, alternating between the smallest lower bound and the largest
+/// upper bound, so the search runs at most |S| passes; once every source
+/// has been searched the lower bounds are exact, and the best remaining
+/// candidate is the centre.
+///
+/// Returns `None` if the graph is empty, `sources` is empty, or the graph
+/// is disconnected (f is then infinite somewhere).
+///
+/// # Panics
+/// Panics if a source is out of range, or if the graph has 2³² nodes or
+/// more (distances are kept as `u32`).
+pub fn centre(g: &Graph, sources: &[NodeId]) -> Option<Centre> {
+    let n = g.node_count();
+    let mut unsearched = sources.to_vec();
+    unsearched.sort_unstable();
+    unsearched.dedup();
+    if n == 0 || unsearched.is_empty() {
         return None;
     }
-    let mut min = usize::MAX;
-    for v in g.nodes() {
-        min = min.min(eccentricity(g, v)?);
+    assert!(unsearched[unsearched.len() - 1] < n, "source out of range");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "graph too large for u32 distances"
+    );
+    let mut dist = vec![u32::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut lo = vec![0u32; n];
+    let mut hi = vec![u32::MAX; n];
+    let mut open = vec![true; n];
+    let mut open_count = n;
+    // The smallest (f, index) among the searched sources.
+    let mut best = (u32::MAX, NodeId::MAX);
+    let mut bfs_passes = 0;
+    while open_count > 0 && !unsearched.is_empty() {
+        let pick = if bfs_passes % 2 == 0 {
+            (0..unsearched.len()).min_by_key(|&i| (lo[unsearched[i]], unsearched[i]))
+        } else {
+            (0..unsearched.len())
+                .max_by_key(|&i| (hi[unsearched[i]], std::cmp::Reverse(unsearched[i])))
+        };
+        let w = unsearched.swap_remove(pick.expect("a source is left to search"));
+        bfs_passes += 1;
+        if !bfs_into(g, w, &mut dist, &mut queue) {
+            return None;
+        }
+        let fw = sources
+            .iter()
+            .map(|&s| dist[s])
+            .max()
+            .expect("sources non-empty");
+        best = best.min((fw, w));
+        for v in 0..n {
+            let d = dist[v];
+            lo[v] = lo[v].max(d).max(fw.saturating_sub(d));
+            hi[v] = hi[v].min(fw.saturating_add(d));
+            if open[v] && (lo[v], v) >= best {
+                open[v] = false;
+                open_count -= 1;
+            }
+        }
     }
-    Some(min)
+    // Either no candidate is left and `best` is the centre, or every source
+    // has been searched: each lower bound is then exact, and every open
+    // candidate beats `best`.
+    let (f, node) = (0..n)
+        .filter(|&v| open[v])
+        .map(|v| (lo[v], v))
+        .min()
+        .unwrap_or(best);
+    Some(Centre {
+        node,
+        eccentricity: f as usize,
+        bfs_passes,
+    })
+}
+
+/// Fills `dist` with hop distances from `root` (`u32::MAX` = unreached),
+/// using `queue` as the BFS queue; returns whether every node was reached.
+fn bfs_into(g: &Graph, root: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) -> bool {
+    dist.fill(u32::MAX);
+    queue.clear();
+    dist[root] = 0;
+    queue.push(root);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = dist[u] + 1;
+        for &v in g.neighbors(u) {
+            if dist[v] == u32::MAX {
+                dist[v] = du;
+                queue.push(v);
+            }
+        }
+    }
+    queue.len() == dist.len()
 }
 
 /// Eccentricity of a specific node used as a broadcast source: the number of

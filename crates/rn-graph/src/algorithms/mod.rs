@@ -11,7 +11,9 @@ pub mod domination;
 pub mod properties;
 pub mod recognition;
 
-pub use bfs::{bfs_distances, bfs_layers, bfs_tree_parents, diameter, eccentricity, radius};
+pub use bfs::{
+    bfs_distances, bfs_layers, bfs_tree_parents, centre, diameter, eccentricity, radius, Centre,
+};
 pub use coloring::{greedy_coloring, square_graph, square_graph_coloring};
 pub use connectivity::{connected_components, is_connected};
 pub use domination::{

@@ -36,7 +36,7 @@ use crate::error::LabelingError;
 use crate::label::Labeling;
 use crate::lambda;
 use crate::sequences::SequenceConstruction;
-use rn_graph::algorithms::{bfs_distances, ReductionOrder};
+use rn_graph::algorithms::{centre, ReductionOrder};
 use rn_graph::{Graph, NodeId};
 
 pub use crate::collection::{CollectionSlot, TokenPayload};
@@ -120,23 +120,17 @@ impl MultiLambdaScheme {
 /// the maximum BFS distance to any source (the centre of the BFS forest
 /// grown from the sources), ties broken toward the smallest id.
 ///
+/// The choice is [`rn_graph::algorithms::centre`]: an eccentricity-bounding
+/// search whose BFS roots are drawn from the sources, so it runs at most
+/// `k` passes (one per source) and usually a handful.
+///
 /// Returns an error for an empty graph, an empty/out-of-range source set,
 /// or a disconnected graph (some node unreachable from a source).
 pub fn choose_coordinator(g: &Graph, sources: &[NodeId]) -> Result<NodeId, LabelingError> {
     let sources = validate_sources(g, sources)?;
-    let n = g.node_count();
-    // max_dist[v] = max over sources of dist(source, v).
-    let mut max_dist = vec![0usize; n];
-    for &s in &sources {
-        for (v, d) in bfs_distances(g, s).iter().enumerate() {
-            let d = d.ok_or(LabelingError::NotConnected)?;
-            max_dist[v] = max_dist[v].max(d);
-        }
-    }
-    let coordinator = (0..n)
-        .min_by_key(|&v| max_dist[v])
-        .expect("non-empty graph");
-    Ok(coordinator)
+    centre(g, &sources)
+        .map(|c| c.node)
+        .ok_or(LabelingError::NotConnected)
 }
 
 /// Validates and normalises a source set: non-empty, every entry in range,

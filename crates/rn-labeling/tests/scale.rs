@@ -5,7 +5,9 @@
 //! per stage needs Θ(n²) memory, tens of gigabytes here. One that counts
 //! each frontier node's dominators from the frontier node's own row reads
 //! Θ(m·ℓ) entries on dense clusters, and an x2 assignment that scans all of
-//! `NEW_i` per repeating dominator costs Θ(n²) on a sparse G(n, p). Ignored
+//! `NEW_i` per repeating dominator costs Θ(n²) on a sparse G(n, p). Gossip's
+//! coordinator, chosen with one BFS per node, would cost Θ(n·(n + m)); the
+//! eccentricity-bounding search must settle it in a few passes. Ignored
 //! by default because a debug build is slow at these sizes; run it in
 //! release with
 //!
@@ -13,9 +15,10 @@
 //! cargo test --release -p rn-labeling -- --ignored
 //! ```
 
+use rn_graph::algorithms::centre;
 use rn_graph::generators::{self, TopologyFamily};
 use rn_graph::Graph;
-use rn_labeling::lambda;
+use rn_labeling::{gossip, lambda};
 
 const N: usize = 100_000;
 
@@ -67,4 +70,24 @@ fn lambda_builds_on_sparse_gnp_at_fifty_thousand_nodes() {
         .generate(50_000, 1)
         .expect("gnp_avg_degree generates");
     build_and_check(&g, 0);
+}
+
+/// Chooses gossip's coordinator and checks that the search behind it took
+/// at most 32 BFS passes; returns the coordinator.
+fn gossip_coordinator(g: &Graph) -> usize {
+    let all: Vec<usize> = g.nodes().collect();
+    let c = centre(g, &all).expect("connected instance");
+    assert!(c.bfs_passes <= 32, "{} BFS passes", c.bfs_passes);
+    let coordinator = gossip::choose_coordinator(g).expect("connected instance");
+    assert_eq!(coordinator, c.node);
+    coordinator
+}
+
+#[test]
+#[ignore = "n = 10^5; run in release with --ignored"]
+fn gossip_coordinator_at_one_hundred_thousand_nodes() {
+    // The two middle nodes of the path tie; the smaller index wins.
+    assert_eq!(gossip_coordinator(&generators::path(N)), N / 2 - 1);
+    gossip_coordinator(&generators::grid(316, 317));
+    gossip_coordinator(&generators::random_tree(N, 1));
 }

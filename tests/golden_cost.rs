@@ -17,12 +17,16 @@
 //! source 0, on the same instances plus `clustered_gnp`, whose dense
 //! clusters keep large frontiers alive for many stages.
 //!
+//! The third block pins gossip's coordinator search:
+//! `Centre::bfs_passes` of the all-nodes `centre` on the same four
+//! families. One BFS per source would make every row read n.
+//!
 //! A row may only change together with a deliberate change to what a run
 //! costs; the failure message prints each changed row as it now reads, for
 //! updating the file in that same change.
 
 use radio_labeling::broadcast::session::{Scheme, Session, TracePolicy};
-use radio_labeling::graph::algorithms::ReductionOrder;
+use radio_labeling::graph::algorithms::{centre, ReductionOrder};
 use radio_labeling::graph::generators::TopologyFamily;
 use radio_labeling::graph::Graph;
 use radio_labeling::labeling::sequences::SequenceConstruction;
@@ -69,6 +73,15 @@ fn construction(family: TopologyFamily, n: usize) -> (Graph, SequenceConstructio
     (graph, c)
 }
 
+/// The BFS passes of gossip's coordinator search (every node a source).
+fn coordinator_passes(family: TopologyFamily, n: usize) -> usize {
+    let graph = family.generate(n, 1).expect("cost families generate");
+    let all: Vec<usize> = graph.nodes().collect();
+    centre(&graph, &all)
+        .unwrap_or_else(|| panic!("{}/{n}: disconnected", family.name()))
+        .bfs_passes
+}
+
 fn actual_rows() -> Vec<String> {
     let mut rows = vec!["# <family>/<n>/<scheme> node_steps harness_visits".to_string()];
     for family in FAMILIES {
@@ -93,6 +106,16 @@ fn actual_rows() -> Vec<String> {
                 "{}/{n}/construction {}",
                 family.name(),
                 c.adjacency_reads()
+            ));
+        }
+    }
+    rows.push("# <family>/<n>/coordinator bfs_passes".to_string());
+    for family in FAMILIES.into_iter().chain([CLUSTERED]) {
+        for n in SIZES {
+            rows.push(format!(
+                "{}/{n}/coordinator {}",
+                family.name(),
+                coordinator_passes(family, n)
             ));
         }
     }
@@ -197,5 +220,21 @@ fn construction_reads_stay_bounded_on_dense_clusters() {
             frontier_side as f64 > budget,
             "n = {n}: a frontier-side count ({frontier_side}) would also fit in {budget}"
         );
+    }
+}
+
+#[test]
+fn gossip_coordinator_takes_a_bounded_number_of_passes() {
+    // The eccentricity bounds settle the centre of these sparse families in
+    // a few BFS passes at any n; one BFS per node would take n.
+    for family in FAMILIES {
+        for n in SIZES {
+            let passes = coordinator_passes(family, n);
+            assert!(
+                passes <= 32,
+                "{}/{n}: {passes} coordinator BFS passes",
+                family.name()
+            );
+        }
     }
 }
