@@ -33,7 +33,8 @@ pub(crate) enum BRule {
 }
 
 /// The local rounds of the events Algorithm B's rules 3–5 read. Shared by
-/// [`BNode`] and the bundle broadcast of [`crate::multi::MultiNode`].
+/// [`BNode`], Algorithm 2's [`crate::algo_back::BackNode`] and the bundle
+/// broadcast of [`crate::multi::MultiNode`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BClock {
     /// The local round in which the node first received µ (`None` for the
@@ -65,6 +66,17 @@ impl BClock {
     /// The first local round after `now` in which [`rule`](Self::rule) may
     /// fire, or `None` when only a reception can make one fire.
     pub(crate) fn next_rule_round(&self, now: u64, x1: bool, x2: bool) -> Option<u64> {
+        self.rule_rounds(x1, x2)
+            .into_iter()
+            .flatten()
+            .filter(|&t| t > now)
+            .min()
+    }
+
+    /// The local rounds in which rules 4 ("stay"), 3 (relay) and 5
+    /// (retransmission) fire as the events so far schedule them, past ones
+    /// included.
+    pub(crate) fn rule_rounds(&self, x1: bool, x2: bool) -> [Option<u64>; 3] {
         let retransmit = self
             .last_tx_at
             .filter(|&t| self.stay_at == Some(t + 1))
@@ -74,10 +86,6 @@ impl BClock {
             self.informed_at.filter(|_| x1).map(|t| t + 2),
             retransmit,
         ]
-        .into_iter()
-        .flatten()
-        .filter(|&t| t > now)
-        .min()
     }
 
     /// Folds the three timestamps into `d`.

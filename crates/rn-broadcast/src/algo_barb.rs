@@ -30,7 +30,7 @@
 //! is skipped (it would otherwise never terminate, and it has nothing to
 //! learn).
 
-use crate::ack_engine::{AckExtra, BackEngine, EngineAction};
+use crate::algo_back::BackNode;
 use crate::messages::{Phase, SourceMessage, TaggedMessage, TaggedPayload};
 use rn_labeling::{lambda_arb, Label, Labeling};
 use rn_radio::{hint_until, Action, RadioNode};
@@ -41,9 +41,8 @@ pub struct ArbNode {
     is_coordinator: bool,
     /// The source message, if this node is the original source s_G.
     original_message: Option<SourceMessage>,
-    phase1: BackEngine,
-    phase2: BackEngine,
-    phase3: BackEngine,
+    /// One Algorithm 2 instance per phase, indexed by `Phase as usize`.
+    phases: [BackNode; 3],
     /// Timestamp of the first "initialize" message (t_v); 0 for the
     /// coordinator.
     t_v: Option<u64>,
@@ -72,38 +71,19 @@ impl ArbNode {
     /// recognised from its `111` label.
     pub fn new(label: Label, message: Option<SourceMessage>) -> Self {
         let is_coordinator = label == lambda_arb::coordinator_label();
-        let phase1 = BackEngine::new(
-            Phase::One,
-            label,
-            is_coordinator.then_some(TaggedPayload::Init),
-            true,
-            AckExtra::OwnInformedRound,
-            true,
-        );
-        // Placeholder payloads; the coordinator fills them in when it learns
-        // T (phase 2) and µ (phase 3).
-        let phase2 = BackEngine::new(
-            Phase::Two,
-            label,
-            is_coordinator.then_some(TaggedPayload::Ready(0)),
-            false,
-            AckExtra::None,
-            false,
-        );
-        let phase3 = BackEngine::new(
-            Phase::Three,
-            label,
-            is_coordinator.then_some(TaggedPayload::Data(0)),
-            false,
-            AckExtra::None,
-            false,
-        );
+        let source = |payload| is_coordinator.then_some(payload);
         ArbNode {
             is_coordinator,
             original_message: message,
-            phase1,
-            phase2,
-            phase3,
+            // The coordinator sources every phase. Phases 2 and 3 start
+            // with placeholder payloads; it fills them in when it learns T
+            // (phase 2) and µ (phase 3). Phase 1's acknowledgement carries
+            // T = t_z.
+            phases: [
+                BackNode::instance(Phase::One, label, source(TaggedPayload::Init), true),
+                BackNode::instance(Phase::Two, label, source(TaggedPayload::Ready(0)), false),
+                BackNode::instance(Phase::Three, label, source(TaggedPayload::Data(0)), false),
+            ],
             t_v: is_coordinator.then_some(0),
             t_bound: None,
             source_ack_at: None,
@@ -141,12 +121,13 @@ impl ArbNode {
         if let Some(m) = self.original_message {
             return Some(m);
         }
-        if let Some(TaggedPayload::Data(m)) = self.phase3.payload() {
+        let [_, phase2, phase3] = &self.phases;
+        if let Some(TaggedPayload::Data(m)) = phase3.payload() {
             return Some(m);
         }
         // The coordinator learns µ from the phase-2 ack before phase 3.
         if self.is_coordinator {
-            if let Some((_, Some(m))) = self.phase2.final_ack() {
+            if let Some((_, Some(m))) = phase2.final_ack() {
                 return Some(m);
             }
         }
@@ -183,12 +164,12 @@ impl ArbNode {
         if !self.is_coordinator {
             return;
         }
-        if !self.phase2.is_enabled() && !self.phase3.is_enabled() {
-            if let Some((_, extra)) = self.phase1.final_ack() {
+        let [phase1, phase2, phase3] = &mut self.phases;
+        if !phase2.is_enabled() && !phase3.is_enabled() {
+            if let Some((_, extra)) = phase1.final_ack() {
                 let t = extra.expect("phase-1 ack carries T = t_z");
                 self.t_bound = Some(t);
-                self.phase2.set_source_payload(TaggedPayload::Ready(t));
-                self.phase2.enable();
+                phase2.start(TaggedPayload::Ready(t));
                 if self.original_message.is_some() {
                     // The coordinator already holds µ, so nobody will initiate
                     // the phase-2 acknowledgement (the source never *receives*
@@ -198,11 +179,10 @@ impl ArbNode {
                     self.phase3_start_at = Some(Self::deadline(now, t + 2));
                 }
             }
-        } else if self.phase2.is_enabled() && !self.phase3.is_enabled() {
-            if let Some((_, extra)) = self.phase2.final_ack() {
+        } else if phase2.is_enabled() && !phase3.is_enabled() {
+            if let Some((_, extra)) = phase2.final_ack() {
                 let m = extra.expect("phase-2 ack carries µ");
-                self.phase3.set_source_payload(TaggedPayload::Data(m));
-                self.phase3.enable();
+                phase3.start(TaggedPayload::Data(m));
                 // The coordinator (t_r = 0) knows completion T rounds after
                 // it starts the final broadcast.
                 let t = self.t_bound.expect("T known");
@@ -214,11 +194,12 @@ impl ArbNode {
     /// Non-coordinator bookkeeping: record t_v, T, the source's delayed
     /// acknowledgement, and the completion deadline.
     fn update_local_knowledge(&mut self, now: u64) {
+        let [phase1, phase2, phase3] = &self.phases;
         if self.t_v.is_none() {
-            self.t_v = self.phase1.informed_round();
+            self.t_v = phase1.informed_round();
         }
         if self.t_bound.is_none() {
-            if let Some(TaggedPayload::Ready(t)) = self.phase2.payload() {
+            if let Some(TaggedPayload::Ready(t)) = phase2.payload() {
                 self.t_bound = Some(t);
             }
         }
@@ -229,14 +210,14 @@ impl ArbNode {
             && !self.source_ack_sent
             && self.source_ack_at.is_none()
         {
-            if let (Some(t), Some(_)) = (self.t_bound, self.phase2.informed_round()) {
+            if let (Some(t), Some(_)) = (self.t_bound, phase2.informed_round()) {
                 self.source_ack_at = Some(Self::deadline(now, t + 1));
             }
         }
         // Completion: T - t_v rounds after receiving µ in phase 3.
         if self.completion_at.is_none()
             && !self.knows_completion
-            && self.phase3.is_informed()
+            && phase3.is_informed()
             && !self.is_coordinator
         {
             if let (Some(t), Some(tv)) = (self.t_bound, self.t_v) {
@@ -251,25 +232,26 @@ impl ArbNode {
     /// final ack, or a `t_v`, `T`, source acknowledgement deadline or
     /// completion deadline that is due but not yet recorded.
     fn bookkeeping_due(&self) -> bool {
+        let [phase1, phase2, phase3] = &self.phases;
         let phase_switch = self.is_coordinator
-            && !self.phase3.is_enabled()
-            && if self.phase2.is_enabled() {
-                self.phase2.final_ack().is_some()
+            && !phase3.is_enabled()
+            && if phase2.is_enabled() {
+                phase2.final_ack().is_some()
             } else {
-                self.phase1.final_ack().is_some()
+                phase1.final_ack().is_some()
             };
-        let t_v = self.t_v.is_none() && self.phase1.informed_round().is_some();
-        let t_bound = self.t_bound.is_none()
-            && matches!(self.phase2.payload(), Some(TaggedPayload::Ready(_)));
+        let t_v = self.t_v.is_none() && phase1.informed_round().is_some();
+        let t_bound =
+            self.t_bound.is_none() && matches!(phase2.payload(), Some(TaggedPayload::Ready(_)));
         let source_ack = self.original_message.is_some()
             && !self.is_coordinator
             && !self.source_ack_sent
             && self.source_ack_at.is_none()
             && self.t_bound.is_some()
-            && self.phase2.informed_round().is_some();
+            && phase2.informed_round().is_some();
         let completion = self.completion_at.is_none()
             && !self.knows_completion
-            && self.phase3.is_informed()
+            && phase3.is_informed()
             && !self.is_coordinator
             && self.t_bound.is_some()
             && self.t_v.is_some();
@@ -288,8 +270,7 @@ impl ArbNode {
             let m = self
                 .original_message
                 .expect("only the source-coordinator waits");
-            self.phase3.set_source_payload(TaggedPayload::Data(m));
-            self.phase3.enable();
+            self.phases[Phase::Three as usize].start(TaggedPayload::Data(m));
             let t = self.t_bound.expect("T known");
             self.completion_at = Some(Self::deadline(now, t + 1));
         }
@@ -301,8 +282,7 @@ impl ArbNode {
         if self.source_ack_at == Some(now) {
             self.source_ack_at = None;
             self.source_ack_sent = true;
-            let k = self
-                .phase2
+            let k = self.phases[Phase::Two as usize]
                 .informed_round()
                 .expect("the source heard the ready broadcast");
             return Some(TaggedMessage::ack_with_extra(
@@ -324,43 +304,37 @@ impl RadioNode for ArbNode {
 
         let special = self.deadlines(now);
 
-        // Step every engine on the node's clock; collect the transmission
-        // requests.
-        let a1 = self.phase1.step(now);
-        let a2 = self.phase2.step(now);
-        let a3 = self.phase3.step(now);
-
-        // The phases never overlap, so at most one engine (or the special
-        // source acknowledgement) asks to transmit; prefer the latest phase
-        // for robustness.
-        if let EngineAction::Transmit(m) = a3 {
-            return Action::Transmit(m);
+        // Step every phase on the node's clock. The phases never overlap,
+        // so at most one of them (or the special source acknowledgement)
+        // asks to transmit; prefer the latest phase for robustness.
+        let [phase1, phase2, phase3] = &mut self.phases;
+        let (a1, a2, a3) = (phase1.step(now), phase2.step(now), phase3.step(now));
+        if a3.is_transmit() {
+            return a3;
         }
         if let Some(m) = special {
             return Action::Transmit(m);
         }
-        if let EngineAction::Transmit(m) = a2 {
-            return Action::Transmit(m);
+        if a2.is_transmit() {
+            return a2;
         }
-        if let EngineAction::Transmit(m) = a1 {
-            return Action::Transmit(m);
-        }
-        Action::Listen
+        a1
     }
 
     /// Sleeps until the next round in which `step` does something: the
     /// next round when bookkeeping is due, else the earliest of the three
-    /// engines' rule rounds and the pending deadlines. With none pending
+    /// phases' rule rounds and the pending deadlines. With none pending
     /// the node parks until it hears something. A node waiting out its
     /// completion deadline sleeps through the whole wait.
     fn wake_hint(&self, now: u64) -> u64 {
         if self.bookkeeping_due() {
             return 0;
         }
+        let [phase1, phase2, phase3] = &self.phases;
         let next = [
-            self.phase1.next_rule_round(now),
-            self.phase2.next_rule_round(now),
-            self.phase3.next_rule_round(now),
+            phase1.next_rule_round(now),
+            phase2.next_rule_round(now),
+            phase3.next_rule_round(now),
             self.phase3_start_at,
             self.completion_at,
             self.source_ack_at,
@@ -373,11 +347,7 @@ impl RadioNode for ArbNode {
 
     fn receive(&mut self, heard: Option<&TaggedMessage>, now: u64) {
         let Some(msg) = heard else { return };
-        match msg.phase {
-            Phase::One => self.phase1.receive(Some(msg), now),
-            Phase::Two => self.phase2.receive(Some(msg), now),
-            Phase::Three => self.phase3.receive(Some(msg), now),
-        }
+        self.phases[msg.phase as usize].receive(Some(msg), now);
     }
 
     fn state_digest(&self) -> u64 {
@@ -391,9 +361,8 @@ impl RadioNode for ArbNode {
             .opt(self.phase3_start_at)
             .opt(self.completion_at)
             .flag(self.knows_completion);
-        let d = self.phase1.digest_into(d);
-        let d = self.phase2.digest_into(d);
-        self.phase3.digest_into(d).finish()
+        let d = self.phases.iter().fold(d, |d, phase| phase.digest_into(d));
+        d.finish()
     }
 }
 

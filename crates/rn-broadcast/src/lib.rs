@@ -7,10 +7,12 @@
 //!   2-bit λ labels, completing within `2n − 3` rounds (Theorem 2.9);
 //! * [`algo_back`] — **Algorithm B_ack** (Algorithm 2): acknowledged
 //!   broadcast with 3-bit λ_ack labels; the source learns of completion
-//!   within `n − 2` further rounds (Theorem 3.9);
+//!   within `n − 2` further rounds (Theorem 3.9). [`algo_back::BackNode`]
+//!   follows Algorithm B's rules and adds the acknowledgement chain;
 //! * [`algo_barb`] — **Algorithm B_arb** (§4.2): the three-phase algorithm
 //!   for the case where the source is unknown at labeling time, with 3-bit
-//!   λ_arb labels;
+//!   λ_arb labels; [`algo_barb::ArbNode`] runs one Algorithm 2 instance
+//!   per phase;
 //! * [`common_round`] — the composition of B_ack and B described at the end
 //!   of §3 that gives every node a common round in which it knows the
 //!   broadcast has completed;
@@ -42,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ack_engine;
 pub mod algo_b;
 pub mod algo_back;
 pub mod algo_barb;
@@ -61,3 +62,20 @@ pub use multi::MultiNode as GossipNode;
 pub use session::{
     RoundCapPolicy, RunReport, RunSpec, Scheme, Session, SessionBuilder, StopPolicy, TracePolicy,
 };
+
+/// A ceiling on the size of each protocol node: a run holds one per
+/// network node, so growth shows up as lost rounds per second.
+#[cfg(all(test, target_pointer_width = "64"))]
+mod tests {
+    use std::mem::size_of;
+
+    #[test]
+    fn protocol_nodes_stay_within_their_size() {
+        assert!(size_of::<crate::algo_b::BNode>() <= 72);
+        assert!(size_of::<crate::algo_back::BackNode>() <= 208);
+        assert!(size_of::<crate::algo_barb::ArbNode>() <= 728);
+        assert!(size_of::<crate::multi::MultiNode>() <= 144);
+        assert!(size_of::<crate::baselines::SlottedNode>() <= 48);
+        assert!(size_of::<crate::delay_relay::DelayRelayNode>() <= 40);
+    }
+}

@@ -3,7 +3,7 @@
 //!
 //! A [`SweepSpec`] names the full cross product once; [`SweepSpec::run`]
 //! generates every instance through the [`TopologyFamily`] registry, drives
-//! the runs through [`Session::run_batch`], and collects one flat
+//! each run through [`Session::run_with`], and collects one flat
 //! [`SweepRecord`] per execution — rounds to completion, collision and
 //! transmission counts, label lengths — into a [`SweepReport`] that renders
 //! as an aligned text table ([`SweepReport::summary_table`]) or serialises
@@ -59,7 +59,7 @@ pub struct SweepSpec {
     /// without the axis.
     pub faults: Vec<FaultSpec>,
     /// Broadcast sources per instance, spread evenly over the node range;
-    /// the runs of one instance go through [`Session::run_batch`]. Requests
+    /// the runs of one instance go one by one, in source order. Requests
     /// beyond the instance size collapse to one run per node (see
     /// [`sources_for`](Self::sources_for)).
     pub sources_per_point: usize,
@@ -559,33 +559,31 @@ struct PointResult {
     label_lengths: Vec<(&'static str, Vec<usize>)>,
 }
 
-/// Runs every spec through the session, instrumenting each run when the
-/// sweep streams telemetry.
+/// Runs every spec through the session in spec order, instrumenting each
+/// run when the sweep streams telemetry.
 ///
-/// Both arms execute the specs sequentially in spec order — `run_batch`
-/// with `threads = 1` runs inline, and the instrumented loop drives
-/// [`Session::run_with_instrumented`] spec by spec — so the reports (and
-/// therefore the sweep records) are identical whether or not telemetry is
-/// attached; instrumentation only adds the per-run [`RunMetrics`] column.
+/// [`Session::run_with_instrumented`] returns the report
+/// [`Session::run_with`] would, so the sweep records are identical whether
+/// or not telemetry is attached; instrumentation only adds the per-run
+/// [`RunMetrics`] column.
 fn execute_specs(
     session: &Session,
     specs: &[RunSpec],
     instrument: bool,
 ) -> Result<(Vec<RunReport>, Vec<Option<RunMetrics>>), LabelingError> {
-    if instrument {
-        let mut reports = Vec::with_capacity(specs.len());
-        let mut metrics = Vec::with_capacity(specs.len());
-        for &spec in specs {
+    let mut reports = Vec::with_capacity(specs.len());
+    let mut metrics = Vec::with_capacity(specs.len());
+    for &spec in specs {
+        let (report, m) = if instrument {
             let (report, m) = session.run_with_instrumented(spec)?;
-            reports.push(report);
-            metrics.push(Some(m));
-        }
-        Ok((reports, metrics))
-    } else {
-        let reports = session.run_batch(specs, 1)?;
-        let metrics = reports.iter().map(|_| None).collect();
-        Ok((reports, metrics))
+            (report, Some(m))
+        } else {
+            (session.run_with(spec)?, None)
+        };
+        reports.push(report);
+        metrics.push(m);
     }
+    Ok((reports, metrics))
 }
 
 /// The fault axis of a spec whose `faults` field was emptied by hand.
@@ -657,9 +655,8 @@ fn run_point(
                     let lengths = session.labeling().labels().iter().map(Label::len);
                     label_lengths.push((scheme.name(), lengths.collect()));
                 }
-                // The point itself is one parallel job, so the inner batch
-                // runs inline (threads = 1); parallelism lives at the
-                // instance level.
+                // The point itself is one parallel job, so its runs go one
+                // by one; parallelism lives at the instance level.
                 let (reports, run_metrics) =
                     execute_specs(&session, specs, telemetry.is_some()).map_err(label_err)?;
                 for (report, metrics) in reports.iter().zip(&run_metrics) {
@@ -1118,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn multiple_sources_run_through_run_batch() {
+    fn multiple_sources_run_in_source_order() {
         let spec = SweepSpec::new("sources")
             .families(&[TopologyFamily::Cycle])
             .sizes(&[12])
