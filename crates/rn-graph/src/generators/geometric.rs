@@ -28,6 +28,9 @@ pub struct UnitDiskInstance {
     /// Number of repair edges added to make the graph connected (0 when the
     /// random instance was already connected).
     pub repair_edges: usize,
+    /// Number of node pairs whose distance the generator computed: the
+    /// deterministic cost of the edge search.
+    pub pairs_examined: u64,
 }
 
 /// Generates a connected unit-disk graph on `n` nodes: positions are sampled
@@ -53,8 +56,10 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
         .collect();
     let mut b = GraphBuilder::new(n);
     let r2 = radius * radius;
+    let mut pairs_examined = 0u64;
     for i in 0..n {
         for j in (i + 1)..n {
+            pairs_examined += 1;
             let dx = positions[i].0 - positions[j].0;
             let dy = positions[i].1 - positions[j].1;
             if dx * dx + dy * dy <= r2 {
@@ -68,6 +73,7 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
         positions,
         radius,
         repair_edges,
+        pairs_examined,
     })
 }
 

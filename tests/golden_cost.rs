@@ -21,13 +21,17 @@
 //! `Centre::bfs_passes` of the all-nodes `centre` on the same four
 //! families. One BFS per source would make every row read n.
 //!
+//! The fourth block pins graph generation: `UnitDiskInstance::pairs_examined`
+//! of the `unit_disk:8` preset's instance, the node pairs whose distance the
+//! generator computed.
+//!
 //! A row may only change together with a deliberate change to what a run
 //! costs; the failure message prints each changed row as it now reads, for
 //! updating the file in that same change.
 
 use radio_labeling::broadcast::session::{Scheme, Session, TracePolicy};
 use radio_labeling::graph::algorithms::{centre, ReductionOrder};
-use radio_labeling::graph::generators::TopologyFamily;
+use radio_labeling::graph::generators::{unit_disk, TopologyFamily, UnitDiskInstance};
 use radio_labeling::graph::Graph;
 use radio_labeling::labeling::sequences::SequenceConstruction;
 use radio_labeling::radio::RunCounters;
@@ -82,6 +86,16 @@ fn coordinator_passes(family: TopologyFamily, n: usize) -> usize {
         .bfs_passes
 }
 
+/// The `unit_disk:8` preset's instance at seed 1, with its positions and
+/// counters: the radius `unit_disk_with_degree` picks for degree 8.
+fn unit_disk_instance(n: usize) -> UnitDiskInstance {
+    let radius = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
+    let inst = unit_disk(n, radius, 1).expect("radius in range");
+    let preset = TopologyFamily::UnitDisk { avg_degree: 8.0 }.generate(n, 1);
+    assert_eq!(Ok(&inst.graph), preset.as_ref(), "unit_disk:8 radius");
+    inst
+}
+
 fn actual_rows() -> Vec<String> {
     let mut rows = vec!["# <family>/<n>/<scheme> node_steps harness_visits".to_string()];
     for family in FAMILIES {
@@ -118,6 +132,13 @@ fn actual_rows() -> Vec<String> {
                 coordinator_passes(family, n)
             ));
         }
+    }
+    rows.push("# <family>/<n>/generate pairs_examined".to_string());
+    for n in SIZES {
+        rows.push(format!(
+            "unit_disk/{n}/generate {}",
+            unit_disk_instance(n).pairs_examined
+        ));
     }
     rows
 }
