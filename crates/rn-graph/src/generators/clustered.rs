@@ -9,6 +9,7 @@
 //!   degree never exceeds a cap Δ, the bounded-degree regime in which the
 //!   paper's `O(n)` round bounds are tight up to constants.
 
+use super::pairs::sample_pairs;
 use crate::algorithms::connectivity::connect;
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
@@ -24,6 +25,9 @@ use rand::SeedableRng;
 ///
 /// Node numbering is by cluster: cluster `c` occupies a contiguous index
 /// range, with the first `n % clusters` clusters holding one extra node.
+///
+/// Cost: one `gen_bool` draw per pair, n(n − 1)/2 in all, plus O(n + m) to
+/// pack and repair the sample.
 ///
 /// Returns an error if `n == 0`, `clusters == 0`, `clusters > n`, or either
 /// probability is outside `[0, 1]`.
@@ -48,33 +52,18 @@ pub fn clustered_gnp(
             });
         }
     }
-    // Cluster of node v, for contiguous near-equal groups.
-    let base = n / clusters;
-    let extra = n % clusters;
-    let cluster_of = |v: usize| {
-        // The first `extra` clusters have `base + 1` nodes.
-        let boundary = extra * (base + 1);
-        if v < boundary {
-            v / (base + 1)
-        } else {
-            extra + (v - boundary) / base.max(1)
+    // Node i draws over the rest of its cluster with p_in, then over every
+    // later cluster with p_out. The first `n % clusters` clusters hold
+    // `n / clusters + 1` nodes; `end` is the end of i's cluster.
+    let (mut cluster, mut end) = (0, 0);
+    let sample = sample_pairs(n, seed, |i| {
+        if i == end {
+            end += n / clusters + usize::from(cluster < n % clusters);
+            cluster += 1;
         }
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let p = if cluster_of(i) == cluster_of(j) {
-                p_in
-            } else {
-                p_out
-            };
-            if rng.gen_bool(p) {
-                b.add_edge(i, j).expect("fresh pair");
-            }
-        }
-    }
-    Ok(connect(b.try_build()?)?.0)
+        [(i + 1..end, p_in), (end..n, p_out)]
+    })?;
+    Ok(connect(sample)?.0)
 }
 
 /// Connected random graph with maximum degree at most `max_degree`: a

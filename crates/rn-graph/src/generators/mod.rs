@@ -17,6 +17,7 @@ mod clustered;
 mod family;
 mod geometric;
 mod grid;
+mod pairs;
 mod random;
 mod structured;
 mod trees;

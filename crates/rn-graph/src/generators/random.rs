@@ -4,6 +4,7 @@
 //! All generators take an explicit seed and are fully deterministic for a
 //! given seed, which keeps every experiment reproducible.
 
+use super::pairs::sample_pairs;
 use crate::algorithms::connectivity::{connect, connected_components};
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
@@ -15,6 +16,9 @@ use rand::SeedableRng;
 /// with probability `p`; if the sample is disconnected it is repaired by
 /// adding one edge from the first component to each other component (the
 /// minimum augmentation), so the result is always connected.
+///
+/// Cost: one `gen_bool` draw per pair, n(n − 1)/2 in all, plus O(n + m) to
+/// pack and repair the sample.
 ///
 /// Returns an error if `n == 0` or `p` is not in `[0, 1]`.
 pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
@@ -28,16 +32,7 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
             reason: format!("gnp_connected requires p in [0, 1], got {p}"),
         });
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_bool(p) {
-                b.add_edge(i, j).expect("fresh pair");
-            }
-        }
-    }
-    Ok(connect(b.try_build()?)?.0)
+    Ok(connect(sample_pairs(n, seed, |i| [(i + 1..n, p)])?)?.0)
 }
 
 /// Connected random bipartite graph with sides of size `a` and `b`: each
@@ -60,16 +55,10 @@ pub fn random_bipartite_connected(
             reason: format!("random_bipartite_connected requires p in [0, 1], got {p}"),
         });
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(a + b);
-    for i in 0..a {
-        for j in 0..b {
-            if rng.gen_bool(p) {
-                builder.add_edge(i, a + j).expect("fresh cross pair");
-            }
-        }
-    }
-    let g = builder.try_build()?;
+    // Left node i draws over the right side a..a + b; right nodes draw
+    // nothing.
+    let right = |i| if i < a { a..a + b } else { 0..0 };
+    let g = sample_pairs(a + b, seed, |i| [(right(i), p)])?;
     // Repair connectivity while preserving bipartiteness: merge every other
     // component, in order of its smallest node, into node 0's component with
     // one cross edge. Node 0 is on the left; `first_right` is the smallest

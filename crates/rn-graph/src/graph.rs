@@ -358,6 +358,103 @@ impl GraphBuilder {
     }
 }
 
+/// A graph given as its *upper rows*: for each node `u` in order, its
+/// neighbours greater than `u`, ascending, back to back in one flat array.
+///
+/// This is the form in which the pairwise generators find their edges, and
+/// [`pack`](Self::pack) turns it into CSR with one counting pass and one
+/// transposed fill, with no per-node lists. [`GraphBuilder`] stays for the
+/// generators that need [`has_edge`](GraphBuilder::has_edge) as they go.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UpperRows {
+    /// Every upper row, concatenated in node order.
+    targets: Vec<NodeId>,
+    /// End of each pushed row in `targets`.
+    ends: Vec<usize>,
+}
+
+impl UpperRows {
+    /// Appends the upper row of the next node.
+    pub(crate) fn push_row(&mut self, row: &[NodeId]) {
+        self.targets.extend_from_slice(row);
+        self.ends.push(self.targets.len());
+    }
+
+    /// The rows of the nodes pushed so far, each with its node.
+    fn rows(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.targets[start..end])
+            .enumerate()
+    }
+
+    /// Packs the pushed rows into a [`Graph`] with one node per row.
+    ///
+    /// Fails as [`GraphBuilder::try_build`] would on the same edges: with
+    /// [`GraphError::TooLarge`] past the `u32` offsets, and at the first row
+    /// that is not strictly ascending above its node with
+    /// [`GraphError::SelfLoop`], [`GraphError::DuplicateEdge`] (`u < v`) or
+    /// [`GraphError::NodeOutOfRange`]. A row that steps down without
+    /// repeating is [`GraphError::InvalidParameters`].
+    pub(crate) fn pack(self) -> Result<Graph, GraphError> {
+        let n = self.ends.len();
+        let total = 2 * self.targets.len();
+        if u32::try_from(total).is_err() {
+            return Err(GraphError::TooLarge {
+                total_degree: total,
+            });
+        }
+        // Counting pass: each row's length and one entry per target.
+        let mut offsets = vec![0u32; n + 1];
+        for (u, row) in self.rows() {
+            let mut prev = u;
+            for &v in row {
+                if v == u {
+                    return Err(GraphError::SelfLoop { node: u });
+                }
+                if v == prev {
+                    return Err(GraphError::DuplicateEdge { u, v });
+                }
+                if v < prev {
+                    return Err(GraphError::InvalidParameters {
+                        reason: format!("upper row of node {u} is not ascending above it"),
+                    });
+                }
+                if v >= n {
+                    return Err(GraphError::NodeOutOfRange {
+                        node: v,
+                        node_count: n,
+                    });
+                }
+                offsets[v + 1] += 1;
+                prev = v;
+            }
+            offsets[u + 1] += row.len() as u32;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Transposed fill: a row is its smaller neighbours, written as their
+        // own rows come by in node order, then its upper row.
+        let mut neighbors = vec![0; total];
+        let mut cursor = offsets[..n].to_vec();
+        for (u, row) in self.rows() {
+            let end = offsets[u + 1] as usize;
+            neighbors[end - row.len()..end].copy_from_slice(row);
+            for &v in row {
+                neighbors[cursor[v] as usize] = u;
+                cursor[v] += 1;
+            }
+        }
+        Ok(Graph {
+            neighbors,
+            offsets,
+            edge_count: self.targets.len(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +645,56 @@ mod tests {
             assert_eq!(g.neighbors(v).len(), g.degree(v));
         }
         assert_eq!(g.degrees().collect::<Vec<_>>(), vec![2, 1, 2, 1, 2]);
+    }
+
+    fn upper_rows(rows: &[&[NodeId]]) -> UpperRows {
+        let mut upper = UpperRows::default();
+        for row in rows {
+            upper.push_row(row);
+        }
+        upper
+    }
+
+    #[test]
+    fn packed_upper_rows_equal_the_built_graph() {
+        let rows: [&[NodeId]; 6] = [&[2, 4, 5], &[], &[3, 4], &[5], &[5], &[]];
+        let edges: Vec<_> = (0..rows.len())
+            .flat_map(|u| rows[u].iter().map(move |&v| (v, u)))
+            .collect();
+        assert_eq!(
+            upper_rows(&rows).pack(),
+            Graph::from_edges(rows.len(), &edges)
+        );
+        assert_eq!(upper_rows(&[]).pack(), Ok(Graph::empty(0)));
+        assert_eq!(upper_rows(&[&[], &[]]).pack(), Ok(Graph::empty(2)));
+    }
+
+    #[test]
+    fn packing_rejects_rows_not_strictly_ascending_above_their_node() {
+        let pack = |rows: &[&[NodeId]]| upper_rows(rows).pack();
+        assert_eq!(
+            pack(&[&[1], &[1, 2], &[]]),
+            Err(GraphError::SelfLoop { node: 1 })
+        );
+        assert_eq!(
+            pack(&[&[1, 2, 2], &[], &[]]),
+            Err(GraphError::DuplicateEdge { u: 0, v: 2 })
+        );
+        assert!(matches!(
+            pack(&[&[], &[2], &[0]]),
+            Err(GraphError::InvalidParameters { .. })
+        ));
+        assert!(matches!(
+            pack(&[&[2, 1], &[], &[]]),
+            Err(GraphError::InvalidParameters { .. })
+        ));
+        assert_eq!(
+            pack(&[&[1, 3], &[]]),
+            Err(GraphError::NodeOutOfRange {
+                node: 3,
+                node_count: 2
+            })
+        );
     }
 
     #[test]
