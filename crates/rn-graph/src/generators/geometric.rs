@@ -11,7 +11,7 @@
 
 use crate::algorithms::connectivity::connect;
 use crate::error::GraphError;
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::{Graph, UpperRows};
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -38,6 +38,11 @@ pub struct UnitDiskInstance {
 /// and if the result is disconnected the components are linked by one repair
 /// edge each (count reported in the instance).
 ///
+/// Cost: expected O(n + m). The points are bucketed into grid cells at least
+/// `radius` wide, and each point is compared only with the higher-numbered
+/// points of its own cell and the 8 around it
+/// ([`pairs_examined`](UnitDiskInstance::pairs_examined) counts them).
+///
 /// Returns an error if `n == 0` or `radius` is not in `(0, √2]`.
 pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, GraphError> {
     if n == 0 {
@@ -54,20 +59,8 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
     let positions: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
         .collect();
-    let mut b = GraphBuilder::new(n);
-    let r2 = radius * radius;
-    let mut pairs_examined = 0u64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs_examined += 1;
-            let dx = positions[i].0 - positions[j].0;
-            let dy = positions[i].1 - positions[j].1;
-            if dx * dx + dy * dy <= r2 {
-                b.add_edge(i, j).expect("fresh pair");
-            }
-        }
-    }
-    let (graph, repair_edges) = connect(b.try_build()?)?;
+    let (rows, pairs_examined) = disk_rows(&positions, radius);
+    let (graph, repair_edges) = connect(rows.pack()?)?;
     Ok(UnitDiskInstance {
         graph,
         positions,
@@ -75,6 +68,68 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
         repair_edges,
         pairs_examined,
     })
+}
+
+/// The upper rows of the unit-disk graph on `positions`, and the number of
+/// pairs whose distance was computed.
+///
+/// The unit square is cut into `side × side` cells. Each cell is slightly
+/// wider than `radius`, so that rounding `x · side` cannot put two points
+/// within `radius` of each other into cells that are not adjacent, and
+/// `side ≤ ⌈√n⌉`, so that a tiny radius cannot allocate more cells than
+/// points. A counting sort lists the points cell by cell (row-major), in
+/// node order within a cell.
+fn disk_rows(positions: &[(f64, f64)], radius: f64) -> (UpperRows, u64) {
+    let n = positions.len();
+    let max_side = (n as f64).sqrt().ceil() as usize;
+    let side = ((1.0 / (radius * (1.0 + 2f64.powi(-20)))) as usize).clamp(1, max_side);
+    let coordinate = |t: f64| ((t * side as f64) as usize).min(side - 1);
+    let cells: Vec<usize> = positions
+        .iter()
+        .map(|&(x, y)| coordinate(y) * side + coordinate(x))
+        .collect();
+    let mut start = vec![0; side * side + 1];
+    for &c in &cells {
+        start[c + 1] += 1;
+    }
+    for c in 0..side * side {
+        start[c + 1] += start[c];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0; n];
+    for (i, &c) in cells.iter().enumerate() {
+        members[next[c]] = i;
+        next[c] += 1;
+    }
+    // Positions in cell order, so a scan reads them contiguously.
+    let member_positions: Vec<(f64, f64)> = members.iter().map(|&j| positions[j]).collect();
+
+    let r2 = radius * radius;
+    let mut pairs_examined = 0u64;
+    let mut rows = UpperRows::default();
+    let mut row = Vec::new();
+    for (i, &(xi, yi)) in positions.iter().enumerate() {
+        let (cx, cy) = (cells[i] % side, cells[i] / side);
+        let (x_lo, x_hi) = (cx.saturating_sub(1), (cx + 1).min(side - 1));
+        for ny in cy.saturating_sub(1)..=(cy + 1).min(side - 1) {
+            // The cells x_lo..=x_hi of one cell row are contiguous.
+            for k in start[ny * side + x_lo]..start[ny * side + x_hi + 1] {
+                let j = members[k];
+                if j > i {
+                    pairs_examined += 1;
+                    let dx = xi - member_positions[k].0;
+                    let dy = yi - member_positions[k].1;
+                    if dx * dx + dy * dy <= r2 {
+                        row.push(j);
+                    }
+                }
+            }
+        }
+        row.sort_unstable();
+        rows.push_row(&row);
+        row.clear();
+    }
+    (rows, pairs_examined)
 }
 
 /// Convenience wrapper returning only the graph, with a radius chosen so the

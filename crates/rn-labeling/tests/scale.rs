@@ -50,6 +50,13 @@ fn lambda_builds_at_one_hundred_thousand_nodes() {
 }
 
 #[test]
+#[ignore = "n = 10^5; run in release with --ignored"]
+fn lambda_builds_on_unit_disk_at_one_hundred_thousand_nodes() {
+    let g = generators::unit_disk_with_degree(N, 8.0, 1).expect("unit_disk generates");
+    build_and_check(&g, 0);
+}
+
+#[test]
 #[ignore = "n = 10^4 dense clusters; run in release with --ignored"]
 fn lambda_builds_on_dense_clusters_at_ten_thousand_nodes() {
     // About 10^7 adjacency entries, most of them inside the six clusters.

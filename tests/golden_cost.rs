@@ -259,3 +259,28 @@ fn gossip_coordinator_takes_a_bounded_number_of_passes() {
         }
     }
 }
+
+#[test]
+fn unit_disk_examines_a_linear_number_of_pairs() {
+    // Each point is compared only with the points of its own grid cell and
+    // the 8 around it, cells about one radius wide: O(n + m) pairs in
+    // expectation. An all-pairs scan examines n(n − 1)/2, ~26 (n + m) at
+    // n = 256 and growing 4× per doubling.
+    const BOUND: f64 = 4.0;
+    let examined = SIZES.map(|n| {
+        let inst = unit_disk_instance(n);
+        let budget = BOUND * (n + inst.graph.edge_count()) as f64;
+        let pairs = inst.pairs_examined;
+        assert!(
+            pairs > 0 && pairs as f64 <= budget,
+            "n = {n}: {pairs} pairs examined, over {budget}"
+        );
+        pairs
+    });
+    assert!(
+        examined[1] as f64 <= 2.2 * examined[0] as f64,
+        "pairs_examined grew from {} at n = 256 to {} at n = 512",
+        examined[0],
+        examined[1]
+    );
+}
