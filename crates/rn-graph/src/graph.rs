@@ -365,7 +365,7 @@ impl GraphBuilder {
 /// [`pack`](Self::pack) turns it into CSR with one counting pass and one
 /// transposed fill, with no per-node lists. [`GraphBuilder`] stays for the
 /// generators that need [`has_edge`](GraphBuilder::has_edge) as they go.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct UpperRows {
     /// Every upper row, concatenated in node order.
     targets: Vec<NodeId>,
