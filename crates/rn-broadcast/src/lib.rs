@@ -74,7 +74,7 @@ mod tests {
         assert!(size_of::<crate::algo_b::BNode>() <= 72);
         assert!(size_of::<crate::algo_back::BackNode>() <= 208);
         assert!(size_of::<crate::algo_barb::ArbNode>() <= 728);
-        assert!(size_of::<crate::multi::MultiNode>() <= 144);
+        assert!(size_of::<crate::multi::MultiNode>() <= 160);
         assert!(size_of::<crate::baselines::SlottedNode>() <= 48);
         assert!(size_of::<crate::delay_relay::DelayRelayNode>() <= 40);
     }

@@ -8,6 +8,7 @@
 //! phase 1 of B_arb, the source message µ in phase 2).
 
 use rn_radio::message::{bits_for, RadioMessage};
+use std::sync::Arc;
 
 /// The source message type. The paper treats µ as an opaque message; a `u64`
 /// is enough for every experiment (it can also stand in for "many consecutive
@@ -33,12 +34,111 @@ impl RadioMessage for BMessage {
     }
 }
 
-/// The assembled k-source payload set of a multi-broadcast run: pairs of
-/// (source index, payload µ_j), sorted by index. Shared behind an `Arc` so
-/// the broadcast phase relays it without copying the payload vector — a
-/// bundle clone is a reference-count bump, keeping the simulator's
-/// by-reference delivery cheap for arbitrarily large k.
-pub type MessageBundle = std::sync::Arc<Vec<(u32, SourceMessage)>>;
+/// A set of (source index, payload µ_j) pairs of one multi-message run:
+/// the walking token of a DFS plan, or the broadcast phase's bundle.
+///
+/// It holds the set as a ⌈k/64⌉-word bitset over the run's source indices
+/// plus the run's payload table, which every node and every bundle of the
+/// run shares (a held index j always carries µ_j), and its size in bits,
+/// computed once when it is created. A bundle is shared behind an `Arc`,
+/// so a clone is a reference-count bump and the simulator's by-reference
+/// delivery stays cheap for any k.
+#[derive(Clone)]
+pub struct MessageBundle(Arc<BundleParts>);
+
+struct BundleParts {
+    /// Bit j set iff the bundle carries message j.
+    held: Box<[u64]>,
+    /// The run's payloads, indexed by source index.
+    payloads: Arc<[SourceMessage]>,
+    /// The bits of every pair carried, as [`pair_bits`] counts them.
+    bit_size: usize,
+}
+
+/// The bits a (source index, payload) pair costs in a bundle.
+pub(crate) fn pair_bits(j: usize, payload: SourceMessage) -> usize {
+    bits_for(j as u64) + bits_for(payload)
+}
+
+impl MessageBundle {
+    /// A bundle of the messages set in `held`, drawn from `payloads`, whose
+    /// pairs cost `bit_size` bits in all (the caller keeps that sum as it
+    /// gathers the messages, so a bundle costs O(⌈k/64⌉) to make).
+    pub(crate) fn new(held: &[u64], payloads: &Arc<[SourceMessage]>, bit_size: usize) -> Self {
+        debug_assert_eq!(
+            bit_size,
+            ones(held).map(|j| pair_bits(j, payloads[j])).sum::<usize>(),
+            "bundle size out of step with its contents"
+        );
+        MessageBundle(Arc::new(BundleParts {
+            held: held.into(),
+            payloads: Arc::clone(payloads),
+            bit_size,
+        }))
+    }
+
+    /// The bundle's bitset: bit j of word j / 64 is set iff it carries
+    /// message j.
+    pub fn words(&self) -> &[u64] {
+        &self.0.held
+    }
+
+    /// The run's payload table the bundle draws from.
+    pub(crate) fn payloads(&self) -> &Arc<[SourceMessage]> {
+        &self.0.payloads
+    }
+
+    /// How many messages the bundle carries.
+    pub fn len(&self) -> usize {
+        self.0.held.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the bundle carries no message.
+    pub fn is_empty(&self) -> bool {
+        self.0.held.iter().all(|&w| w == 0)
+    }
+
+    /// The pairs carried, `(j, µ_j)` in ascending j.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, SourceMessage)> + '_ {
+        ones(&self.0.held).map(|j| (j as u32, self.0.payloads[j]))
+    }
+
+    /// The bits of the pairs carried: Σ over them of the bits of j and of
+    /// µ_j. O(1).
+    pub fn bit_size(&self) -> usize {
+        self.0.bit_size
+    }
+}
+
+/// The set bits of a bitset, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// Two bundles are equal when they carry the same pairs.
+impl PartialEq for MessageBundle {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+            && (Arc::ptr_eq(self.payloads(), other.payloads()) || self.iter().eq(other.iter()))
+    }
+}
+
+impl Eq for MessageBundle {}
+
+impl std::fmt::Debug for MessageBundle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Messages of the multi-message algorithms (multi-broadcast and gossip, see
 /// `crate::multi`): the collection-phase relays (single-message BFS-path
@@ -77,12 +177,7 @@ impl RadioMessage for MultiMessage {
                 source_index,
                 payload,
             } => 2 + bits_for(u64::from(*source_index)) + bits_for(*payload),
-            MultiMessage::Token(bundle) | MultiMessage::Bundle(bundle) => {
-                2 + bundle
-                    .iter()
-                    .map(|&(j, p)| bits_for(u64::from(j)) + bits_for(p))
-                    .sum::<usize>()
-            }
+            MultiMessage::Token(bundle) | MultiMessage::Bundle(bundle) => 2 + bundle.bit_size(),
             MultiMessage::Stay => 2,
         }
     }
@@ -202,11 +297,23 @@ mod tests {
             payload: 255,
         };
         assert_eq!(relay.bit_size(), 2 + 1 + 8);
-        let bundle = MultiMessage::Bundle(std::sync::Arc::new(vec![(0, 1), (1, 255)]));
-        assert_eq!(bundle.bit_size(), 2 + (1 + 1) + (1 + 8));
+        let payloads: Arc<[SourceMessage]> = Arc::from([1, 255, 7]);
+        let bundle = MessageBundle::new(&[0b011], &payloads, (1 + 1) + (1 + 8));
+        assert_eq!(bundle.iter().collect::<Vec<_>>(), vec![(0, 1), (1, 255)]);
+        assert_eq!(bundle.len(), 2);
+        let message = MultiMessage::Bundle(bundle);
+        assert_eq!(message.bit_size(), 2 + (1 + 1) + (1 + 8));
         // Cloning a bundle is a reference-count bump, not a payload copy.
-        let b2 = bundle.clone();
-        assert_eq!(bundle, b2);
+        let b2 = message.clone();
+        assert_eq!(message, b2);
+        // Equal contents from another run's table compare equal.
+        let other: Arc<[SourceMessage]> = Arc::from([1, 255, 9]);
+        let same = MessageBundle::new(&[0b011], &other, 11);
+        assert_eq!(MultiMessage::Bundle(same), message);
+        assert_ne!(
+            MultiMessage::Bundle(MessageBundle::new(&[0b101], &other, (1 + 1) + (2 + 4))),
+            message
+        );
     }
 
     #[test]

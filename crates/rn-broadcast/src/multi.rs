@@ -39,7 +39,7 @@
 //! completion rounds.
 
 use crate::algo_b::{BClock, BRule};
-use crate::messages::{MessageBundle, MultiMessage, SourceMessage};
+use crate::messages::{ones, pair_bits, MessageBundle, MultiMessage, SourceMessage};
 use rn_labeling::collection::TokenPayload;
 use rn_labeling::multi::MultiLambdaScheme;
 use rn_radio::{hint_until, Action, RadioNode};
@@ -60,11 +60,17 @@ pub struct MultiNode {
     // Dynamic state.
     /// Next unfired entry of `slots`.
     next_slot: usize,
-    /// Per-source payloads this node holds; entry `j` is `Some(µ_j)` once
+    /// The messages this node holds: bit j of word j / 64 is set once
     /// message j has been received (or originated here).
-    received: Vec<Option<SourceMessage>>,
-    /// How many entries of `received` are `Some`.
-    held: usize,
+    held: Box<[u64]>,
+    /// How many bits of `held` are set.
+    held_count: usize,
+    /// The bits a bundle of the held messages costs (see
+    /// [`MessageBundle::bit_size`]), kept as messages arrive.
+    held_bits: usize,
+    /// The run's payloads, indexed by source index, shared by every node:
+    /// a held j always carries `payloads[j]`.
+    payloads: Arc<[SourceMessage]>,
     /// The bundle, once assembled (coordinator) or heard (everyone else):
     /// the broadcast phase's "sourcemsg".
     bundle: Option<MessageBundle>,
@@ -90,7 +96,8 @@ impl MultiNode {
             "need exactly one payload per source"
         );
         let n = labeling.node_count();
-        let k = sources.len();
+        let words = sources.len().div_ceil(64);
+        let table: Arc<[SourceMessage]> = payloads.into();
         let mut nodes: Vec<MultiNode> = (0..n)
             .map(|v| {
                 let label = labeling.get(v);
@@ -100,8 +107,10 @@ impl MultiNode {
                     slots: Vec::new(),
                     coordinator_start: (v == plan.coordinator()).then(|| plan.rounds()),
                     next_slot: 0,
-                    received: vec![None; k],
-                    held: 0,
+                    held: vec![0; words].into(),
+                    held_count: 0,
+                    held_bits: 0,
+                    payloads: Arc::clone(&table),
                     bundle: None,
                     clock: BClock::default(),
                 }
@@ -118,18 +127,35 @@ impl MultiNode {
 
     /// Whether this node holds message `j`.
     pub fn has_message(&self, j: usize) -> bool {
-        self.received.get(j).is_some_and(Option::is_some)
+        self.held
+            .get(j / 64)
+            .is_some_and(|&word| word & (1 << (j % 64)) != 0)
     }
 
     /// Whether this node holds **all** k messages (the multi-broadcast
     /// completion notion).
     pub fn holds_all_messages(&self) -> bool {
-        self.held == self.received.len()
+        self.held_count == self.payloads.len()
+    }
+
+    /// Message `j`'s payload, if this node holds it.
+    pub fn payload(&self, j: usize) -> Option<SourceMessage> {
+        self.has_message(j).then(|| self.payloads[j])
     }
 
     /// The payloads this node currently holds, indexed by source index.
-    pub fn payloads(&self) -> &[Option<SourceMessage>] {
-        &self.received
+    pub fn payloads(&self) -> Vec<Option<SourceMessage>> {
+        (0..self.payloads.len()).map(|j| self.payload(j)).collect()
+    }
+
+    /// How many messages this node holds.
+    pub(crate) fn held_count(&self) -> usize {
+        self.held_count
+    }
+
+    /// The bitset of the messages this node holds: bit j of word j / 64.
+    pub(crate) fn held_words(&self) -> &[u64] {
+        &self.held
     }
 
     /// The first local round after `now` in which `step` may act, or
@@ -149,18 +175,33 @@ impl MultiNode {
 
     /// Stores message `j` unless the node already holds it.
     fn hold(&mut self, j: usize, payload: SourceMessage) {
-        let slot = &mut self.received[j];
-        if slot.is_none() {
-            *slot = Some(payload);
-            self.held += 1;
+        debug_assert_eq!(payload, self.payloads[j], "message {j} altered");
+        let (word, bit) = (&mut self.held[j / 64], 1 << (j % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.held_count += 1;
+            self.held_bits += pair_bits(j, payload);
         }
     }
 
-    /// Stores every payload of a bundle (idempotent).
+    /// Stores every message of a bundle (idempotent): ORs its words into
+    /// `held`, visiting only the bits that are new here.
     fn absorb_bundle(&mut self, bundle: &MessageBundle) {
-        for &(j, p) in bundle.iter() {
-            self.hold(j as usize, p);
+        let theirs = bundle.payloads();
+        for (w, (mine, &word)) in self.held.iter_mut().zip(bundle.words()).enumerate() {
+            let new = word & !*mine;
+            *mine |= new;
+            for j in ones(&[new]).map(|bit| w * 64 + bit) {
+                debug_assert_eq!(theirs[j], self.payloads[j], "message {j} altered");
+                self.held_count += 1;
+                self.held_bits += pair_bits(j, self.payloads[j]);
+            }
         }
+    }
+
+    /// A bundle of everything this node holds: ⌈k/64⌉ words copied.
+    fn snapshot(&self) -> MessageBundle {
+        MessageBundle::new(&self.held, &self.payloads, self.held_bits)
     }
 
     fn transmit_bundle(&mut self, now: u64) -> Action<MultiMessage> {
@@ -189,7 +230,7 @@ impl RadioNode for MultiNode {
             if round == now {
                 self.next_slot += 1;
                 return match payload {
-                    TokenPayload::Source(j) => match self.received[j as usize] {
+                    TokenPayload::Source(j) => match self.payload(j as usize) {
                         Some(payload) => Action::Transmit(MultiMessage::Relay {
                             source_index: j,
                             payload,
@@ -197,13 +238,7 @@ impl RadioNode for MultiNode {
                         None => Action::Listen,
                     },
                     TokenPayload::Accumulated => {
-                        let token: Vec<(u32, SourceMessage)> = self
-                            .received
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(j, p)| p.map(|p| (j as u32, p)))
-                            .collect();
-                        Action::Transmit(MultiMessage::Token(Arc::new(token)))
+                        Action::Transmit(MultiMessage::Token(self.snapshot()))
                     }
                 };
             }
@@ -215,13 +250,7 @@ impl RadioNode for MultiNode {
         // fault-free run; under injected faults some may be missing, and
         // the coordinator broadcasts whatever subset it holds.
         if self.coordinator_start.map(|t| t + 1) == Some(now) {
-            let bundle: Vec<(u32, SourceMessage)> = self
-                .received
-                .iter()
-                .enumerate()
-                .filter_map(|(j, p)| p.map(|p| (j as u32, p)))
-                .collect();
-            self.bundle = Some(Arc::new(bundle));
+            self.bundle = Some(self.snapshot());
             return self.transmit_bundle(now);
         }
 
@@ -264,7 +293,7 @@ impl RadioNode for MultiNode {
             }
             MultiMessage::Bundle(bundle) => {
                 if self.bundle.is_none() {
-                    self.bundle = Some(Arc::clone(bundle));
+                    self.bundle = Some(bundle.clone());
                     self.clock.informed_at = Some(now);
                 }
                 self.absorb_bundle(bundle);
@@ -293,16 +322,16 @@ impl RadioNode for MultiNode {
         d = d
             .opt(self.coordinator_start)
             .word(self.next_slot as u64)
-            .word(self.received.len() as u64);
-        for slot in &self.received {
-            d = d.opt(*slot);
+            .word(self.payloads.len() as u64);
+        for j in 0..self.payloads.len() {
+            d = d.opt(self.payload(j));
         }
         d = d.word(match &self.bundle {
             None => 0,
             Some(b) => 1 + b.len() as u64,
         });
         if let Some(b) = &self.bundle {
-            for &(j, m) in b.iter() {
+            for (j, m) in b.iter() {
                 d = d.word(u64::from(j)).word(m);
             }
         }
@@ -358,7 +387,7 @@ mod tests {
                     scheme.k()
                 );
                 for (j, &p) in payloads.iter().enumerate() {
-                    assert_eq!(node.payloads()[j], Some(p), "node {v}, message {j}");
+                    assert_eq!(node.payload(j), Some(p), "node {v}, message {j}");
                 }
             }
         }
@@ -441,7 +470,7 @@ mod tests {
             .first_receive_rounds_bucketed(n, scheme.k(), |m, emit| match m {
                 MultiMessage::Relay { source_index, .. } => emit(*source_index as usize),
                 MultiMessage::Token(bundle) | MultiMessage::Bundle(bundle) => {
-                    for &(j, _) in bundle.iter() {
+                    for (j, _) in bundle.iter() {
                         emit(j as usize);
                     }
                 }
@@ -555,7 +584,7 @@ mod tests {
             for (v, node) in sim.nodes().iter().enumerate() {
                 assert!(node.holds_all_messages(), "node {v} missing a message");
                 for (j, &p) in payloads.iter().enumerate() {
-                    assert_eq!(node.payloads()[j], Some(p), "node {v}, message {j}");
+                    assert_eq!(node.payload(j), Some(p), "node {v}, message {j}");
                 }
             }
         }

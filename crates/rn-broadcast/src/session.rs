@@ -53,7 +53,7 @@ use crate::algo_back::BackNode;
 use crate::algo_barb::ArbNode;
 use crate::baselines::SlottedNode;
 use crate::delay_relay::DelayRelayNode;
-use crate::messages::SourceMessage;
+use crate::messages::{ones, SourceMessage};
 use crate::multi::MultiNode;
 use crate::verify;
 use rn_graph::{Graph, NodeId};
@@ -1152,7 +1152,7 @@ impl Session {
             ..Watch::default()
         };
         watch.track(&nodes, None, 0);
-        P::observe(&nodes, 0, &mut report, &mut watch);
+        P::observe(&nodes, None, 0, &mut report, &mut watch);
 
         // The per-round scratch is borrowed from the session's pool and
         // returned afterwards, so repeated and batched runs reuse the same
@@ -1177,9 +1177,9 @@ impl Session {
             sim = sim.with_metrics(Box::new(sink));
         }
         let outcome = sim.run_until(self.stop_condition(), |s| {
-            let round = s.current_round();
-            watch.track(s.nodes(), s.active_nodes(), round);
-            P::observe(s.nodes(), round, &mut report, &mut watch)
+            let (round, changed) = (s.current_round(), s.active_nodes());
+            watch.track(s.nodes(), changed, round);
+            P::observe(s.nodes(), changed, round, &mut report, &mut watch)
         });
         self.scratch_pool
             .lock()
@@ -1292,26 +1292,37 @@ trait Protocol: RadioNode + Clone {
     /// Observes the network at `round` — round 0 is the initial state, then
     /// once after every executed round — and records the protocol's own
     /// measurements in `report`: the ack, completion, common-knowledge and
-    /// per-message completion rounds. All-nodes checks go through
+    /// per-message completion rounds. `changed` names the nodes the round
+    /// may have changed (`None`: any node). All-nodes checks go through
     /// [`Watch::all`]. Returning `true` stops the run early (ignored at
     /// round 0).
-    fn observe(_nodes: &[Self], _round: u64, _report: &mut RunReport, _watch: &mut Watch) -> bool {
+    fn observe(
+        _nodes: &[Self],
+        _changed: Option<&[NodeId]>,
+        _round: u64,
+        _report: &mut RunReport,
+        _watch: &mut Watch,
+    ) -> bool {
         false
     }
 }
 
 /// What [`Session::drive`] keeps between rounds to observe a run: the
 /// informed rounds it tracks from node state, one cursor per all-nodes
-/// check, and a tally of the node states it examined (the
-/// `harness_visits` counter). It holds O(n + checks) words, and a round
-/// costs it O(nodes the round changed + checks) when the engine names
-/// the changed nodes.
+/// check, a multi-message run's [`Holdings`], and a tally of the node
+/// states it examined (the `harness_visits` counter). It holds
+/// O(n + checks) words, plus n·⌈k/64⌉ for k messages. When the engine
+/// names the nodes a round changed, the round costs it O(those nodes +
+/// checks), plus ⌈k/64⌉ words per changed node whose holdings grew and one
+/// step per new holding.
 #[derive(Default)]
 struct Watch {
     /// The first round each node was seen informed.
     online: Vec<Option<u64>>,
     /// Per all-nodes check, the first node not yet seen to pass it.
     cursors: Vec<usize>,
+    /// Per-message holder counts (multi-message runs only).
+    holdings: Holdings,
     /// Node states examined so far.
     visits: u64,
 }
@@ -1397,7 +1408,13 @@ impl Protocol for BackNode {
         BackNode::is_informed(self)
     }
 
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, _watch: &mut Watch) -> bool {
+    fn observe(
+        nodes: &[Self],
+        _changed: Option<&[NodeId]>,
+        round: u64,
+        report: &mut RunReport,
+        _watch: &mut Watch,
+    ) -> bool {
         if report.ack_round.is_none() && nodes[report.source].source_received_ack() {
             report.ack_round = Some(round);
         }
@@ -1424,7 +1441,13 @@ impl Protocol for ArbNode {
     /// Completion is every node knowing µ itself, not just some message;
     /// both it and common knowledge are first checked after round 1, so
     /// even a one-node network completes in round 1.
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
+    fn observe(
+        nodes: &[Self],
+        _changed: Option<&[NodeId]>,
+        round: u64,
+        report: &mut RunReport,
+        watch: &mut Watch,
+    ) -> bool {
         if round == 0 {
             return false;
         }
@@ -1459,7 +1482,13 @@ impl Protocol for SlottedNode {
 
     /// The slotted baselines never go quiet on their own: stop once every
     /// node is informed.
-    fn observe(nodes: &[Self], _round: u64, _report: &mut RunReport, watch: &mut Watch) -> bool {
+    fn observe(
+        nodes: &[Self],
+        _changed: Option<&[NodeId]>,
+        _round: u64,
+        _report: &mut RunReport,
+        watch: &mut Watch,
+    ) -> bool {
         watch.all(0, nodes, SlottedNode::is_informed)
     }
 }
@@ -1499,37 +1528,101 @@ impl Protocol for MultiNode {
         self.holds_all_messages()
     }
 
-    fn observe(nodes: &[Self], round: u64, report: &mut RunReport, watch: &mut Watch) -> bool {
-        observe_messages(nodes, round, report, watch, MultiNode::has_message)
+    fn observe(
+        nodes: &[Self],
+        changed: Option<&[NodeId]>,
+        round: u64,
+        report: &mut RunReport,
+        watch: &mut Watch,
+    ) -> bool {
+        let sources = &report.sources;
+        let slots = report
+            .message_completion_rounds
+            .get_or_insert_with(|| sources.iter().map(|&s| (s, None)).collect());
+        watch
+            .holdings
+            .observe(nodes, changed, round, slots, &mut watch.visits)
     }
 }
 
-/// The per-message completion rounds of a multi-message run: message `j` is
-/// complete in the first observed round in which every node holds it
-/// (round 0 when it is universal from the start). Returns whether every
-/// message is complete.
-fn observe_messages<N>(
-    nodes: &[N],
-    round: u64,
-    report: &mut RunReport,
-    watch: &mut Watch,
-    has_message: impl Fn(&N, usize) -> bool,
-) -> bool {
-    let sources = &report.sources;
-    let slots = report
-        .message_completion_rounds
-        .get_or_insert_with(|| sources.iter().map(|&s| (s, None)).collect());
-    let mut all_complete = true;
-    for (j, (_, slot)) in slots.iter_mut().enumerate() {
-        if slot.is_none() {
-            if watch.all(j, nodes, |nd| has_message(nd, j)) {
-                *slot = Some(round);
-            } else {
-                all_complete = false;
-            }
+/// What [`Watch`] keeps to date a multi-message run's messages: a shadow of
+/// every node's holdings and, per message, the nodes seen holding it.
+/// Message j is complete in the round its holder count reaches n.
+#[derive(Default)]
+struct Holdings {
+    /// Words per node bitset, ⌈k/64⌉.
+    words: usize,
+    /// Each node's holdings as last seen, `words` words per node.
+    seen: Vec<u64>,
+    /// Each node's held count as last seen.
+    counts: Vec<usize>,
+    /// Per message, how many nodes were seen holding it.
+    holders: Vec<usize>,
+    /// Messages not yet held by every node.
+    open: usize,
+}
+
+impl Holdings {
+    /// Brings the shadow up to date with the nodes in `changed` (`None`:
+    /// all of them) and dates every message whose holder count reaches n
+    /// in `slots`, the report's per-message completion rounds (round 0
+    /// when a message is universal from the start). A node whose held
+    /// count did not move costs one comparison; one that did costs
+    /// ⌈k/64⌉ words plus one step per new holding. Returns whether every
+    /// message is complete.
+    fn observe(
+        &mut self,
+        nodes: &[MultiNode],
+        changed: Option<&[NodeId]>,
+        round: u64,
+        slots: &mut [(NodeId, Option<u64>)],
+        visits: &mut u64,
+    ) -> bool {
+        let n = nodes.len();
+        if self.counts.is_empty() {
+            self.words = slots.len().div_ceil(64);
+            self.seen = vec![0; n * self.words];
+            self.counts = vec![0; n];
+            self.holders = vec![0; slots.len()];
+            self.open = slots.len();
         }
+        let mut see = |v: NodeId| {
+            *visits += 1;
+            let node = &nodes[v];
+            if node.held_count() == self.counts[v] {
+                return;
+            }
+            self.counts[v] = node.held_count();
+            let seen = &mut self.seen[v * self.words..][..self.words];
+            for (w, (old, &now)) in seen.iter_mut().zip(node.held_words()).enumerate() {
+                for j in ones(&[now & !*old]).map(|bit| w * 64 + bit) {
+                    self.holders[j] += 1;
+                    if self.holders[j] == n {
+                        slots[j].1 = Some(round);
+                        self.open -= 1;
+                    }
+                }
+                *old = now;
+            }
+        };
+        match changed {
+            Some(vs) => vs.iter().for_each(|&v| see(v)),
+            None => (0..n).for_each(see),
+        }
+        debug_assert!(
+            nodes
+                .iter()
+                .zip(self.seen.chunks(self.words.max(1)))
+                .all(|(node, seen)| node.held_words() == seen),
+            "round {round}: a node the engine did not name gained a message"
+        );
+        debug_assert_eq!(
+            self.holders.iter().sum::<usize>(),
+            self.counts.iter().sum::<usize>(),
+            "round {round}: holder counts out of step with the nodes"
+        );
+        self.open == 0
     }
-    all_complete
 }
 
 /// The per-source payloads of a multi-broadcast run: source `j` (in sorted

@@ -44,7 +44,7 @@ fn replay_holdings(
                     }
                 }
                 MultiMessage::Token(bundle) | MultiMessage::Bundle(bundle) => {
-                    for &(j, _) in bundle.iter() {
+                    for (j, _) in bundle.iter() {
                         let j = j as usize;
                         if j < k && acquired[v][j].is_none() {
                             acquired[v][j] = Some(round.round);

@@ -164,26 +164,22 @@ fn cost_counters_match_the_golden_file() {
 #[test]
 fn cost_grows_linearly_on_a_path() {
     // Every node sleeps until the local round it acts in and the harness
-    // observes only the nodes a round changed, so λ, λ_ack, λ_arb and
-    // multi_lambda cost O(n) on a path: doubling n may at most (about)
-    // double each counter. Gossip's engine cost is linear too, but its
-    // harness keeps one completion cursor per message (k = n), so its
-    // `harness_visits` still grows ~4×.
-    let both = |scheme| (scheme, true);
-    for (scheme, harness) in [
-        both(Scheme::Lambda),
-        both(Scheme::LambdaAck),
-        both(Scheme::LambdaArb),
-        both(Scheme::MultiLambda { k: 2 }),
-        (Scheme::Gossip, false),
+    // observes only the nodes a round changed, so λ, λ_ack, λ_arb,
+    // multi_lambda and gossip cost O(n) on a path: doubling n may at most
+    // (about) double each counter.
+    for scheme in [
+        Scheme::Lambda,
+        Scheme::LambdaAck,
+        Scheme::LambdaArb,
+        Scheme::MultiLambda { k: 2 },
+        Scheme::Gossip,
     ] {
         let small = counters(TopologyFamily::Path, 256, scheme);
         let large = counters(TopologyFamily::Path, 512, scheme);
-        let mut pairs = vec![("node_steps", small.node_steps, large.node_steps)];
-        if harness {
-            pairs.push(("harness_visits", small.harness_visits, large.harness_visits));
-        }
-        for (name, a, b) in pairs {
+        for (name, a, b) in [
+            ("node_steps", small.node_steps, large.node_steps),
+            ("harness_visits", small.harness_visits, large.harness_visits),
+        ] {
             assert!(a > 0, "{}: {name} counted nothing", scheme.name());
             assert!(
                 b as f64 <= 2.2 * a as f64,
@@ -191,6 +187,23 @@ fn cost_grows_linearly_on_a_path() {
                 scheme.name()
             );
         }
+    }
+}
+
+#[test]
+fn gossip_harness_grows_linearly_on_every_cost_family() {
+    // Gossip has k = n messages. The harness dates them with one holder
+    // count per message, diffing only the nodes a round changed, so its
+    // visits stay O(n) per run; one completion cursor per message would
+    // make them grow ~4× per doubling.
+    for family in FAMILIES {
+        let [a, b] = SIZES.map(|n| counters(family, n, Scheme::Gossip).harness_visits);
+        assert!(a > 0, "{}: counted nothing", family.name());
+        assert!(
+            b as f64 <= 2.2 * a as f64,
+            "{}: gossip harness_visits grew from {a} at n = 256 to {b} at n = 512",
+            family.name()
+        );
     }
 }
 

@@ -67,7 +67,7 @@ fn gossip_completes_on_every_registry_preset_with_trace_verification() {
             );
             for (j, &p) in payloads.iter().enumerate() {
                 assert_eq!(
-                    node.payloads()[j],
+                    node.payload(j),
                     Some(p),
                     "{}: node {v}, message {j}",
                     family.name()
@@ -83,7 +83,7 @@ fn gossip_completes_on_every_registry_preset_with_trace_verification() {
             .first_receive_rounds_bucketed(n, n, |m, emit| match m {
                 MultiMessage::Relay { source_index, .. } => emit(*source_index as usize),
                 MultiMessage::Token(bundle) | MultiMessage::Bundle(bundle) => {
-                    for &(j, _) in bundle.iter() {
+                    for (j, _) in bundle.iter() {
                         emit(j as usize);
                     }
                 }
