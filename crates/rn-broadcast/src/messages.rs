@@ -79,7 +79,7 @@ impl MessageBundle {
 
     /// The bundle's bitset: bit j of word j / 64 is set iff it carries
     /// message j.
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.0.held
     }
 

@@ -35,8 +35,16 @@
 //! A node is *fully informed* once it holds all k payloads
 //! ([`MultiNode::holds_all_messages`]) — via the bundle, or early via
 //! overheard relays. Per-message progress is exposed with
-//! [`MultiNode::has_message`] so the harness can report per-message
-//! completion rounds.
+//! [`MultiNode::has_message`].
+//!
+//! Costs. A node holds its messages as a ⌈k/64⌉-word bitset with a held
+//! count; the payloads live in one table per run that every node and every
+//! [`MessageBundle`] shares, so node state is n·⌈k/64⌉ words in all. A
+//! token slot or the coordinator's bundle copies ⌈k/64⌉ words; a listener
+//! absorbs a token or bundle by OR-ing words, O(⌈k/64⌉ + new messages);
+//! a message's size in bits is O(1). The session harness dates each
+//! message with a holder count, diffing only the nodes whose held count
+//! moved in a round.
 
 use crate::algo_b::{BClock, BRule};
 use crate::messages::{ones, pair_bits, MessageBundle, MultiMessage, SourceMessage};
